@@ -20,7 +20,7 @@ from .errors import (AbsorbingState, BistochError, ConfigError,
                      NonzeroFlux, NonZeroMean, NotDivergenceFree,
                      NotPositiveDefinite, NotStationary, Reducible,
                      SymmetryViolation, ZeroConductanceCrossing)
-from .helmholtz import PoissonSolver, flux, poisson_solve, stream_from_flow
+from .helmholtz import PoissonSolver, poisson_solve, stream_from_flow
 from .mart import (BracketFields, DiffusivityBounds, DriftFields,
                    MartingaleEnsemble, bounds, bracket_fields, decompose,
                    drift_fields, dyadic_grid, harmonic_mean_conductance,

@@ -21,7 +21,8 @@ from . import helmholtz as hh
 from . import mart, report
 from .env import curl, env_to_dict, load_env, random_environment, save_env
 from .errors import BistochError, ConfigError, InvalidEnvironment
-from .walker import ensemble_summary_csv, replica_key, run_ensemble, simulate
+from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
+                     simulate)
 
 
 def _default_threads() -> int:
@@ -54,11 +55,11 @@ def _parse_dist(text: str) -> tuple:
     return (name, *args)
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str, T: float) -> np.ndarray:
     try:
-        return np.asarray([float(p) for p in text.split(",")], dtype=float)
-    except ValueError:
-        raise ConfigError("grid", f"non-numeric grid entry in {text!r}")
+        return check_grid([float(p) for p in text.split(",")], T)
+    except ValueError as e:
+        raise ConfigError("grid", str(e))
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -189,7 +190,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_decompose(args) -> int:
     env = load_env(args.env)
     threads = args.threads if args.threads is not None else _default_threads()
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid(args.grid, args.T) if args.grid else None
     ens = mart.run_decomposition_ensemble(env, args.T, args.replicas,
                                           args.seed, grid=grid, x0=args.x0,
                                           threads=threads)
@@ -198,7 +199,7 @@ def _cmd_decompose(args) -> int:
     mart.decomposition_csv(ens, out)
     print(f"wrote {out}; reconstruction residuals: "
           f"three-way {res['three_way']:.3e}, four-way {res['four_way']:.3e}")
-    return 0 if max(res.values()) <= 1e-10 else 1
+    return 0 if max(res.values()) <= mart.IDENTITY_TOL else 1
 
 
 def _cmd_bounds(args) -> int:

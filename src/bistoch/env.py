@@ -39,6 +39,24 @@ def _scale(*arrays) -> float:
     return m
 
 
+def _worst(residual: np.ndarray) -> tuple:
+    """Largest |residual| and the index of its first occurrence."""
+    a = np.abs(residual)
+    i = np.unravel_index(int(np.argmax(a)), a.shape)
+    return float(a[i]), tuple(int(v) for v in i)
+
+
+def edge_symmetry_residual(torus: Torus, values: np.ndarray, odd: bool = False) -> tuple:
+    """Worst violation of values[x, k] = +-values[x + k, -k] and where it occurs.
+
+    Axis 0 of `values` is the site and axis 1 the direction; trailing axes
+    are compared entrywise.  The sign is + for a symmetric edge field and
+    - when `odd`.  Returns (max residual, (x, k, ...)).
+    """
+    partner = values[torus.nbr, torus.opp]
+    return _worst(values + partner if odd else values - partner)
+
+
 class ConductanceField:
     """Symmetric nonnegative edge field s with s_{-k}(x+k) = s_k(x)."""
 
@@ -75,14 +93,6 @@ class ConductanceField:
     def r(self) -> np.ndarray:
         """Square-root conductances r = sqrt(s) over all directions."""
         return np.sqrt(self.full)
-
-    def symmetry_residual(self) -> float:
-        t = self.torus
-        res = 0.0
-        for k in range(t.ndir):
-            diff = self.full[:, k] - self.full[t.nbr[:, k], t.opposite(k)]
-            res = max(res, float(np.max(np.abs(diff))))
-        return res
 
     def min_value(self) -> float:
         return float(self.full.min())
@@ -142,25 +152,23 @@ class StreamTensor:
         self._full = h
         return h
 
-    def symmetry_residuals(self) -> dict:
-        """Max absolute residual of each structural identity on the full tensor."""
+    def symmetry_faults(self) -> dict:
+        """Worst residual of each structural identity and its (site, k, l)."""
         t = self.torus
         h = self.full()
-        res = {"pair_antisymmetry": float(np.max(np.abs(h + h.transpose(0, 2, 1))))}
-        r1 = 0.0
-        r2 = 0.0
-        for k in range(t.ndir):
-            shifted = h[t.nbr[:, k]]
-            r1 = max(r1, float(np.max(np.abs(h[:, k, :] + shifted[:, t.opposite(k), :]))))
-            r2 = max(r2, float(np.max(np.abs(h[:, :, k] + shifted[:, :, t.opposite(k)]))))
-        res["first_slot_shift"] = r1
-        res["second_slot_shift"] = r2
-        diag = 0.0
-        for k in range(t.ndir):
-            diag = max(diag, float(np.max(np.abs(h[:, k, k]))))
-            diag = max(diag, float(np.max(np.abs(h[:, k, t.opposite(k)]))))
-        res["same_axis_zero"] = diag
-        return res
+        hT = h.transpose(0, 2, 1)
+        # the transpose puts the shifted slot on axis 1; swap the index back
+        second, (x, a, b) = edge_symmetry_residual(t, hT, odd=True)
+        dirs = np.arange(t.ndir)
+        same_axis = (dirs[:, None] == dirs) | (t.opp[:, None] == dirs)
+        return {"pair_antisymmetry": _worst(h + hT),
+                "first_slot_shift": edge_symmetry_residual(t, h, odd=True),
+                "second_slot_shift": (second, (x, b, a)),
+                "same_axis_zero": _worst(np.where(same_axis, h, 0.0))}
+
+    def symmetry_residuals(self) -> dict:
+        """Max absolute residual of each structural identity on the full tensor."""
+        return {name: value for name, (value, _) in self.symmetry_faults().items()}
 
     def max_abs(self) -> float:
         if self.canonical is not None and self.canonical.size:
@@ -202,20 +210,16 @@ class FlowField:
     def canonical(self) -> np.ndarray:
         return self.full[:, : self.torus.d]
 
-    def antisymmetry_residual(self) -> float:
-        t = self.torus
-        res = 0.0
-        for k in range(t.ndir):
-            diff = self.full[:, k] + self.full[t.nbr[:, k], t.opposite(k)]
-            res = max(res, float(np.max(np.abs(diff))))
-        return res
-
     def divergence(self) -> np.ndarray:
         """Per-site sum over directions; zero for a divergence-free flow."""
         return self.full.sum(axis=1)
 
     def flux(self) -> np.ndarray:
-        """Per-direction site averages (e_1..e_d)."""
+        """Per-direction site averages (e_1..e_d).
+
+        Vanishing flux is necessary and sufficient on the torus for b to be
+        the curl of a periodic stream tensor.
+        """
         return self.canonical.mean(axis=0)
 
     def max_abs(self) -> float:
@@ -236,11 +240,9 @@ def curl(h: StreamTensor, tol: float = DEFAULT_TOL) -> FlowField:
     t = h.torus
     full = h.full()
     abs_tol = tol * _scale(full)
-    res = h.symmetry_residuals()
-    for name, value in res.items():
+    for name, (value, (site, k, l)) in h.symmetry_faults().items():
         if value > abs_tol:
-            site, a, b = _first_symmetry_fault(h, name, abs_tol)
-            raise SymmetryViolation(site, (a, b), value, identity=name)
+            raise SymmetryViolation(site, (k, l), value, identity=name)
     b_full = full.sum(axis=2)
     flow = FlowField(t, b_full)
     div = np.max(np.abs(flow.divergence())) if t.n else 0.0
@@ -248,32 +250,6 @@ def curl(h: StreamTensor, tol: float = DEFAULT_TOL) -> FlowField:
         raise SymmetryViolation(int(np.argmax(np.abs(flow.divergence()))), (), float(div),
                                 identity="divergence_free")
     return flow
-
-
-def _first_symmetry_fault(h: StreamTensor, identity: str, abs_tol: float):
-    """Locate one offending (site, k, l) triple for the error message."""
-    t = h.torus
-    full = h.full()
-    if identity == "pair_antisymmetry":
-        bad = np.abs(full + full.transpose(0, 2, 1)) > abs_tol
-    elif identity == "first_slot_shift":
-        bad = np.zeros_like(full, dtype=bool)
-        for k in range(t.ndir):
-            bad[:, k, :] = np.abs(full[:, k, :] + full[t.nbr[:, k]][:, t.opposite(k), :]) > abs_tol
-    elif identity == "second_slot_shift":
-        bad = np.zeros_like(full, dtype=bool)
-        for k in range(t.ndir):
-            bad[:, :, k] = np.abs(full[:, :, k] + full[t.nbr[:, k]][:, :, t.opposite(k)]) > abs_tol
-    else:
-        bad = np.zeros_like(full, dtype=bool)
-        for k in range(t.ndir):
-            bad[:, k, k] = np.abs(full[:, k, k]) > abs_tol
-            bad[:, k, t.opposite(k)] = np.abs(full[:, k, t.opposite(k)]) > abs_tol
-    idx = np.argwhere(bad)
-    if idx.size:
-        x, a, b = idx[0]
-        return int(x), int(a), int(b)
-    return 0, 0, 0
 
 
 @dataclass
@@ -380,14 +356,15 @@ def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationRepo
     b_scale = _scale(env.b.full)
     p_scale = _scale(env.p_full)
 
-    report.add("conductance_symmetry", env.s.symmetry_residual(), s_scale)
+    report.add("conductance_symmetry", edge_symmetry_residual(t, env.s.full)[0], s_scale)
     if env.h is not None:
         h_scale = _scale(env.h.full())
         for name, value in env.h.symmetry_residuals().items():
             report.add(f"stream_{name}", value, h_scale)
         flow_gap = np.max(np.abs(env.h.full().sum(axis=2) - env.b.full))
         report.add("flow_is_curl", flow_gap, max(b_scale, h_scale))
-    report.add("flow_antisymmetry", env.b.antisymmetry_residual(), b_scale)
+    report.add("flow_antisymmetry", edge_symmetry_residual(t, env.b.full, odd=True)[0],
+               b_scale)
     report.add("divergence_free", np.max(np.abs(env.b.divergence())), b_scale)
     domin = np.max(np.abs(env.b.full) - env.s.full)
     report.add("domination", max(domin, 0.0), max(s_scale, b_scale))

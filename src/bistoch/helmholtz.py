@@ -104,15 +104,6 @@ class PoissonSolver:
         return u
 
 
-def flux(b: FlowField) -> np.ndarray:
-    """Per-direction site averages of b_{e_1},...,b_{e_d}.
-
-    Vanishing flux is necessary and sufficient on the torus for b to be the
-    curl of a periodic stream tensor.
-    """
-    return b.flux()
-
-
 def poisson_solve(torus: Torus, f: np.ndarray, method: str = "spectral",
                   tol: float = 1e-10) -> np.ndarray:
     """One-shot Lap u = f solve; see PoissonSolver."""

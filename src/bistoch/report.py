@@ -23,7 +23,7 @@ import numpy as np
 from . import corrector, helmholtz, mart
 from .env import Environment, load_env, random_environment
 from .errors import BistochError, ConfigError
-from .walker import run_ensemble
+from .walker import check_grid
 
 REPORT_FORMAT = "bistoch-report"
 REPORT_VERSION = 1
@@ -119,12 +119,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
              "must be an integer site index or null")
     grid = data.get("grid")
     if grid is not None:
-        _require(isinstance(grid, list) and len(grid) > 0, "grid",
-                 "must be a non-empty list of times")
-        arr = np.asarray(grid, dtype=float)
-        _require(bool(np.all(np.diff(arr) > 0)) and arr[0] > 0, "grid",
-                 "must be strictly increasing and positive")
-        _require(float(arr[-1]) == float(T), "grid", "must end exactly at T")
+        _require(isinstance(grid, list) and len(grid) > 0
+                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in grid),
+                 "grid", "must be a non-empty list of times")
+        try:
+            check_grid(grid, float(T))
+        except ValueError as e:
+            raise ConfigError("grid", str(e))
 
     return ExperimentConfig(seed=seed, env=env, checks=tuple(checks),
                             T=float(T), replicas=replicas,
@@ -201,7 +203,7 @@ def _check_decompose(env, cfg, seed, threads):
         env, cfg.T, cfg.replicas, seed, grid=cfg.grid, x0=cfg.x0,
         threads=threads)
     res = ens.identity_residuals()
-    return {"passed": max(res.values()) <= 1e-10, **res}
+    return {"passed": max(res.values()) <= mart.IDENTITY_TOL, **res}
 
 
 def _check_orthogonality(env, cfg, seed, threads):

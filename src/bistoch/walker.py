@@ -143,7 +143,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     )
 
 
-def environment_view(traj: Trajectory, env: Environment | None = None) -> list:
+def environment_view(traj: Trajectory) -> list:
     """The walk as seen from the walker: (time, wrapped site) at each jump."""
     out = [(0.0, int(traj.sites[0]))]
     out.extend((float(t), int(s)) for t, s in zip(traj.times, traj.sites[1:]))
@@ -161,19 +161,36 @@ def occupation_fractions(traj: Trajectory, n: int) -> np.ndarray:
 
 # -- batch engine -------------------------------------------------------------
 
+def check_grid(grid, T: float) -> np.ndarray:
+    """Sample times as floats: strictly increasing, positive, ending exactly at T.
+
+    Raises
+    ------
+    ValueError
+        if the grid breaks any of these rules or is not a flat list of numbers.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0 or not (np.all(np.diff(grid) > 0) and grid[0] > 0):
+        raise ValueError("grid must be strictly increasing and positive")
+    if grid[-1] != T:
+        raise ValueError("grid must end exactly at T")
+    return grid
+
+
 @dataclass
 class EnsembleResult:
     """Lockstep simulation output for a block of replicas.
 
-    displacement[r, g] is X at grid time g; integrals[name][r, g] is the
-    exact time integral of a site field along the path up to that grid time;
-    jump_sums[name][r, g] is the weighted sum over jumps before that time.
+    displacement[r, g] is X at grid time g.  integrals[r, g, f] is the exact
+    time integral of site-table column f along the path up to that grid
+    time; jump_sums[r, g, :, w] is the sum over jumps before that time of
+    weight-table column w times the jump vector.
     """
 
     times: np.ndarray                 # (G,)
     displacement: np.ndarray          # (R, G, d) float
-    integrals: dict                   # name -> (R, G, m)
-    jump_sums: dict                   # name -> (R, G, d)
+    integrals: np.ndarray             # (R, G, F)
+    jump_sums: np.ndarray             # (R, G, d, W)
     start_site: np.ndarray            # (R,)
     final_site: np.ndarray            # (R,)
     n_jumps: np.ndarray               # (R,)
@@ -187,8 +204,8 @@ class EnsembleResult:
 
 
 def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
-                 grid=None, site_fields: dict | None = None,
-                 jump_weights: dict | None = None, x0: int | None = None,
+                 grid=None, site_fields: np.ndarray | None = None,
+                 jump_weights: np.ndarray | None = None, x0: int | None = None,
                  collect_holding: bool = False, block: int = 512,
                  threads: int = 1) -> EnsembleResult:
     """Simulate many replicas in vectorized lockstep.
@@ -197,12 +214,13 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     ----------
     grid : array-like or None
         Strictly increasing sample times ending exactly at T (default [T]).
-    site_fields : dict[str, (n, m) array]
-        Per-site integrands; their exact path integrals are reported at
+    site_fields : (n, F) array or None
+        Stacked per-site integrands, one per column; their exact path
+        integrals are reported at every grid time.
+    jump_weights : (n, 2d, W) array or None
+        Stacked per-edge scalar weights, one per last-axis column; the
+        weighted jump-vector sums sum_i w(x_i, k_i) xi_i are reported at
         every grid time.
-    jump_weights : dict[str, (n, 2d) array]
-        Per-edge scalar weights; the weighted jump-vector sums
-        sum_i w(x_i, k_i) xi_i are reported at every grid time.
     x0 : int or None
         Fixed start site, or None to draw one uniformly per replica (the
         draw consumes the first uniform of the replica's stream).
@@ -214,13 +232,15 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         raise ValueError("horizon T must be positive")
     if n_replicas < 1:
         raise ValueError("need at least one replica")
-    grid = np.asarray([T] if grid is None else grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be strictly increasing and positive")
-    if grid[-1] != T:
-        raise ValueError("grid must end exactly at T")
-    site_fields = dict(site_fields or {})
-    jump_weights = dict(jump_weights or {})
+    grid = check_grid([T] if grid is None else grid, T)
+    n, ndir = env.torus.n, env.torus.ndir
+    site_fields = np.zeros((n, 0)) if site_fields is None else np.asarray(site_fields, dtype=float)
+    jump_weights = (np.zeros((n, ndir, 0)) if jump_weights is None
+                    else np.asarray(jump_weights, dtype=float))
+    if site_fields.ndim != 2 or site_fields.shape[0] != n:
+        raise ValueError(f"site_fields must have shape ({n}, F)")
+    if jump_weights.ndim != 3 or jump_weights.shape[:2] != (n, ndir):
+        raise ValueError(f"jump_weights must have shape ({n}, {ndir}, W)")
     if block % 2 or block < 2:
         raise ValueError("block must be a positive even number")
 
@@ -245,10 +265,8 @@ def _merge_results(parts: list, master_seed: int, T: float) -> EnsembleResult:
     return EnsembleResult(
         times=parts[0].times,
         displacement=np.concatenate([p.displacement for p in parts]),
-        integrals={k: np.concatenate([p.integrals[k] for p in parts])
-                   for k in parts[0].integrals},
-        jump_sums={k: np.concatenate([p.jump_sums[k] for p in parts])
-                   for k in parts[0].jump_sums},
+        integrals=np.concatenate([p.integrals for p in parts]),
+        jump_sums=np.concatenate([p.jump_sums for p in parts]),
         start_site=np.concatenate([p.start_site for p in parts]),
         final_site=np.concatenate([p.final_site for p in parts]),
         n_jumps=np.concatenate([p.n_jumps for p in parts]),
@@ -259,8 +277,8 @@ def _merge_results(parts: list, master_seed: int, T: float) -> EnsembleResult:
 
 
 def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
-               master_seed: int, grid: np.ndarray, site_fields: dict,
-               jump_weights: dict, x0: int | None, collect_holding: bool,
+               master_seed: int, grid: np.ndarray, site_fields: np.ndarray,
+               jump_weights: np.ndarray, x0: int | None, collect_holding: bool,
                block: int) -> EnsembleResult:
     t_ = env.torus
     n, ndir, d = t_.n, t_.ndir, t_.d
@@ -270,6 +288,8 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
     axis_of = t_.axis_of
     sign_of = t_.sign_of.astype(float)
     G = len(grid)
+    F = site_fields.shape[1]
+    W = jump_weights.shape[2]
     grid_pad = np.append(grid, np.inf)
     check_absorbing = bool((total == 0.0).any())
 
@@ -289,10 +309,10 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
     gptr = np.zeros(R, dtype=np.int64)
     active = np.ones(R, dtype=bool)
 
-    acc = {name: np.zeros((R, tbl.shape[1])) for name, tbl in site_fields.items()}
-    snap = {name: np.zeros((R, G, tbl.shape[1])) for name, tbl in site_fields.items()}
-    jsum = {name: np.zeros((R, d)) for name in jump_weights}
-    jsnap = {name: np.zeros((R, G, d)) for name in jump_weights}
+    acc = np.zeros((R, F))
+    snap = np.zeros((R, G, F))
+    jsum = np.zeros((R, d, W))
+    jsnap = np.zeros((R, G, d, W))
     psnap = np.zeros((R, G, d), dtype=np.int64)
     holds = [] if collect_holding else None
 
@@ -322,12 +342,11 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
             if not m.any():
                 break
             gsel = gptr[m]
-            dtg = grid[gsel] - now[m]
-            sm = site[m]
-            for name, tbl in site_fields.items():
-                snap[name][m, gsel] = acc[name][m] + tbl[sm] * dtg[:, None]
-            for name in jump_weights:
-                jsnap[name][m, gsel] = jsum[name][m]
+            if F:
+                dtg = grid[gsel] - now[m]
+                snap[m, gsel] = acc[m] + site_fields[site[m]] * dtg[:, None]
+            if W:
+                jsnap[m, gsel] = jsum[m]
             psnap[m, gsel] = pos[m]
             gptr[m] += 1
 
@@ -340,8 +359,8 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
 
         dtm = dt[m]
         sm = site[m]
-        for name, tbl in site_fields.items():
-            acc[name][m] += tbl[sm] * dtm[:, None]
+        if F:
+            acc[m] += site_fields[sm] * dtm[:, None]
         if holds is not None:
             holds.append(dtm * rate[m])
 
@@ -352,8 +371,8 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
         rows = np.flatnonzero(m)
         ax = axis_of[k]
         sg = sign_of[k]
-        for name, tbl in jump_weights.items():
-            jsum[name][rows, ax] += tbl[sm, k] * sg
+        if W:
+            jsum[rows, ax] += jump_weights[sm, k] * sg[:, None]
         pos[rows, ax] += sg.astype(np.int64)
         nj[m] += 1
         site[m] = nbr[sm, k]

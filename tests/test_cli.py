@@ -147,10 +147,25 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     assert doc["format"] == "bistoch-report" and doc["passed"] is True
 
 
-def test_check_all_bad_config(tmp_path, env_file):
+@pytest.mark.parametrize("fields", [
+    pytest.param({"bogus": 1}, id="unknown-field"),
+    pytest.param({"T": 8.0, "grid": ["a", 8.0]}, id="grid-string"),
+    pytest.param({"T": 8.0, "grid": [[4.0, 8.0]]}, id="grid-nested"),
+    pytest.param({"T": 8.0, "grid": ["4", "8"]}, id="grid-numeric-strings"),
+    pytest.param({"T": 8.0, "grid": [True, 8.0]}, id="grid-bool"),
+])
+def test_check_all_bad_config(tmp_path, env_file, capsys, fields):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"env": {"path": env_file}, "bogus": 1}))
+    path.write_text(json.dumps({"env": {"path": env_file}, **fields}))
     assert main(["check-all", "--config", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_decompose_bad_grid(tmp_path, env_file, capsys):
+    rc = main(["decompose", "--env", env_file, "--T", "10.0", "--seed", "2",
+               "--grid", "5.0,9.0", "-o", str(tmp_path / "mart.csv")])
+    assert rc == 2
+    assert "must end exactly at T" in capsys.readouterr().err
 
 
 def test_missing_environment_file(tmp_path):

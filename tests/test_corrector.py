@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -47,6 +49,18 @@ def test_assembly_residuals(d, L, seed):
     assert ops.row_sums < 1e-12 and ops.col_sums < 1e-12
     # L = A - S with zero row and column sums: bistochastic generator
     assert np.allclose((ops.L @ np.ones(ops.L.shape[0])), 0.0, atol=1e-12)
+
+
+def test_assembly_residuals_stay_sparse():
+    env = random_environment(2, 32, seed=3)
+    n = env.torus.n
+    tracemalloc.start()
+    try:
+        cor.assemble(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n  # less than one dense n x n float64 array
 
 
 def test_export_coo_round_trip(tmp_path, env_rand):

@@ -136,6 +136,15 @@ def test_stream_symmetry_fault_detected():
     full[0, 0, 1] += 1e-3
     with pytest.raises(SymmetryViolation):
         curl(StreamTensor.from_full(t, full))
+    # a second, larger fault elsewhere: the error must name the site whose
+    # residual it prints, not the first site over tolerance
+    full[5, 0, 1] += 1e-2
+    with pytest.raises(SymmetryViolation) as info:
+        curl(StreamTensor.from_full(t, full))
+    err = info.value
+    k, l = err.pair
+    assert err.identity == "pair_antisymmetry" and err.site == 5
+    assert abs(full[err.site, k, l] + full[err.site, l, k]) == err.residual
 
 
 # -- serialization ---------------------------------------------------------------

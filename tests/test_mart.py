@@ -180,6 +180,65 @@ def test_adjoint_flips_antisymmetric_part(env_rand):
     assert np.array_equal(patha.J, -path.J)
 
 
+def _replay_by_loop(env, traj, grid):
+    """Per-event replay of one path: the reference for mart.decompose."""
+    site_table, jump_table = mart._field_tables(env)
+    t_ = env.torus
+    G = len(grid)
+    acc = np.zeros(site_table.shape[1])
+    jsum = np.zeros((t_.d, jump_table.shape[2]))
+    pos = np.zeros(t_.d)
+    integrals = np.zeros((G,) + acc.shape)
+    jump_sums = np.zeros((G,) + jsum.shape)
+    X = np.zeros((G, t_.d))
+    gi, now = 0, 0.0
+    events = list(zip(traj.times, traj.dirs, traj.sites[:-1]))
+    for t_next, k, site in events + [(traj.T, -1, traj.sites[-1])]:
+        while gi < G and grid[gi] <= t_next:  # snapshot before the jump
+            integrals[gi] = acc + site_table[site] * (grid[gi] - now)
+            jump_sums[gi] = jsum
+            X[gi] = pos
+            gi += 1
+        if k < 0:
+            break
+        acc += site_table[site] * (t_next - now)
+        jsum[t_.axis_of[k]] += jump_table[site, k] * float(t_.sign_of[k])
+        pos[t_.axis_of[k]] += t_.sign_of[k]
+        now = t_next
+    return mart._components(X, integrals, jump_sums)
+
+
+@pytest.mark.parametrize("d,L", [(1, 8), (2, 6), (3, 4)])
+def test_decompose_matches_event_loop_bitwise(d, L):
+    base = random_environment(d, L, seed=d)
+    T = 12.0
+    for env in (base, adjoint_environment(base), homogeneous_environment(d, L)):
+        for seed in range(4):
+            traj = simulate(env, seed, T, seed)
+            at_jump = [traj.times[traj.n_jumps // 2], T]
+            for grid in (mart.dyadic_grid(T), np.array(at_jump)):
+                path = mart.decompose(env, traj, grid=grid)
+                for name, want in _replay_by_loop(env, traj, grid).items():
+                    assert np.array_equal(getattr(path, name), want), name
+
+
+def test_grid_time_at_a_jump_snapshots_before_it(env_rand):
+    # a jump at exactly a grid time lands after that grid time's snapshot,
+    # in the single-path replay and in the lockstep engine alike
+    seed = replica_key(23, 0)
+    traj = simulate(env_rand, 0, 20.0, seed)
+    j = traj.n_jumps // 2
+    grid = [traj.times[j], 20.0]
+    before = traj.displacement[j].astype(float)
+    assert not np.array_equal(before, traj.displacement[j + 1])
+    path = mart.decompose(env_rand, traj, grid=grid)
+    assert np.array_equal(path.X[0], before)
+    ens = mart.run_decomposition_ensemble(env_rand, 20.0, 1, 23, grid=grid, x0=0)
+    assert np.array_equal(ens.X[0, 0], before)
+    for name in ("M", "I", "J", "Z", "Y"):
+        assert np.allclose(getattr(ens, name)[0], getattr(path, name), atol=1e-12)
+
+
 def test_ensemble_identities(ens_rand):
     r = ens_rand.identity_residuals()
     assert r["three_way"] < 1e-10 and r["four_way"] < 1e-10

@@ -34,14 +34,14 @@ def test_batch_matches_single_replica_bitwise(env_rand):
 
 def test_thread_count_does_not_change_results(env_rand):
     grid = np.array([5.0, 10.0, 20.0])
-    kw = dict(site_fields={"one": np.ones((env_rand.torus.n, 1))},
-              jump_weights={"half": np.full((env_rand.torus.n, 4), 0.5)},
+    kw = dict(site_fields=np.ones((env_rand.torus.n, 1)),
+              jump_weights=np.full((env_rand.torus.n, 4, 1), 0.5),
               collect_holding=True)
     a = run_ensemble(env_rand, 20.0, 40, MASTER, grid=grid, threads=1, **kw)
     b = run_ensemble(env_rand, 20.0, 40, MASTER, grid=grid, threads=3, **kw)
     assert np.array_equal(a.displacement, b.displacement)
-    assert np.array_equal(a.integrals["one"], b.integrals["one"])
-    assert np.array_equal(a.jump_sums["half"], b.jump_sums["half"])
+    assert np.array_equal(a.integrals, b.integrals)
+    assert np.array_equal(a.jump_sums, b.jump_sums)
     assert np.array_equal(a.start_site, b.start_site)
     assert np.array_equal(a.n_jumps, b.n_jumps)
     # the holding pool is a multiset; chunking changes only its order
@@ -51,15 +51,25 @@ def test_thread_count_does_not_change_results(env_rand):
 def test_integral_of_one_equals_elapsed_time(env_rand):
     grid = np.array([1.0, 2.5, 7.0, 10.0])
     res = run_ensemble(env_rand, 10.0, 5, MASTER,
-                       grid=grid, site_fields={"one": np.ones((env_rand.torus.n, 1))})
-    assert np.array_equal(res.integrals["one"][:, :, 0],
+                       grid=grid, site_fields=np.ones((env_rand.torus.n, 1)))
+    assert np.array_equal(res.integrals[:, :, 0],
                           np.broadcast_to(grid, (5, 4)))
 
 
 def test_constant_jump_weight_halves_displacement(env_rand):
-    w = np.full((env_rand.torus.n, 4), 0.5)
-    res = run_ensemble(env_rand, 15.0, 8, MASTER, jump_weights={"w": w})
-    assert np.array_equal(res.jump_sums["w"], res.displacement * 0.5)
+    w = np.full((env_rand.torus.n, 4, 1), 0.5)
+    res = run_ensemble(env_rand, 15.0, 8, MASTER, jump_weights=w)
+    assert np.array_equal(res.jump_sums[..., 0], res.displacement * 0.5)
+
+
+@pytest.mark.parametrize("tables", [
+    dict(site_fields=np.ones(64)),               # not (n, F)
+    dict(site_fields=np.ones((63, 1))),          # wrong site count
+    dict(jump_weights=np.ones((64, 4))),         # not (n, 2d, W)
+])
+def test_observer_table_shapes(env_rand, tables):
+    with pytest.raises(ValueError):
+        run_ensemble(env_rand, 5.0, 2, MASTER, **tables)
 
 
 def test_uniform_start_consumes_one_draw(env_rand):
