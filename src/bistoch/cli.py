@@ -19,7 +19,7 @@ import numpy as np
 from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
-from .env import curl, env_to_dict, load_env, random_environment, save_env
+from .env import GENERATORS, check_dist, curl, load_env, random_environment, save_env
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
@@ -52,6 +52,10 @@ def _parse_dist(text: str) -> tuple:
         args = [float(p) for p in parts[1:]]
     except ValueError:
         raise ConfigError("dist", f"non-numeric parameter in {text!r}")
+    try:
+        check_dist((name, *args))
+    except ValueError as e:
+        raise ConfigError("dist", str(e))
     return (name, *args)
 
 
@@ -82,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--generator", default="conductance-stream",
-                   choices=["conductance-stream", "totally-asymmetric"])
+                   choices=GENERATORS)
     p.add_argument("--s-dist", default="uniform,0.5,2.0",
                    help="conductance law, e.g. uniform,0.5,2.0 or two_point,1,4,0.5")
     p.add_argument("--h-dist", default="gaussian,0.3",
@@ -160,6 +164,7 @@ def _cmd_gen_env(args) -> int:
 
 def _cmd_simulate(args) -> int:
     env = load_env(args.env)
+    report.require_site(args.x0, env.torus.n, "--x0")
     threads = args.threads if args.threads is not None else _default_threads()
     if args.traj is not None:
         if args.x0 is None:
@@ -189,6 +194,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     env = load_env(args.env)
+    report.require_site(args.x0, env.torus.n, "--x0")
     threads = args.threads if args.threads is not None else _default_threads()
     grid = _parse_grid(args.grid, args.T) if args.grid else None
     ens = mart.run_decomposition_ensemble(env, args.T, args.replicas,

@@ -453,8 +453,26 @@ def checkerboard_stream(torus: Torus, c: float = 1.0) -> StreamTensor:
 
 # -- random generation ------------------------------------------------------
 
+# parameter count of each distribution name accepted by random_environment
+DISTRIBUTIONS = {"uniform": 2, "two_point": 3, "lognormal": 2, "gaussian": 1}
+GENERATORS = ("conductance-stream", "totally-asymmetric")
+
+
+def check_dist(dist) -> None:
+    """Raise ValueError unless dist is (known name, *its count of real numbers)."""
+    if isinstance(dist, str) or not isinstance(dist, (list, tuple)) or not dist:
+        raise ValueError("distribution must be a list [name, *parameters]")
+    name, *params = dist
+    if not isinstance(name, str) or name not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {name!r}; known: {', '.join(DISTRIBUTIONS)}")
+    if len(params) != DISTRIBUTIONS[name] or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
+        raise ValueError(f"{name} takes {DISTRIBUTIONS[name]} numeric parameters")
+
+
 def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     """Sample an array from a (name, *params) distribution spec."""
+    check_dist(dist)
     name, *params = dist
     if name == "uniform":
         lo, hi = params
@@ -465,10 +483,8 @@ def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     if name == "lognormal":
         mu, sigma = params
         return rng.lognormal(mu, sigma, size)
-    if name == "gaussian":
-        (scale,) = params
-        return rng.normal(0.0, scale, size)
-    raise ValueError(f"unknown distribution {name!r}")
+    (scale,) = params  # gaussian
+    return rng.normal(0.0, scale, size)
 
 
 def random_conductances(torus: Torus, rng: np.random.Generator,

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corrector, helmholtz, mart
-from .env import Environment, load_env, random_environment
+from .env import GENERATORS, Environment, check_dist, load_env, random_environment
 from .errors import BistochError, ConfigError
-from .walker import check_grid
+from .walker import check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
 REPORT_VERSION = 1
@@ -75,6 +75,15 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def require_site(x0, n: int, path: str = "x0") -> None:
+    """Raise ConfigError unless x0 is None or a site index in [0, n)."""
+    if x0 is not None:
+        try:
+            check_site(x0, n)
+        except ValueError as e:
+            raise ConfigError(path, str(e))
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     _require(isinstance(data, dict), "", "config must be a JSON object")
     known = {"seed", "env", "checks", "T", "replicas", "tolerance", "x0", "grid"}
@@ -95,9 +104,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         env_known = {"d", "L", "seed", "generator", "s_dist", "h_dist"}
         for key in env:
             _require(key in env_known, f"env.{key}", "unknown field")
-        for key in ("d", "L", "seed"):
-            _require(isinstance(env.get(key), int), f"env.{key}",
-                     "must be an integer")
+        for key, least in (("d", 1), ("L", 2), ("seed", 0)):
+            value = env.get(key)
+            _require(isinstance(value, int) and not isinstance(value, bool)
+                     and value >= least, f"env.{key}", f"must be an integer >= {least}")
+        _require(env.get("generator", GENERATORS[0]) in GENERATORS, "env.generator",
+                 f"must be one of {', '.join(GENERATORS)}")
+        for key in ("s_dist", "h_dist"):
+            if key in env:
+                try:
+                    check_dist(env[key])
+                except ValueError as e:
+                    raise ConfigError(f"env.{key}", str(e))
 
     checks = data.get("checks", list(CHECK_NAMES))
     _require(isinstance(checks, list) and checks, "checks",
@@ -306,6 +324,7 @@ def run_config(cfg: ExperimentConfig, threads: int = 1) -> tuple:
     from time import perf_counter
 
     env = build_environment(cfg)
+    require_site(cfg.x0, env.torus.n)
     results = {}
     timings = {}
     for name in cfg.checks:

@@ -87,23 +87,40 @@ class Trajectory:
                                    sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def check_site(x0, n: int) -> int:
+    """A start site as a Python int.
+
+    Raises
+    ------
+    ValueError
+        unless x0 is an integer (not a bool) in [0, n).
+    """
+    if (isinstance(x0, (bool, np.bool_)) or not isinstance(x0, (int, np.integer))
+            or not 0 <= x0 < n):
+        raise ValueError(f"start site x0 must be an integer in [0, {n}), got {x0!r}")
+    return int(x0)
+
+
 def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     """Simulate one walk on [0, T]; deterministic in (env, x0, T, seed).
 
     Raises
     ------
+    ValueError
+        if T is not positive or x0 is not a site of the torus.
     AbsorbingState
         if the walk reaches a site with zero total rate.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     t_ = env.torus
+    x0 = check_site(x0, t_.n)
     rng = _generator(seed)
     block = 1024  # uniforms per refill; consumption order matches the batch engine
     buf = rng.random(block)
     ptr = 0
 
-    site = int(x0)
+    site = x0
     now = 0.0
     times, dirs, sites = [], [], [site]
     disp = [np.zeros(t_.d, dtype=np.int64)]
@@ -135,7 +152,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         site = int(nbr[site, k])
         sites.append(site)
     return Trajectory(
-        d=t_.d, L=t_.L, x0=int(x0), T=float(T), seed=int(seed),
+        d=t_.d, L=t_.L, x0=x0, T=float(T), seed=int(seed),
         times=np.asarray(times, dtype=float),
         dirs=np.asarray(dirs, dtype=np.int64),
         sites=np.asarray(sites, dtype=np.int64),
@@ -222,8 +239,8 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         weighted jump-vector sums sum_i w(x_i, k_i) xi_i are reported at
         every grid time.
     x0 : int or None
-        Fixed start site, or None to draw one uniformly per replica (the
-        draw consumes the first uniform of the replica's stream).
+        Fixed start site in [0, n), or None to draw one uniformly per replica
+        (the draw consumes the first uniform of the replica's stream).
     threads : int
         Replicas are split into contiguous chunks run concurrently; results
         are identical for every thread count.
@@ -234,6 +251,8 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         raise ValueError("need at least one replica")
     grid = check_grid([T] if grid is None else grid, T)
     n, ndir = env.torus.n, env.torus.ndir
+    if x0 is not None:
+        x0 = check_site(x0, n)
     site_fields = np.zeros((n, 0)) if site_fields is None else np.asarray(site_fields, dtype=float)
     jump_weights = (np.zeros((n, ndir, 0)) if jump_weights is None
                     else np.asarray(jump_weights, dtype=float))
@@ -282,14 +301,22 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
                block: int) -> EnsembleResult:
     t_ = env.torus
     n, ndir, d = t_.n, t_.ndir, t_.d
-    nbr = t_.nbr
-    cum = env.cum_rates
+    nbr = t_.nbr.ravel()  # edge (x, k) sits at x * ndir + k in every flat table
+    # one contiguous column per direction but the last, which equals the
+    # total rate and is compared against the gathered `rate` instead
+    cum_cols = [np.ascontiguousarray(env.cum_rates[:, j]) for j in range(ndir - 1)]
     total = env.total_rate
-    axis_of = t_.axis_of
-    sign_of = t_.sign_of.astype(float)
+    step_of = np.ascontiguousarray(t_.directions.T)  # step_of[i, k]: axis-i step of direction k
     G = len(grid)
     F = site_fields.shape[1]
     W = jump_weights.shape[2]
+    # weight times jump vector per edge, so one gather updates every axis;
+    # a sum that starts at +0.0 never becomes -0.0, so adding the other
+    # axes' +0.0 entries leaves it unchanged bit for bit
+    jump_table = np.zeros((n, ndir, d, W))
+    for k in range(ndir):
+        jump_table[:, k, t_.axis_of[k]] = jump_weights[:, k] * float(t_.sign_of[k])
+    jump_table = jump_table.reshape(n * ndir, d * W)
     grid_pad = np.append(grid, np.inf)
     check_absorbing = bool((total == 0.0).any())
 
@@ -298,92 +325,112 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
         # one uniform from each stream selects the start site
         site = np.array([min(int(g.random() * n), n - 1) for g in gens], dtype=np.int64)
     else:
-        site = np.full(R, int(x0), dtype=np.int64)
+        site = np.full(R, x0, dtype=np.int64)
     start_site = site.copy()
 
     buf = np.empty((R, block))
+    # an event's two uniforms are adjacent in its replica's row, so one
+    # complex gather reads both: real part the holding time, imaginary the direction
+    pairs = buf.view(np.complex128)
     ptr = block
-    pos = np.zeros((R, d), dtype=np.int64)
+    pos = np.zeros((d, R), dtype=np.int64)
     now = np.zeros(R)
     nj = np.zeros(R, dtype=np.int64)
     gptr = np.zeros(R, dtype=np.int64)
-    active = np.ones(R, dtype=bool)
+    next_g = np.full(R, grid[0])
 
     acc = np.zeros((R, F))
     snap = np.zeros((R, G, F))
-    jsum = np.zeros((R, d, W))
-    jsnap = np.zeros((R, G, d, W))
+    jsum = np.zeros((R, d * W))
+    jsnap = np.zeros((R, G, d * W))
     psnap = np.zeros((R, G, d), dtype=np.int64)
     holds = [] if collect_holding else None
 
-    while active.any():
+    # Until the first replica finishes, `rows` is a full slice and every
+    # per-step array is unindexed; afterwards it is the live replicas' index.
+    live = None
+    step = 0
+    while True:
         if ptr >= block:
             for i, g in enumerate(gens):
                 g.random(out=buf[i])
             ptr = 0
-        u1 = buf[:, ptr]
-        u2 = buf[:, ptr + 1]
+        rows = slice(None) if live is None else live
+        u = np.ascontiguousarray(pairs[rows, ptr // 2])
+        u1, u2 = u.real, u.imag
         ptr += 2
 
-        rate = total[site]
+        sm = site[rows]
+        rate = total[sm]
         if check_absorbing:
-            dead = active & (rate <= 0.0)
+            dead = rate <= 0.0
             if dead.any():
-                raise AbsorbingState(int(site[np.flatnonzero(dead)[0]]))
+                raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
         dt = -np.log1p(-u1) / rate
-        t_new = now + dt
+        t0 = now[rows]
+        t_new = t0 + dt
 
         # snapshot every grid time crossed inside this holding interval;
         # the state used is the pre-jump state, so a sum over jumps at
         # times <= g never includes the jump ending the interval
-        while True:
-            g_cur = grid_pad[gptr]
-            m = active & (g_cur <= t_new)
-            if not m.any():
-                break
-            gsel = gptr[m]
+        hit = next_g[rows] <= t_new
+        while hit.any():
+            j = np.flatnonzero(hit)
+            r = j if live is None else live[j]
+            gsel = gptr[r]
             if F:
-                dtg = grid[gsel] - now[m]
-                snap[m, gsel] = acc[m] + site_fields[site[m]] * dtg[:, None]
+                snap[r, gsel] = acc[r] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
             if W:
-                jsnap[m, gsel] = jsum[m]
-            psnap[m, gsel] = pos[m]
-            gptr[m] += 1
+                jsnap[r, gsel] = jsum[r]
+            psnap[r, gsel] = pos[:, r].T
+            gptr[r] += 1
+            next_g[r] = grid_pad[gptr[r]]
+            hit[j] = next_g[r] <= t_new[j]
 
-        done = active & (t_new >= T)
+        done = t_new >= T
         if done.any():
-            active = active & ~done
-        m = active & (t_new < T)
-        if not m.any():
-            continue
+            # a replica finishing at this step jumped once on every earlier step
+            keep = np.flatnonzero(~done)
+            if live is None:
+                nj[done] = step
+                live = keep
+            else:
+                nj[live[done]] = step
+                live = live[keep]
+            if live.size == 0:
+                break
+            rows = live
+            sm, rate, dt, t_new, u2 = sm[keep], rate[keep], dt[keep], t_new[keep], u2[keep]
 
-        dtm = dt[m]
-        sm = site[m]
         if F:
-            acc[m] += site_fields[sm] * dtm[:, None]
+            inc = site_fields.take(sm, axis=0)
+            inc *= dt[:, None]
+            acc[rows] += inc
         if holds is not None:
-            holds.append(dtm * rate[m])
+            holds.append(dt * rate)
 
-        v = u2[m] * rate[m]
-        k = (v[:, None] >= cum[sm]).sum(axis=1)
+        v = u2 * rate
+        k = (v >= cum_cols[0][sm]).astype(np.intp)
+        for col in cum_cols[1:]:
+            k += v >= col[sm]
+        k += v >= rate
         np.minimum(k, ndir - 1, out=k)
 
-        rows = np.flatnonzero(m)
-        ax = axis_of[k]
-        sg = sign_of[k]
+        edge = sm * ndir + k
         if W:
-            jsum[rows, ax] += jump_weights[sm, k] * sg[:, None]
-        pos[rows, ax] += sg.astype(np.int64)
-        nj[m] += 1
-        site[m] = nbr[sm, k]
-        now[m] = t_new[m]
+            jsum[rows] += jump_table.take(edge, axis=0)
+        for i in range(d):
+            pos[i, rows] += step_of[i][k]
+        site[rows] = nbr[edge]
+        now[rows] = t_new
+        step += 1
 
     holding = np.concatenate(holds) if holds else (np.empty(0) if collect_holding else None)
     return EnsembleResult(
         times=grid,
         displacement=psnap.astype(float),
         integrals=snap,
-        jump_sums=jsnap,
+        jump_sums=jsnap.reshape(R, G, d, W),
         start_site=start_site,
         final_site=site.copy(),
         n_jumps=nj,
@@ -455,7 +502,7 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
 
     Finds rho > 0 with sum_k rho(x+k) p_{-k}(x+k) = rho(x) sum_k p_k(x) at
     every site, normalized to site-average one.  Solved as the null space
-    of the transposed generator: dense factorization with one step of
+    of the transposed generator: dense factorization with two steps of
     iterative refinement up to `dense_cap` sites, inverse iteration above.
 
     Raises
@@ -463,7 +510,8 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
     Reducible
         if the directed rate graph is not strongly connected.
     NoConvergence
-        if the balance residual stays above tolerance.
+        if the balance residual stays above tolerance or rho is not positive;
+        it carries the number of refinement or inverse-iteration steps run.
     """
     t_ = rates.torus
     p = rates.p_full
@@ -486,7 +534,8 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
         rhs[-1] = float(n)
         lu = scipy.linalg.lu_factor(K)
         rho = scipy.linalg.lu_solve(lu, rhs)
-        for _ in range(2):  # iterative refinement sharpens the residual
+        iterations = 2  # steps of iterative refinement, which sharpen the residual
+        for _ in range(iterations):
             r = rhs - K @ rho
             rho = rho + scipy.linalg.lu_solve(lu, r)
     else:
@@ -494,7 +543,8 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
         shifted = (QT - sigma * scipy.sparse.identity(n, format="csr")).tocsc()
         lu = scipy.sparse.linalg.splu(shifted)
         rho = np.ones(n)
-        for _ in range(50):
+        iterations = 50  # steps of inverse iteration
+        for _ in range(iterations):
             rho = lu.solve(rho)
             rho = rho / np.max(np.abs(rho))
         rho = rho * (n / rho.sum())
@@ -504,9 +554,9 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
     scale = _scale(p * rho[:, None])
     res = float(np.max(np.abs(balance)))
     if res > tol * scale:
-        raise NoConvergence(0, res)
+        raise NoConvergence(iterations, res)
     if rho.min() <= 0:
-        raise NoConvergence(0, float(rho.min()))
+        raise NoConvergence(iterations, float(rho.min()))
     return DensityField(t_, rho, residual=res)
 
 

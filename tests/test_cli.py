@@ -34,6 +34,15 @@ def test_gen_env_accepts_distribution_flags(tmp_path):
     assert env.meta["generator"] == "totally-asymmetric"
 
 
+@pytest.mark.parametrize("flag", ["--s-dist", "--h-dist"])
+@pytest.mark.parametrize("law", ["bogus,1.0", "uniform,1.0"])
+def test_gen_env_rejects_bad_distribution(tmp_path, capsys, flag, law):
+    rc = main(["gen-env", "--d", "2", "--L", "4", "--seed", "5", flag, law,
+               "-o", str(tmp_path / "env.json")])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_simulate_summary_csv(tmp_path, env_file):
     out = tmp_path / "sum.csv"
     rc = main(["simulate", "--env", env_file, "--T", "5.0",
@@ -153,12 +162,34 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     pytest.param({"T": 8.0, "grid": [[4.0, 8.0]]}, id="grid-nested"),
     pytest.param({"T": 8.0, "grid": ["4", "8"]}, id="grid-numeric-strings"),
     pytest.param({"T": 8.0, "grid": [True, 8.0]}, id="grid-bool"),
+    pytest.param({"env": {"d": 0, "L": 4, "seed": 1}}, id="env-d-zero"),
+    pytest.param({"env": {"d": 2, "L": 0, "seed": 1}}, id="env-L-zero"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": -1}}, id="env-seed-negative"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": 1, "generator": "bogus"}},
+                 id="env-generator-unknown"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": 1, "s_dist": ["bogus"]}},
+                 id="s-dist-unknown"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": 1, "h_dist": ["bogus", 1.0]}},
+                 id="h-dist-unknown"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": 99}, id="x0-past-last-site"),
+    pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": -1}, id="x0-negative"),
+    pytest.param({"x0": 16}, id="x0-past-last-site-of-env-file"),
 ])
 def test_check_all_bad_config(tmp_path, env_file, capsys, fields):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"env": {"path": env_file}, **fields}))
     assert main(["check-all", "--config", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "decompose"])
+@pytest.mark.parametrize("x0", ["-1", "16"])
+def test_start_site_out_of_range(tmp_path, env_file, capsys, command, x0):
+    rc = main([command, "--env", env_file, "--T", "5.0", "--seed", "9",
+               "--x0", x0, "-o", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--x0" in err and "Traceback" not in err
 
 
 def test_decompose_bad_grid(tmp_path, env_file, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from bistoch.env import (ConductanceField, Environment, FlowField,
                          homogeneous_environment, random_environment)
-from bistoch.errors import AbsorbingState, NotStationary, Reducible
+from bistoch.errors import AbsorbingState, NoConvergence, NotStationary, Reducible
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
 from bistoch.walker import (DensityField, RateField, ensemble_summary_csv,
@@ -30,6 +30,41 @@ def test_batch_matches_single_replica_bitwise(env_rand):
         assert res.n_jumps[r] == traj.n_jumps
         assert res.final_site[r] == traj.sites[-1]
         assert np.array_equal(res.displacement[r, -1], traj.final_displacement)
+
+
+@pytest.mark.parametrize("env, T, grid", [
+    pytest.param(random_environment(1, 8, 2), 12.0, [0.5, 3.0, 7.25, 12.0], id="d1"),
+    pytest.param(random_environment(2, 4, 5, generator="totally-asymmetric"),
+                 10.0, [1.0, 2.5, 6.0, 10.0], id="d2-totally-asymmetric"),
+    pytest.param(random_environment(2, 6, 4, s_dist=("lognormal", 0.0, 2.0)),
+                 6.0, [0.25, 1.0, 3.5, 6.0], id="d2-spread-finish"),
+    pytest.param(random_environment(3, 3, 1), 5.0, [0.75, 2.0, 4.5, 5.0], id="d3"),
+])
+def test_engine_matches_reference_walker_on_grid(env, T, grid):
+    R, x0 = 7, 4
+    res = run_ensemble(env, T, R, MASTER, grid=grid, x0=x0)
+    for r in range(R):
+        traj = simulate(env, x0, T, replica_key(MASTER, r))
+        # a zero-rate direction ties its cumulative rate with the one before;
+        # the draw must never pick it
+        assert np.all(env.p_full[traj.sites[:-1], traj.dirs] > 0)
+        assert res.start_site[r] == traj.sites[0]
+        assert res.n_jumps[r] == traj.n_jumps
+        assert res.final_site[r] == traj.sites[-1]
+        assert np.array_equal(res.displacement[r], traj.positions_at(grid))
+    if env.meta["params"]["s_dist"][0] == "lognormal":
+        # replicas leave the lockstep loop far apart, so most steps run with
+        # only part of the ensemble live
+        assert res.n_jumps.max() >= 2 * res.n_jumps.min()
+
+
+@pytest.mark.parametrize("x0", [-1, 64, 2.0, True, None])
+def test_start_site_must_be_a_site(env_rand, x0):
+    with pytest.raises(ValueError, match="x0"):
+        simulate(env_rand, x0, 5.0, seed=1)
+    if x0 is not None:
+        with pytest.raises(ValueError, match="x0"):
+            run_ensemble(env_rand, 5.0, 2, MASTER, x0=x0)
 
 
 def test_thread_count_does_not_change_results(env_rand):
@@ -222,6 +257,19 @@ def test_sparse_route_agrees_with_dense():
     dense = solve_stationary_density(rates, dense_cap=4096)
     sparse = solve_stationary_density(rates, dense_cap=1)
     assert np.allclose(dense.rho, sparse.rho, atol=1e-8)
+
+
+@pytest.mark.parametrize("dense_cap, steps", [(4096, 2), (1, 50)])
+def test_density_no_convergence_reports_steps_run(dense_cap, steps):
+    # no residual meets a zero tolerance, so both routes give up after
+    # their refinement (dense) or inverse-iteration (sparse) steps
+    t = Torus(2, 4)
+    rng = np.random.default_rng(12)
+    rates = RateField(t, rng.uniform(0.5, 2.0, size=(t.n, 4)))
+    with pytest.raises(NoConvergence) as err:
+        solve_stationary_density(rates, dense_cap=dense_cap, tol=0.0)
+    assert err.value.iterations == steps
+    assert err.value.residual > 0
 
 
 def test_reducible_rates_detected():
