@@ -45,6 +45,21 @@ def _outpath(path: str | None) -> str | None:
     return path
 
 
+# least admissible value of each integer argument that has one
+_MINIMA = {**report.ENV_MINIMA, "replicas": 1}
+
+
+def _check_numbers(args) -> None:
+    """Reject out-of-range numeric arguments before any work is done."""
+    for name, least in _MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name}", f"must be an integer >= {least}")
+    T = getattr(args, "T", None)
+    if T is not None and not (np.isfinite(T) and T > 0):
+        raise ConfigError("--T", "must be a positive finite number")
+
+
 def _parse_dist(text: str) -> tuple:
     parts = text.split(",")
     name = parts[0]
@@ -306,6 +321,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidEnvironment) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -29,6 +29,10 @@ from .mart import drift_fields
 from .torus import Torus
 
 DENSE_CAP = 4096
+# relative residual above which a harmonic solve raises NoConvergence
+RESIDUAL_CAP = 1e-8
+# rows per block (and tile side) of the edge-space Riesz residuals
+RIESZ_BLOCK = 512
 
 
 def edge_conductances(env: Environment) -> np.ndarray:
@@ -165,6 +169,7 @@ class SpectralOperator:
     s_eigenvalues: np.ndarray
     skewness: float              # max |B + B^T|
     min_singular: float          # smallest singular value of I + B
+    assembly: OperatorAssembly   # the sparse operators B was built from
 
     def certificate(self) -> dict:
         return {"skewness": self.skewness, "min_singular": self.min_singular,
@@ -208,7 +213,7 @@ def build_spectral_operator(env: Environment,
     return SpectralOperator(
         B=B, S_invhalf=S_invhalf, projector=projector, s_eigenvalues=w,
         skewness=float(np.max(np.abs(B + B.T))),
-        min_singular=float(svals[-1]),
+        min_singular=float(svals[-1]), assembly=ops,
     )
 
 
@@ -224,11 +229,36 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     Lam = (r_edge[:, None] * (G @ spec.S_invhalf)) / np.sqrt(2.0)
     gram = Lam.T @ Lam
     pi = Lam @ Lam.T
+    del Lam
+    idempotency, symmetry = _projector_residuals(pi)
     return {
         "gram_vs_projector": float(np.max(np.abs(gram - spec.projector))),
-        "idempotency": float(np.max(np.abs(pi @ pi - pi))),
-        "symmetry": float(np.max(np.abs(pi - pi.T))),
+        "idempotency": idempotency,
+        "symmetry": symmetry,
     }
+
+
+def _projector_residuals(pi: np.ndarray) -> tuple:
+    """max |Pi Pi - Pi| and max |Pi - Pi^T|, bit for bit.
+
+    Reduced over row blocks and tiles of RIESZ_BLOCK edges, so besides Pi
+    only one block is alive at a time; every entry is formed exactly as in
+    the full-matrix expressions.
+    """
+    blocks = [slice(a, a + RIESZ_BLOCK) for a in range(0, pi.shape[0], RIESZ_BLOCK)]
+    idempotency = []
+    for rows in blocks:
+        blk = pi[rows] @ pi
+        blk -= pi[rows]
+        idempotency.append(np.abs(blk, out=blk).max())
+    # |x - y| == |y - x| exactly, so the tiles on and above the diagonal suffice
+    symmetry = []
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            tile = pi[rows, cols] - pi[cols, rows].T
+            symmetry.append(np.abs(tile, out=tile).max())
+    # np.max, unlike the builtin max, propagates a NaN from any block
+    return float(np.max(idempotency)), float(np.max(symmetry))
 
 
 # -- harmonic coordinates ------------------------------------------------------
@@ -261,7 +291,7 @@ def _gradient_of(torus: Torus, g: np.ndarray) -> np.ndarray:
 
 def solve_harmonic(env: Environment, rhs, tol: float = 1e-10,
                    maxiter: int | None = None, project: bool = False,
-                   residual_cap: float = 1e-8) -> HarmonicSolution:
+                   residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
     """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
 
     The rank-one augmented map v -> L v + c mean(v) with c the mean total
@@ -275,11 +305,15 @@ def solve_harmonic(env: Environment, rhs, tol: float = 1e-10,
     NoConvergence
         if the final residual exceeds residual_cap times the rhs scale.
     """
+    return _solve_krylov(env, assemble(env).L, _check_rhs(rhs, project), tol,
+                         residual_cap)
+
+
+def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
+                  tol: float, residual_cap: float) -> HarmonicSolution:
+    """The Krylov solve of solve_harmonic on an assembled L and a checked rhs."""
     t_ = env.torus
     n = t_.n
-    rhs = _check_rhs(rhs, project)
-    ops = assemble(env)
-    L = ops.L
     c = float(env.total_rate.mean())
     diag = np.where(env.total_rate > 0, env.total_rate, 1.0)
 
@@ -311,7 +345,7 @@ def solve_harmonic_spectral(env: Environment, rhs,
                             spec: SpectralOperator | None = None,
                             project: bool = False,
                             dense_cap: int = DENSE_CAP,
-                            residual_cap: float = 1e-8) -> HarmonicSolution:
+                            residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
     """Dense resolvent solve g = -S^(-1/2) (I - B)^(-1) S^(-1/2) rhs."""
     t_ = env.torus
     rhs = _check_rhs(rhs, project)
@@ -321,8 +355,7 @@ def solve_harmonic_spectral(env: Environment, rhs,
     v = scipy.linalg.solve(np.eye(t_.n) - spec.B, u)
     g = -(spec.S_invhalf @ v)
     g = g - g.mean()
-    ops = assemble(env)
-    res = float(np.max(np.abs(ops.L @ g - rhs)))
+    res = float(np.max(np.abs(spec.assembly.L @ g - rhs)))
     if res > residual_cap * _scale(rhs):
         raise NoConvergence(0, res)
     return HarmonicSolution(potential=g, gradient=_gradient_of(t_, g),
@@ -363,18 +396,24 @@ def effective_diffusivity(env: Environment, method: str = "krylov",
     d = t_.d
     f = drift_fields(env)
     rhs_all = -(f.phi + f.psi)
-    spec = build_spectral_operator(env, dense_cap) if method == "spectral" else None
+    if method == "krylov":
+        L = assemble(env).L
+
+        def solve(rhs):
+            return _solve_krylov(env, L, _check_rhs(rhs, False), tol, RESIDUAL_CAP)
+    elif method == "spectral":
+        spec = build_spectral_operator(env, dense_cap)
+
+        def solve(rhs):
+            return solve_harmonic_spectral(env, rhs, spec=spec)
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
     chi = np.empty((t_.n, d))
     grads = np.empty((t_.n, t_.ndir, d))
     residuals = np.empty(d)
     for i in range(d):
-        if method == "krylov":
-            sol = solve_harmonic(env, rhs_all[:, i], tol=tol)
-        elif method == "spectral":
-            sol = solve_harmonic_spectral(env, rhs_all[:, i], spec=spec)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        sol = solve(rhs_all[:, i])
         chi[:, i] = sol.potential
         grads[:, :, i] = sol.gradient
         residuals[i] = sol.residual

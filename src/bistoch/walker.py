@@ -547,7 +547,6 @@ def solve_stationary_density(rates, dense_cap: int = 4096,
         for _ in range(iterations):
             rho = lu.solve(rho)
             rho = rho / np.max(np.abs(rho))
-        rho = rho * (n / rho.sum())
 
     rho = rho * (n / rho.sum())
     balance = QT @ rho

@@ -192,6 +192,28 @@ def test_start_site_out_of_range(tmp_path, env_file, capsys, command, x0):
     assert "--x0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param("simulate --T -1 --seed 9", "--T", id="simulate-T-negative"),
+    pytest.param("simulate --T nan --seed 9", "--T", id="simulate-T-nan"),
+    pytest.param("simulate --T 5 --replicas 0 --seed 9", "--replicas",
+                 id="simulate-replicas-zero"),
+    pytest.param("simulate --T 5 --seed -1", "--seed", id="simulate-seed-negative"),
+    pytest.param("decompose --T 5 --replicas 0 --seed 9", "--replicas",
+                 id="decompose-replicas-zero"),
+    pytest.param("gen-env --d 0 --L 4 --seed 1", "--d", id="gen-env-d-zero"),
+    pytest.param("gen-env --d 2 --L 1 --seed 1", "--L", id="gen-env-L-one"),
+    pytest.param("gen-env --d 2 --L 4 --seed -2", "--seed", id="gen-env-seed-negative"),
+])
+def test_numeric_argument_out_of_range(tmp_path, env_file, capsys, argv, flag):
+    words = argv.split()
+    if words[0] != "gen-env":
+        words += ["--env", env_file]
+    rc = main(words + ["-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 def test_decompose_bad_grid(tmp_path, env_file, capsys):
     rc = main(["decompose", "--env", env_file, "--T", "10.0", "--seed", "2",
                "--grid", "5.0,9.0", "-o", str(tmp_path / "mart.csv")])

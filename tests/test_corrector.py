@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -112,6 +113,62 @@ def test_riesz_certificate(env_rand):
     assert max(rc.values()) <= 1e-11
 
 
+def _full_riesz(env, spec):
+    # the full-matrix formulas, each residual over whole edge-space arrays
+    G = cor.gradient_matrix(env.torus)
+    r_edge = np.sqrt(cor.edge_conductances(env))
+    Lam = (r_edge[:, None] * (G @ spec.S_invhalf)) / np.sqrt(2.0)
+    pi = Lam @ Lam.T
+    return {"gram_vs_projector": float(np.max(np.abs(Lam.T @ Lam - spec.projector))),
+            "idempotency": float(np.max(np.abs(pi @ pi - pi))),
+            "symmetry": float(np.max(np.abs(pi - pi.T)))}
+
+
+@pytest.mark.parametrize("d,L,seed", [(2, 16, 4), (3, 6, 10)])
+def test_riesz_blocks_match_full_matrices(d, L, seed):
+    env = random_environment(d, L, seed=seed)
+    assert env.torus.ndir * env.torus.n > cor.RIESZ_BLOCK  # two blocks or more
+    spec = cor.build_spectral_operator(env)
+    got = cor.riesz_certificate(env, spec)
+    want = _full_riesz(env, spec)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_projector_residual_blocks_match_full_matrix():
+    # Pi Pi^T is symmetric to the bit; a general matrix with a ragged last
+    # block exercises every tile of the symmetry residual
+    m = 2 * cor.RIESZ_BLOCK + 37
+    pi = np.random.default_rng(3).normal(size=(m, m))
+    got = cor._projector_residuals(pi)
+    assert got[0] == float(np.max(np.abs(pi @ pi - pi)))
+    assert got[1] == float(np.max(np.abs(pi - pi.T)))
+    assert got[1] > 0.0
+    pi[-1, -2] = np.nan  # lands in the last tile only
+    assert np.isnan(cor._projector_residuals(pi)).all()
+
+
+def test_riesz_certificate_propagates_nan():
+    env = random_environment(2, 16, seed=4)
+    spec = cor.build_spectral_operator(env)
+    S_invhalf = spec.S_invhalf.copy()
+    S_invhalf[5, 7] = np.nan
+    rc = cor.riesz_certificate(env, dataclasses.replace(spec, S_invhalf=S_invhalf))
+    assert all(np.isnan(v) for v in rc.values())
+
+
+def test_riesz_certificate_holds_one_block():
+    env = random_environment(2, 16, seed=4)
+    spec = cor.build_spectral_operator(env)
+    m = env.torus.ndir * env.torus.n
+    tracemalloc.start()
+    try:
+        cor.riesz_certificate(env, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * m * m  # less than three dense edge-space arrays
+
+
 def test_dense_cap_enforced():
     with pytest.raises(DenseCapExceeded):
         cor.build_spectral_operator(homogeneous_environment(2, 80))
@@ -192,6 +249,21 @@ def test_random_chain_matches_harmonic_mean():
     res = cor.effective_diffusivity(env)
     hm = 1.0 / np.mean(1.0 / draw)
     assert abs(res.sigma2[0, 0] - 2.0 * hm) < 1e-10
+
+
+def test_spectral_operator_keeps_its_assembly(env_rand, monkeypatch):
+    spec = cor.build_spectral_operator(env_rand)
+    f = drift_fields(env_rand)
+    rhs = -(f.phi[:, 0] + f.psi[:, 0])
+    calls = []
+    real = cor.assemble
+    monkeypatch.setattr(cor, "assemble", lambda env: calls.append(env) or real(env))
+    cor.solve_harmonic_spectral(env_rand, rhs, spec=spec)
+    assert calls == []
+    for method in ("krylov", "spectral"):
+        cor.effective_diffusivity(env_rand, method=method)
+        assert len(calls) == 1  # one assembly for every axis
+        calls.clear()
 
 
 def test_diffusivity_routes_agree(env_rand):
