@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: gen-env, simulate, decompose, bounds, corrector, helmholtz,
-check-all.  Relative output paths are resolved under $RWRE_OUT when set,
-and $RWRE_THREADS supplies the default worker count.  Exit codes: 0 on
-success, 1 when a computation or check fails, 2 for usage and config
-errors.
+check-all.  Relative output paths are resolved under $RWRE_OUT when set.
+Ensembles run in one serial lockstep engine; `--threads N` is accepted by
+simulate, decompose and check-all for older scripts and ignored.  Exit
+codes: 0 on success, 1 when a computation or check fails, 2 for usage and
+config errors.
 """
 
 from __future__ import annotations
@@ -19,18 +20,11 @@ import numpy as np
 from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
-from .env import GENERATORS, check_dist, curl, load_env, random_environment, save_env
+from .env import (GENERATORS, Environment, check_dist, curl, load_env,
+                  random_environment, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("RWRE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError("RWRE_THREADS", f"not an integer: {raw!r}")
 
 
 def _outpath(path: str | None) -> str | None:
@@ -90,6 +84,10 @@ def _add_common_env(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", required=True, help="environment JSON file")
 
 
+# help of the accepted, ignored worker-count flag of the ensemble commands
+_SERIAL_HELP = "accepted and ignored: ensembles run serially"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bistoch",
@@ -115,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x0", type=int, default=None,
                    help="start site (default: uniform per replica)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, metavar="N", help=_SERIAL_HELP)
     p.add_argument("--traj", default=None,
                    help="write replica 0 as a jump-record JSONL (needs --x0)")
     p.add_argument("-o", "--output", default=None, help="summary CSV path")
@@ -128,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", default=None, help="comma-separated sample times")
     p.add_argument("--x0", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, metavar="N", help=_SERIAL_HELP)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("bounds",
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-all", help="run a configured check battery")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, metavar="N", help=_SERIAL_HELP)
     p.add_argument("-o", "--output", default="report.json")
     p.add_argument("--timings", default=None,
                    help="timings sidecar path (default: <report>.timings.json)")
@@ -180,7 +178,6 @@ def _cmd_gen_env(args) -> int:
 def _cmd_simulate(args) -> int:
     env = load_env(args.env)
     report.require_site(args.x0, env.torus.n, "--x0")
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.traj is not None:
         if args.x0 is None:
             print("--traj needs an explicit --x0", file=sys.stderr)
@@ -195,8 +192,7 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {out} ({traj.n_jumps} jumps, final displacement "
               f"{traj.final_displacement.tolist()})")
         return 0
-    res = run_ensemble(env, args.T, args.replicas, args.seed, x0=args.x0,
-                       threads=threads)
+    res = run_ensemble(env, args.T, args.replicas, args.seed, x0=args.x0)
     mean2 = float((res.displacement[:, -1, :] ** 2).sum(axis=1).mean())
     print(f"{args.replicas} replicas to T={args.T}: mean |X|^2/T = "
           f"{mean2 / args.T:.6f}, mean jumps = {res.n_jumps.mean():.1f}")
@@ -210,11 +206,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_decompose(args) -> int:
     env = load_env(args.env)
     report.require_site(args.x0, env.torus.n, "--x0")
-    threads = args.threads if args.threads is not None else _default_threads()
     grid = _parse_grid(args.grid, args.T) if args.grid else None
     ens = mart.run_decomposition_ensemble(env, args.T, args.replicas,
-                                          args.seed, grid=grid, x0=args.x0,
-                                          threads=threads)
+                                          args.seed, grid=grid, x0=args.x0)
     res = ens.identity_residuals()
     out = _outpath(args.output)
     mart.decomposition_csv(ens, out)
@@ -268,8 +262,6 @@ def _cmd_helmholtz(args) -> int:
     env = load_env(args.env)
     recon = hh.stream_from_flow(env.b)
     gap = float(np.max(np.abs(curl(recon).full - env.b.full)))
-    from .env import Environment
-
     params = dict(env.meta.get("params") or {})
     params["stream"] = "reconstructed"
     rebuilt = Environment(env.torus, env.s, b=curl(recon), h=recon,
@@ -283,8 +275,7 @@ def _cmd_helmholtz(args) -> int:
 
 def _cmd_check_all(args) -> int:
     cfg = report.load_config(args.config)
-    threads = args.threads if args.threads is not None else _default_threads()
-    rep, timings = report.run_config(cfg, threads=threads)
+    rep, timings = report.run_config(cfg)
     for name in cfg.checks:
         result = rep["checks"][name]
         status = "PASS" if result["passed"] else "FAIL"

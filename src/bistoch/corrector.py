@@ -290,7 +290,7 @@ def _gradient_of(torus: Torus, g: np.ndarray) -> np.ndarray:
 
 
 def solve_harmonic(env: Environment, rhs, tol: float = 1e-10,
-                   maxiter: int | None = None, project: bool = False,
+                   project: bool = False,
                    residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
     """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
 

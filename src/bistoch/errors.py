@@ -31,11 +31,11 @@ class DegenerateEdge(BistochError):
 
 
 class AbsorbingState(BistochError):
-    """The walk reached a site with total jump rate zero."""
+    """The walk reached a site whose total jump rate is not positive."""
 
     def __init__(self, site: int):
         self.site = site
-        super().__init__(f"absorbing state at site {site}: total rate is zero")
+        super().__init__(f"absorbing state at site {site}: total rate is not positive")
 
 
 class Reducible(BistochError):

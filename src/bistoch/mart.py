@@ -333,14 +333,13 @@ class MartingaleEnsemble(DecompositionPath):
 
 def run_decomposition_ensemble(env: Environment, T: float, n_replicas: int,
                                master_seed: int, grid=None, x0: int | None = None,
-                               collect_holding: bool = False, threads: int = 1,
+                               collect_holding: bool = False,
                                block: int = 512) -> MartingaleEnsemble:
     site_table, jump_table = _field_tables(env)
     res = run_ensemble(env, T, n_replicas, master_seed,
                        grid=dyadic_grid(T) if grid is None else grid,
                        site_fields=site_table, jump_weights=jump_table, x0=x0,
-                       collect_holding=collect_holding, block=block,
-                       threads=threads)
+                       collect_holding=collect_holding, block=block)
     return MartingaleEnsemble(
         times=res.times, **_components(res.displacement, res.integrals, res.jump_sums),
         n_jumps=res.n_jumps, final_site=res.final_site, holding=res.holding,

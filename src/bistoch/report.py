@@ -4,7 +4,7 @@ A config JSON names an environment (inline generator parameters or a file)
 and a subset of checks.  Running it produces a report whose bytes depend
 only on the config content: seeds derive from the config, replica streams
 are keyed per replica, and wall-clock timings go to a separate sidecar, so
-a rerun with any thread count reproduces the report exactly.
+a rerun reproduces the report exactly.
 
 Statistical checks (confidence intervals, distribution distances) are
 allowed two deterministic reseeds: a sound implementation fails a 99%
@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import corrector, helmholtz, mart
-from .env import GENERATORS, Environment, check_dist, load_env, random_environment
+from .env import (GENERATORS, Environment, check_dist, curl, load_env,
+                  random_environment)
 from .errors import ConfigError
 from .walker import check_grid, check_site
 
@@ -128,16 +130,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                  f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
     T = data.get("T", 100.0)
-    _require(isinstance(T, (int, float)) and T > 0, "T", "must be positive")
+    _require(isinstance(T, (int, float)) and not isinstance(T, bool) and 0 < T < math.inf,
+             "T", "must be a positive finite number")
     replicas = data.get("replicas", 2000)
-    _require(isinstance(replicas, int) and replicas >= 1, "replicas",
-             "must be a positive integer")
+    _require(isinstance(replicas, int) and not isinstance(replicas, bool)
+             and replicas >= 1, "replicas", "must be a positive integer")
     tolerance = data.get("tolerance", 1e-12)
     _require(isinstance(tolerance, (int, float)) and tolerance > 0,
              "tolerance", "must be positive")
     x0 = data.get("x0")
     _require(x0 is None or isinstance(x0, int), "x0",
              "must be an integer site index or null")
+    if "path" not in env:  # an environment file is checked once it is loaded
+        require_site(x0, env["L"] ** env["d"])
     grid = data.get("grid")
     if grid is not None:
         _require(isinstance(grid, list) and len(grid) > 0
@@ -203,14 +208,14 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 
 # -- individual checks ---------------------------------------------------------
 
-def _check_validate(env, cfg, seed, threads):
+def _check_validate(env, cfg, seed):
     rep = env.validate(cfg.tolerance)
     return {"passed": rep.passed,
             "max_residual": rep.max_residual,
             "residuals": {e.name: e.residual for e in rep.entries}}
 
 
-def _check_bounds(env, cfg, seed, threads):
+def _check_bounds(env, cfg, seed):
     bd = mart.bounds(env)
     dv = corrector.effective_diffusivity(env)
     chk = bd.check(dv.sigma2, atol=1e-9)
@@ -219,18 +224,17 @@ def _check_bounds(env, cfg, seed, threads):
             "upper_trace": bd.upper_trace, **chk}
 
 
-def _check_decompose(env, cfg, seed, threads):
+def _check_decompose(env, cfg, seed):
     ens = mart.run_decomposition_ensemble(
-        env, cfg.T, cfg.replicas, seed, grid=cfg.grid, x0=cfg.x0,
-        threads=threads)
+        env, cfg.T, cfg.replicas, seed, grid=cfg.grid, x0=cfg.x0)
     res = ens.identity_residuals()
     return {"passed": max(res.values()) <= mart.IDENTITY_TOL, **res}
 
 
-def _check_orthogonality(env, cfg, seed, threads):
+def _check_orthogonality(env, cfg, seed):
     grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, 4)
     ens = mart.run_decomposition_ensemble(
-        env, cfg.T, cfg.replicas, seed, grid=grid, x0=cfg.x0, threads=threads)
+        env, cfg.T, cfg.replicas, seed, grid=grid, x0=cfg.x0)
     rep = mart.orthogonality_report(ens)
     est, se = mart.zz_matrix(ens)
     target = mart.bounds(env).lower
@@ -242,13 +246,13 @@ def _check_orthogonality(env, cfg, seed, threads):
             **{name: _interval_dict(iv) for name, iv in rep.items()}}
 
 
-def _check_corrector(env, cfg, seed, threads):
+def _check_corrector(env, cfg, seed):
     dv = corrector.effective_diffusivity(env)
     return {"passed": True, "sigma2": dv.sigma2,
             "harmonic_residuals": dv.residuals}
 
 
-def _check_spectral(env, cfg, seed, threads):
+def _check_spectral(env, cfg, seed):
     spec = corrector.build_spectral_operator(env)
     f = mart.drift_fields(env)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
@@ -270,20 +274,18 @@ def _check_spectral(env, cfg, seed, threads):
     return out
 
 
-def _check_helmholtz(env, cfg, seed, threads):
+def _check_helmholtz(env, cfg, seed):
     recon = helmholtz.stream_from_flow(env.b)
-    from .env import curl
-
     gap = float(np.max(np.abs(curl(recon).full - env.b.full)))
     scale = max(1.0, float(np.abs(env.b.full).max()))
     return {"passed": gap <= 1e-10 * scale, "curl_gap": gap}
 
 
-def _check_clt(env, cfg, seed, threads):
+def _check_clt(env, cfg, seed):
     grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, 5)
     ens = mart.run_decomposition_ensemble(
         env, cfg.T, cfg.replicas, seed, grid=grid, x0=cfg.x0,
-        collect_holding=True, threads=threads)
+        collect_holding=True)
     m2, _ = mart.second_moment_curve(ens)
     slope = mart.growth_slope(ens.times, m2)
     ks_components = [mart.ks_gaussian(ens.X[:, -1, i])
@@ -316,7 +318,7 @@ CHECK_REGISTRY = {
 
 # -- runner ---------------------------------------------------------------------
 
-def run_config(cfg: ExperimentConfig, threads: int = 1) -> tuple:
+def run_config(cfg: ExperimentConfig) -> tuple:
     """Run every configured check; returns (report dict, timings dict).
 
     The report contains no timing or host information.  Statistical checks
@@ -338,14 +340,14 @@ def run_config(cfg: ExperimentConfig, threads: int = 1) -> tuple:
                 attempts = []
                 for attempt in range(MAX_ATTEMPTS):
                     s = reseed(cfg.seed, attempt)
-                    out = fn(env, cfg, s, threads)
+                    out = fn(env, cfg, s)
                     attempts.append({"seed": s, **out})
                     if out["passed"]:
                         break
                 result = {"passed": attempts[-1]["passed"],
                           "attempts": attempts}
             else:
-                result = fn(env, cfg, cfg.seed, threads)
+                result = fn(env, cfg, cfg.seed)
         except Exception as e:
             result = {"passed": False, "error": f"{type(e).__name__}: {e}"}
         timings[name] = perf_counter() - t0

@@ -6,17 +6,15 @@ probability p_k(x) / sum.  No time discretization enters anywhere.
 
 Randomness comes from counter-based Philox streams.  Replica r of a run with
 master seed m uses the key (m << 64) | r, so any replica can be reproduced
-in isolation and results are independent of how replicas are sharded across
-threads.  Each event consumes exactly two uniforms from its replica's
-stream, first the holding time, then the direction, which makes the batch
-engine below bit-compatible with the single-trajectory simulator.
+in isolation.  Each event consumes exactly two uniforms from its replica's
+stream, first the holding time, then the direction, which makes the serial
+lockstep engine below bit-compatible with the single-trajectory simulator.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +105,12 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     Raises
     ------
     ValueError
-        if T is not positive or x0 is not a site of the torus.
+        if T is not positive and finite or x0 is not a site of the torus.
     AbsorbingState
-        if the walk reaches a site with zero total rate.
+        if the walk reaches a site whose total rate is not positive.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("horizon T must be positive and finite")
     t_ = env.torus
     x0 = check_site(x0, t_.n)
     rng = _generator(seed)
@@ -196,7 +194,7 @@ def check_grid(grid, T: float) -> np.ndarray:
 
 @dataclass
 class EnsembleResult:
-    """Lockstep simulation output for a block of replicas.
+    """Lockstep simulation output for an ensemble of replicas.
 
     displacement[r, g] is X at grid time g.  integrals[r, g, f] is the exact
     time integral of site-table column f along the path up to that grid
@@ -223,8 +221,7 @@ class EnsembleResult:
 def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                  grid=None, site_fields: np.ndarray | None = None,
                  jump_weights: np.ndarray | None = None, x0: int | None = None,
-                 collect_holding: bool = False, block: int = 512,
-                 threads: int = 1) -> EnsembleResult:
+                 collect_holding: bool = False, block: int = 512) -> EnsembleResult:
     """Simulate many replicas in vectorized lockstep.
 
     Parameters
@@ -241,16 +238,16 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     x0 : int or None
         Fixed start site in [0, n), or None to draw one uniformly per replica
         (the draw consumes the first uniform of the replica's stream).
-    threads : int
-        Replicas are split into contiguous chunks run concurrently; results
-        are identical for every thread count.
+    block : int
+        Uniforms drawn per replica per refill; a positive even number.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("horizon T must be positive and finite")
     if n_replicas < 1:
         raise ValueError("need at least one replica")
     grid = check_grid([T] if grid is None else grid, T)
-    n, ndir = env.torus.n, env.torus.ndir
+    t_ = env.torus
+    n, ndir, d = t_.n, t_.ndir, t_.d
     if x0 is not None:
         x0 = check_site(x0, n)
     site_fields = np.zeros((n, 0)) if site_fields is None else np.asarray(site_fields, dtype=float)
@@ -263,44 +260,6 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     if block % 2 or block < 2:
         raise ValueError("block must be a positive even number")
 
-    threads = max(1, int(threads))
-    if threads == 1 or n_replicas < 2 * threads:
-        return _run_chunk(env, T, 0, n_replicas, master_seed, grid, site_fields,
-                          jump_weights, x0, collect_holding, block)
-    bounds = np.linspace(0, n_replicas, threads + 1).astype(int)
-    chunks = [(int(lo), int(hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_chunk, env, T, lo, cnt, master_seed, grid,
-                               site_fields, jump_weights, x0, collect_holding, block)
-                   for lo, cnt in chunks]
-        parts = [f.result() for f in futures]  # fixed order: by replica range
-    return _merge_results(parts, master_seed, T)
-
-
-def _merge_results(parts: list, master_seed: int, T: float) -> EnsembleResult:
-    holding = None
-    if parts[0].holding is not None:
-        holding = np.concatenate([p.holding for p in parts])
-    return EnsembleResult(
-        times=parts[0].times,
-        displacement=np.concatenate([p.displacement for p in parts]),
-        integrals=np.concatenate([p.integrals for p in parts]),
-        jump_sums=np.concatenate([p.jump_sums for p in parts]),
-        start_site=np.concatenate([p.start_site for p in parts]),
-        final_site=np.concatenate([p.final_site for p in parts]),
-        n_jumps=np.concatenate([p.n_jumps for p in parts]),
-        holding=holding,
-        master_seed=master_seed,
-        T=T,
-    )
-
-
-def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
-               master_seed: int, grid: np.ndarray, site_fields: np.ndarray,
-               jump_weights: np.ndarray, x0: int | None, collect_holding: bool,
-               block: int) -> EnsembleResult:
-    t_ = env.torus
-    n, ndir, d = t_.n, t_.ndir, t_.d
     nbr = t_.nbr.ravel()  # edge (x, k) sits at x * ndir + k in every flat table
     # one contiguous column per direction but the last, which equals the
     # total rate and is compared against the gathered `rate` instead
@@ -318,9 +277,10 @@ def _run_chunk(env: Environment, T: float, first_replica: int, R: int,
         jump_table[:, k, t_.axis_of[k]] = jump_weights[:, k] * float(t_.sign_of[k])
     jump_table = jump_table.reshape(n * ndir, d * W)
     grid_pad = np.append(grid, np.inf)
-    check_absorbing = bool((total == 0.0).any())
+    check_absorbing = bool((total <= 0.0).any())
 
-    gens = [_generator(replica_key(master_seed, first_replica + r)) for r in range(R)]
+    R = n_replicas
+    gens = [_generator(replica_key(master_seed, r)) for r in range(R)]
     if x0 is None:
         # one uniform from each stream selects the start site
         site = np.array([min(int(g.random() * n), n - 1) for g in gens], dtype=np.int64)

@@ -14,6 +14,7 @@ import pytest
 
 from bistoch import corrector as cor
 from bistoch import mart, report
+from bistoch.cli import main
 from bistoch.env import (ConductanceField, Environment, FlowField,
                          curl, homogeneous_environment, random_environment,
                          random_stream)
@@ -56,7 +57,7 @@ def test_criterion_02_homogeneous_calibration():
     env = homogeneous_environment(2, 8)
     bd = mart.bounds(env)
     exact = bd.lower_trace == 4.0 and bd.upper_trace == 4.0
-    res = run_ensemble(env, 1000.0, 10000, 23, threads=4)
+    res = run_ensemble(env, 1000.0, 10000, 23)
     iv = mart.batch_mean_interval(
         (res.displacement[:, -1, :] ** 2).sum(axis=1) / 1000.0)
     within = abs(iv.mean - 4.0) <= 3.0 * iv.se
@@ -73,7 +74,7 @@ def test_criterion_03_harmonic_mean_oracle():
     sigma2 = cor.effective_diffusivity(env).sigma2[0, 0]
     target = 2.0 / np.mean(1.0 / draw)
     oracle_ok = abs(sigma2 - target) <= 1e-10
-    res = run_ensemble(env, 200.0, 4000, 31, threads=4)
+    res = run_ensemble(env, 200.0, 4000, 31)
     iv = mart.batch_mean_interval(
         (res.displacement[:, -1, :] ** 2).sum(axis=1) / 200.0)
     mc_ok = abs(iv.mean - sigma2) <= 3.0 * iv.se
@@ -86,8 +87,7 @@ def test_criterion_04_martingale_construction():
     t0 = time.perf_counter()
     env = random_environment(2, 8, seed=7)
     ens = mart.run_decomposition_ensemble(env, 64.0, 10000, 13,
-                                          grid=mart.dyadic_grid(64.0, 4),
-                                          threads=4)
+                                          grid=mart.dyadic_grid(64.0, 4))
     est, se = mart.zz_matrix(ens)
     want = mart.bounds(env).lower
     zz_ok = bool(np.all(np.abs(est - want) <= 3.0 * se))
@@ -174,7 +174,7 @@ def test_criterion_07_clt_shape():
     ok = False
     for attempt in range(report.MAX_ATTEMPTS):
         seed = report.reseed(11, attempt)
-        res = run_ensemble(env, 1024.0, 10000, seed, grid=grid, threads=4)
+        res = run_ensemble(env, 1024.0, 10000, seed, grid=grid)
         m2 = (res.displacement ** 2).sum(axis=2).mean(axis=0)
         slope = mart.growth_slope(grid, m2)
         ks = max(mart.ks_gaussian(res.displacement[:, -1, i]) for i in range(2))
@@ -192,8 +192,7 @@ def test_criterion_08_exact_path_identities():
     t0 = time.perf_counter()
     env = random_environment(2, 8, seed=7)
     ens = mart.run_decomposition_ensemble(env, 100.0, 2000, 19,
-                                          grid=mart.dyadic_grid(100.0, 8),
-                                          threads=4)
+                                          grid=mart.dyadic_grid(100.0, 8))
     r = ens.identity_residuals()
     worst = max(r.values())
     _verdict(8, worst <= 1e-10,
@@ -206,20 +205,29 @@ def test_criterion_09_deterministic_reports(tmp_path):
     env_path = tmp_path / "env.json"
     from bistoch.env import save_env
     save_env(random_environment(2, 8, seed=7), str(env_path))
-    cfg = report.config_from_dict({
+    raw = {
         "seed": 11,
         "env": {"path": str(env_path)},
         "T": 64.0,
         "replicas": 2000,
         "checks": ["validate", "bounds", "decompose", "orthogonality",
                    "corrector", "spectral", "helmholtz"],
-    })
-    rep1, _ = report.run_config(cfg, threads=1)
-    rep4, _ = report.run_config(cfg, threads=4)
-    rep1b, _ = report.run_config(cfg, threads=1)
-    s1 = report.canonical_json(rep1)
-    s4 = report.canonical_json(rep4)
-    s1b = report.canonical_json(rep1b)
-    identical = s1 == s4 == s1b
-    _verdict(9, identical and rep1["passed"],
-             "reports byte-identical across thread counts and reruns", t0)
+    }
+    cfg = report.config_from_dict(raw)
+    rep, _ = report.run_config(cfg)
+    rerun, _ = report.run_config(cfg)
+    expected = (report.canonical_json(rep) + "\n").encode()
+    # the CLI accepts --threads and ignores it
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    codes, cli_reports = [], []
+    for threads in ("1", "4"):
+        out = tmp_path / f"report{threads}.json"
+        codes.append(main(["check-all", "--config", str(cfg_path), "-o", str(out),
+                           "--threads", threads]))
+        cli_reports.append(out.read_bytes())
+    identical = (report.canonical_json(rerun) == report.canonical_json(rep)
+                 and codes == [0, 0] and cli_reports == [expected, expected])
+    _verdict(9, identical and rep["passed"],
+             "reports byte-identical across reruns and through the CLI "
+             "with --threads 1 and 4", t0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_helmholtz_round_trip(tmp_path, env_file):
     assert np.allclose(rebuilt.b.full, orig.b.full, atol=1e-10)
 
 
-def _fast_config(tmp_path, env_file, threads_independent=True):
+def _fast_config(tmp_path, env_file):
     cfg = {
         "seed": 77,
         "env": {"path": env_file},
@@ -149,7 +150,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     for name in ("validate", "bounds", "decompose", "corrector",
                  "spectral", "helmholtz"):
         assert f"PASS {name}" in text
-    # reports are byte-identical across thread counts; timings are a sidecar
+    # --threads is ignored, so the reports are byte-identical; timings are a sidecar
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "rep1.timings.json").exists()
     doc = json.loads(out1.read_text())
@@ -174,6 +175,12 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": 99}, id="x0-past-last-site"),
     pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": -1}, id="x0-negative"),
     pytest.param({"x0": 16}, id="x0-past-last-site-of-env-file"),
+    # this environment cannot be drawn (exit 1), but x0 is rejected first
+    pytest.param({"env": {"d": 1, "L": 2, "seed": 0, "generator": "totally-asymmetric"},
+                  "x0": 2}, id="x0-checked-before-the-environment-is-drawn"),
+    pytest.param({"T": math.inf}, id="T-infinite"),
+    pytest.param({"T": True}, id="T-bool"),
+    pytest.param({"replicas": True}, id="replicas-bool"),
 ])
 def test_check_all_bad_config(tmp_path, env_file, capsys, fields):
     path = tmp_path / "bad.json"
@@ -239,6 +246,6 @@ def test_thread_env_var(env_file, monkeypatch):
     rc = main(["simulate", "--env", env_file, "--T", "2.0",
                "--replicas", "4", "--seed", "1"])
     assert rc == 0
-    monkeypatch.setenv("RWRE_THREADS", "two")
+    monkeypatch.setenv("RWRE_THREADS", "two")  # no longer read
     assert main(["simulate", "--env", env_file, "--T", "2.0",
-                 "--replicas", "4", "--seed", "1"]) == 2
+                 "--replicas", "4", "--seed", "1"]) == 0

@@ -19,7 +19,7 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
 
 
 def test_foreign_exception_is_recorded_against_its_check(monkeypatch):
-    def boom(env, cfg, seed, threads):
+    def boom(env, cfg, seed):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(report.CHECK_REGISTRY, "validate", boom)

@@ -67,22 +67,6 @@ def test_start_site_must_be_a_site(env_rand, x0):
             run_ensemble(env_rand, 5.0, 2, MASTER, x0=x0)
 
 
-def test_thread_count_does_not_change_results(env_rand):
-    grid = np.array([5.0, 10.0, 20.0])
-    kw = dict(site_fields=np.ones((env_rand.torus.n, 1)),
-              jump_weights=np.full((env_rand.torus.n, 4, 1), 0.5),
-              collect_holding=True)
-    a = run_ensemble(env_rand, 20.0, 40, MASTER, grid=grid, threads=1, **kw)
-    b = run_ensemble(env_rand, 20.0, 40, MASTER, grid=grid, threads=3, **kw)
-    assert np.array_equal(a.displacement, b.displacement)
-    assert np.array_equal(a.integrals, b.integrals)
-    assert np.array_equal(a.jump_sums, b.jump_sums)
-    assert np.array_equal(a.start_site, b.start_site)
-    assert np.array_equal(a.n_jumps, b.n_jumps)
-    # the holding pool is a multiset; chunking changes only its order
-    assert np.array_equal(np.sort(a.holding), np.sort(b.holding))
-
-
 def test_integral_of_one_equals_elapsed_time(env_rand):
     grid = np.array([1.0, 2.5, 7.0, 10.0])
     res = run_ensemble(env_rand, 10.0, 5, MASTER,
@@ -129,6 +113,19 @@ def _env_with_dead_site():
 
 def test_absorbing_state_raised():
     env = _env_with_dead_site()
+    with pytest.raises(AbsorbingState):
+        simulate(env, 2, 5.0, seed=1)
+    with pytest.raises(AbsorbingState):
+        run_ensemble(env, 5.0, 3, MASTER, x0=2)
+
+
+def test_negative_total_rate_stops_the_engine_as_the_reference_walker():
+    # a conductance law with negative values draws such environments; with a
+    # negative rate the clock runs backwards and the walk never reaches T
+    t = Torus(1, 4)
+    env = Environment(t, ConductanceField(t, np.full((4, 2), -0.5)), b=FlowField.zero(t),
+                      h=None, weak_ellipticity=False, meta={})
+    assert np.all(env.total_rate < 0)
     with pytest.raises(AbsorbingState):
         simulate(env, 2, 5.0, seed=1)
     with pytest.raises(AbsorbingState):
@@ -217,6 +214,15 @@ def test_ensemble_summary_csv(tmp_path, env_rand):
 def test_grid_validation(env_rand, bad_grid):
     with pytest.raises(ValueError):
         run_ensemble(env_rand, 10.0, 2, MASTER, grid=bad_grid)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_horizon_must_be_positive_and_finite(env_rand, T):
+    # an infinite horizon with the grid [inf] would never finish
+    with pytest.raises(ValueError, match="horizon"):
+        run_ensemble(env_rand, T, 2, MASTER, grid=[T])
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(env_rand, 0, T, seed=1)
 
 
 # -- stationary density and reweighting ---------------------------------------
