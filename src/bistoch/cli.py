@@ -20,8 +20,8 @@ import numpy as np
 from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
-from .env import (GENERATORS, Environment, check_dist, curl, load_env,
-                  random_environment, save_env)
+from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
+                  load_env, random_environment, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
@@ -159,6 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_env(args) -> int:
+    try:
+        check_generator(args.generator, args.d)
+    except ValueError as e:
+        raise ConfigError("--generator", str(e))
     env = random_environment(args.d, args.L, args.seed,
                              generator=args.generator,
                              s_dist=_parse_dist(args.s_dist),

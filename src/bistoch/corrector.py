@@ -224,9 +224,8 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     projector onto mean-zero functions, and Pi = Lambda Lambda^T is a
     symmetric idempotent on edge space.  Returns the max deviations.
     """
-    G = gradient_matrix(env.torus)
     r_edge = np.sqrt(edge_conductances(env))
-    Lam = (r_edge[:, None] * (G @ spec.S_invhalf)) / np.sqrt(2.0)
+    Lam = (r_edge[:, None] * (spec.assembly.G @ spec.S_invhalf)) / np.sqrt(2.0)
     gram = Lam.T @ Lam
     pi = Lam @ Lam.T
     del Lam

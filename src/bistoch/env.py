@@ -458,6 +458,19 @@ DISTRIBUTIONS = {"uniform": 2, "two_point": 3, "lognormal": 2, "gaussian": 1}
 GENERATORS = ("conductance-stream", "totally-asymmetric")
 
 
+def check_generator(generator, d: int) -> None:
+    """Raise ValueError unless generator is known and can draw in dimension d.
+
+    A 1-d torus has no plaquettes, so every stream has zero curl and a
+    totally asymmetric environment would have no edge to move along.
+    """
+    if generator not in GENERATORS:
+        raise ValueError(f"must be one of {', '.join(GENERATORS)}")
+    if generator == "totally-asymmetric" and d < 2:
+        raise ValueError("totally-asymmetric needs d >= 2: a 1-d torus has no "
+                         "plaquettes, so its flow would vanish on every edge")
+
+
 def check_dist(dist) -> None:
     """Raise ValueError unless dist is (known name, *its count of real numbers)."""
     if isinstance(dist, str) or not isinstance(dist, (list, tuple)) or not dist:
@@ -598,30 +611,50 @@ def save_env(env: Environment, path: str) -> None:
         f.write("\n")
 
 
+def _doc_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidEnvironment(f"field {key!r} must be an array of numbers")
+
+
 def env_from_dict(doc: dict, tolerance: float = DEFAULT_TOL) -> Environment:
-    """Rebuild an environment and reject it if any invariant fails."""
-    if doc.get("format") != ENV_FORMAT:
+    """Rebuild an environment and reject it if any invariant fails.
+
+    Raises
+    ------
+    InvalidEnvironment
+        if the document is malformed (not an object, a missing or mistyped
+        field, a wrongly sized array) or the environment breaks an invariant.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != ENV_FORMAT:
         raise InvalidEnvironment(f"not a {ENV_FORMAT} document")
     if doc.get("version") != ENV_VERSION:
         raise InvalidEnvironment(f"unsupported version {doc.get('version')!r}")
     if "h" in doc and "b" in doc:
         raise InvalidEnvironment("document carries both a stream tensor and an explicit flow")
-    t = Torus(int(doc["d"]), int(doc["L"]))
-    s_arr = np.asarray(doc["s"], dtype=float)
+    for key, least in (("d", 1), ("L", 2)):
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise InvalidEnvironment(f"field {key!r} must be an integer >= {least}")
+    if "s" not in doc:
+        raise InvalidEnvironment("missing conductance array 's'")
+    t = Torus(doc["d"], doc["L"])
+    s_arr = _doc_array(doc, "s")
     if s_arr.size != t.n * t.d:
         raise InvalidEnvironment(f"conductance array has {s_arr.size} values, expected {t.n * t.d}")
     s = ConductanceField.from_canonical(t, s_arr.reshape(t.n, t.d))
     h = None
     b = None
     if "h" in doc:
-        h_arr = np.asarray(doc["h"], dtype=float)
+        h_arr = _doc_array(doc, "h")
         if h_arr.size != t.n * t.npairs:
             raise InvalidEnvironment(
                 f"stream array has {h_arr.size} values, expected {t.n * t.npairs}")
         h = StreamTensor(t, h_arr.reshape(t.n, t.npairs))
         b = curl(h)
     elif "b" in doc:
-        b_arr = np.asarray(doc["b"], dtype=float)
+        b_arr = _doc_array(doc, "b")
         if b_arr.size != t.n * t.d:
             raise InvalidEnvironment(f"flow array has {b_arr.size} values, expected {t.n * t.d}")
         b = FlowField.from_canonical(t, b_arr.reshape(t.n, t.d))
@@ -637,5 +670,16 @@ def env_from_dict(doc: dict, tolerance: float = DEFAULT_TOL) -> Environment:
 
 
 def load_env(path: str, tolerance: float = DEFAULT_TOL) -> Environment:
+    """Read and check an environment file.
+
+    Raises
+    ------
+    InvalidEnvironment
+        if the file is not JSON text or env_from_dict rejects it.
+    """
     with open(path) as f:
-        return env_from_dict(json.load(f), tolerance)
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # undecodable bytes or invalid JSON
+            raise InvalidEnvironment(f"{path}: not a JSON document: {e}")
+    return env_from_dict(doc, tolerance)

@@ -16,7 +16,7 @@ averages reduce to exact cancellations over +/- direction pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.stats
@@ -330,6 +330,25 @@ class MartingaleEnsemble(DecompositionPath):
     def n_replicas(self) -> int:
         return self.X.shape[0]
 
+    def at_times(self, times) -> MartingaleEnsemble:
+        """The same replicas sampled at a subset of the grid times.
+
+        Bit for bit the ensemble that the same run sampled on `times` alone
+        would give: the engine snapshots each (replica, grid time) from the
+        path up to that time only, and _components works elementwise.
+
+        Raises
+        ------
+        ValueError
+            if a requested time is not on this ensemble's grid.
+        """
+        times = np.asarray(times, dtype=float)
+        idx = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
+        if not np.array_equal(self.times[idx], times):
+            raise ValueError("requested times are not on the ensemble's grid")
+        parts = {name: getattr(self, name)[:, idx] for name in ("X", "M", "I", "J", "Z", "Y")}
+        return replace(self, times=self.times[idx], **parts)
+
 
 def run_decomposition_ensemble(env: Environment, T: float, n_replicas: int,
                                master_seed: int, grid=None, x0: int | None = None,
@@ -460,12 +479,28 @@ def orthogonality_report(ens: MartingaleEnsemble, g1: int = 0, g2: int = -1,
     return out
 
 
+def _ks_distance(x: np.ndarray, cdf) -> float:
+    """Two-sided one-sample KS statistic of x against a distribution function.
+
+    Sorts once and takes D+ and D- as scipy.stats.kstest does (each the
+    value at its first argmax, D+ where it is strictly larger), so the
+    statistic is bit for bit scipy's; no p-value is computed.
+    """
+    x = np.sort(x)
+    cdfvals = cdf(x)
+    n = len(x)
+    d_plus = np.arange(1.0, n + 1) / n - cdfvals
+    d_minus = cdfvals - np.arange(0.0, n) / n
+    d_plus = d_plus[np.argmax(d_plus)]
+    d_minus = d_minus[np.argmax(d_minus)]
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 def ks_exponential(holding) -> float:
     """KS distance of normalized holding times from the unit exponential."""
     if holding is None or len(holding) == 0:
         raise ValueError("no holding-time samples; run with collect_holding=True")
-    # only the statistic is used; the exact p-value is slow for large samples
-    return float(scipy.stats.kstest(holding, "expon", method="asymp").statistic)
+    return _ks_distance(np.asarray(holding, dtype=float), scipy.stats.expon.cdf)
 
 
 def ks_gaussian(samples: np.ndarray) -> float:
@@ -474,8 +509,7 @@ def ks_gaussian(samples: np.ndarray) -> float:
     sd = samples.std()
     if sd == 0:
         return 1.0
-    return float(scipy.stats.kstest(samples, "norm", args=(0.0, sd),
-                                    method="asymp").statistic)
+    return _ks_distance(samples, lambda x: scipy.stats.norm.cdf(x, 0.0, sd))
 
 
 def final_site_chisquare(final_site: np.ndarray, n_sites: int) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corrector, helmholtz, mart
-from .env import (GENERATORS, Environment, check_dist, curl, load_env,
-                  random_environment)
+from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
+                  load_env, random_environment)
 from .errors import ConfigError
 from .walker import check_grid, check_site
 
@@ -113,8 +113,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             value = env.get(key)
             _require(isinstance(value, int) and not isinstance(value, bool)
                      and value >= least, f"env.{key}", f"must be an integer >= {least}")
-        _require(env.get("generator", GENERATORS[0]) in GENERATORS, "env.generator",
-                 f"must be one of {', '.join(GENERATORS)}")
+        try:
+            check_generator(env.get("generator", GENERATORS[0]), env["d"])
+        except ValueError as e:
+            raise ConfigError("env.generator", str(e))
         for key in ("s_dist", "h_dist"):
             if key in env:
                 try:
@@ -207,15 +209,48 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 
 
 # -- individual checks ---------------------------------------------------------
+#
+# Every check is called as fn(env, cfg, walks), where walks holds the seed of
+# the attempt and its decomposition ensemble.
 
-def _check_validate(env, cfg, seed):
+def _walk_grid(cfg: ExperimentConfig, levels: int = 8):
+    """Sample times of a walk check: the config grid, or the dyadic grid."""
+    return cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
+
+
+class _Walks:
+    """The decomposition ensemble of one seed, simulated on first use.
+
+    It is sampled on the config grid or on the 8-level dyadic grid, which
+    contains the 4- and 5-level grids that orthogonality and clt read, so
+    every walk check run under this seed takes its own columns from one
+    simulation.  Holding times are collected when clt is configured.
+    """
+
+    def __init__(self, env: Environment, cfg: ExperimentConfig, seed: int):
+        self.env = env
+        self.cfg = cfg
+        self.seed = seed
+        self._ens = None
+
+    def ensemble(self, levels: int = 8) -> mart.MartingaleEnsemble:
+        """The ensemble on the config grid, or else on the levels-level dyadic grid."""
+        cfg = self.cfg
+        if self._ens is None:
+            self._ens = mart.run_decomposition_ensemble(
+                self.env, cfg.T, cfg.replicas, self.seed, grid=_walk_grid(cfg),
+                x0=cfg.x0, collect_holding="clt" in cfg.checks)
+        return self._ens.at_times(_walk_grid(cfg, levels))
+
+
+def _check_validate(env, cfg, walks):
     rep = env.validate(cfg.tolerance)
     return {"passed": rep.passed,
             "max_residual": rep.max_residual,
             "residuals": {e.name: e.residual for e in rep.entries}}
 
 
-def _check_bounds(env, cfg, seed):
+def _check_bounds(env, cfg, walks):
     bd = mart.bounds(env)
     dv = corrector.effective_diffusivity(env)
     chk = bd.check(dv.sigma2, atol=1e-9)
@@ -224,17 +259,13 @@ def _check_bounds(env, cfg, seed):
             "upper_trace": bd.upper_trace, **chk}
 
 
-def _check_decompose(env, cfg, seed):
-    ens = mart.run_decomposition_ensemble(
-        env, cfg.T, cfg.replicas, seed, grid=cfg.grid, x0=cfg.x0)
-    res = ens.identity_residuals()
+def _check_decompose(env, cfg, walks):
+    res = walks.ensemble().identity_residuals()
     return {"passed": max(res.values()) <= mart.IDENTITY_TOL, **res}
 
 
-def _check_orthogonality(env, cfg, seed):
-    grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, 4)
-    ens = mart.run_decomposition_ensemble(
-        env, cfg.T, cfg.replicas, seed, grid=grid, x0=cfg.x0)
+def _check_orthogonality(env, cfg, walks):
+    ens = walks.ensemble(4)
     rep = mart.orthogonality_report(ens)
     est, se = mart.zz_matrix(ens)
     target = mart.bounds(env).lower
@@ -246,13 +277,13 @@ def _check_orthogonality(env, cfg, seed):
             **{name: _interval_dict(iv) for name, iv in rep.items()}}
 
 
-def _check_corrector(env, cfg, seed):
+def _check_corrector(env, cfg, walks):
     dv = corrector.effective_diffusivity(env)
     return {"passed": True, "sigma2": dv.sigma2,
             "harmonic_residuals": dv.residuals}
 
 
-def _check_spectral(env, cfg, seed):
+def _check_spectral(env, cfg, walks):
     spec = corrector.build_spectral_operator(env)
     f = mart.drift_fields(env)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
@@ -274,18 +305,15 @@ def _check_spectral(env, cfg, seed):
     return out
 
 
-def _check_helmholtz(env, cfg, seed):
+def _check_helmholtz(env, cfg, walks):
     recon = helmholtz.stream_from_flow(env.b)
     gap = float(np.max(np.abs(curl(recon).full - env.b.full)))
     scale = max(1.0, float(np.abs(env.b.full).max()))
     return {"passed": gap <= 1e-10 * scale, "curl_gap": gap}
 
 
-def _check_clt(env, cfg, seed):
-    grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, 5)
-    ens = mart.run_decomposition_ensemble(
-        env, cfg.T, cfg.replicas, seed, grid=grid, x0=cfg.x0,
-        collect_holding=True)
+def _check_clt(env, cfg, walks):
+    ens = walks.ensemble(5)
     m2, _ = mart.second_moment_curve(ens)
     slope = mart.growth_slope(ens.times, m2)
     ks_components = [mart.ks_gaussian(ens.X[:, -1, i])
@@ -325,41 +353,47 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     retry under deterministic reseeds up to three attempts; deterministic
     checks run once.  A check that raises is recorded as failed with the
     exception type and message, and the remaining checks still run.
+
+    The checks run attempt by attempt: all that are due under one seed run
+    before the next seed's ensemble is simulated, so each distinct seed is
+    walked once, at most one ensemble is alive, and the timings charge the
+    simulation to the first check that uses it.
     """
     from time import perf_counter
 
     env = build_environment(cfg)
     require_site(cfg.x0, env.torus.n)
+    names = list(dict.fromkeys(cfg.checks))  # a repeated check runs once
     results = {}
-    timings = {}
-    for name in cfg.checks:
-        fn = CHECK_REGISTRY[name]
-        t0 = perf_counter()
-        try:
-            if name in STATISTICAL_CHECKS:
-                attempts = []
-                for attempt in range(MAX_ATTEMPTS):
-                    s = reseed(cfg.seed, attempt)
-                    out = fn(env, cfg, s)
-                    attempts.append({"seed": s, **out})
-                    if out["passed"]:
-                        break
-                result = {"passed": attempts[-1]["passed"],
-                          "attempts": attempts}
-            else:
-                result = fn(env, cfg, cfg.seed)
-        except Exception as e:
-            result = {"passed": False, "error": f"{type(e).__name__}: {e}"}
-        timings[name] = perf_counter() - t0
-        results[name] = _pyify(result)
+    attempts = {name: [] for name in names}
+    timings = dict.fromkeys(names, 0.0)
+    for attempt in range(MAX_ATTEMPTS):
+        walks = _Walks(env, cfg, reseed(cfg.seed, attempt))
+        for name in names:
+            if name in results:
+                continue
+            t0 = perf_counter()
+            try:
+                out = CHECK_REGISTRY[name](env, cfg, walks)
+                if name not in STATISTICAL_CHECKS:
+                    results[name] = out
+                else:
+                    attempts[name].append({"seed": walks.seed, **out})
+                    if out["passed"] or attempt == MAX_ATTEMPTS - 1:
+                        results[name] = {"passed": out["passed"],
+                                         "attempts": attempts[name]}
+            except Exception as e:
+                results[name] = {"passed": False, "error": f"{type(e).__name__}: {e}"}
+            timings[name] += perf_counter() - t0
 
+    checks = {name: _pyify(results[name]) for name in names}
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "config": cfg.raw,
         "config_hash": cfg.config_hash,
-        "checks": results,
-        "passed": all(r["passed"] for r in results.values()),
+        "checks": checks,
+        "passed": all(r["passed"] for r in checks.values()),
     }
     return report, timings
 

@@ -34,8 +34,30 @@ def replica_key(master_seed: int, replica: int) -> int:
     return (int(master_seed) << 64) | int(replica)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands a 128-bit key to Philox as its seed words, low word first.
+
+    Philox(_PhiloxKey(k)) reads its key from generate_state(2, uint64) and
+    so starts in the state of Philox(key=k), without first filling a
+    SeedSequence from OS entropy that the key would then override.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        bits = 8 * np.dtype(dtype).itemsize
+        mask = (1 << bits) - 1
+        return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)],
+                        dtype=dtype)
+
+
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        # Philox(key=...)'s own message, which a report may record
+        raise ValueError("key must be positive and less than 2**128.")
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass

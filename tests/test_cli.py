@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from bistoch import report
 from bistoch.cli import main
 from bistoch.env import load_env
+from bistoch.errors import ConfigError
 from bistoch.walker import replica_key
 
 
@@ -175,7 +177,7 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": 99}, id="x0-past-last-site"),
     pytest.param({"env": {"d": 2, "L": 4, "seed": 1}, "x0": -1}, id="x0-negative"),
     pytest.param({"x0": 16}, id="x0-past-last-site-of-env-file"),
-    # this environment cannot be drawn (exit 1), but x0 is rejected first
+    # both x0 and this environment are rejected before anything is drawn
     pytest.param({"env": {"d": 1, "L": 2, "seed": 0, "generator": "totally-asymmetric"},
                   "x0": 2}, id="x0-checked-before-the-environment-is-drawn"),
     pytest.param({"T": math.inf}, id="T-infinite"),
@@ -231,6 +233,58 @@ def test_decompose_bad_grid(tmp_path, env_file, capsys):
 def test_missing_environment_file(tmp_path):
     rc = main(["bounds", "--env", str(tmp_path / "nope.json")])
     assert rc == 2
+
+
+def _malformed(env_file):
+    text = open(env_file).read()
+    doc = json.loads(text)
+    cases = {"truncated": text[:len(text) // 2], "not-an-object": "[1, 2]",
+             "binary": "\udcff"}
+    for key in ("d", "L", "s"):
+        cases[f"no-{key}"] = json.dumps({k: v for k, v in doc.items() if k != key})
+    cases["d-string"] = json.dumps({**doc, "d": "2"})
+    cases["s-strings"] = json.dumps({**doc, "s": ["a"] * len(doc["s"])})
+    cases["s-ragged"] = json.dumps({**doc, "s": [[1.0], [1.0, 2.0]]})
+    cases["h-object"] = json.dumps({**doc, "h": {"a": 1}})
+    return cases
+
+
+MALFORMED = ["truncated", "not-an-object", "binary", "no-d", "no-L", "no-s", "d-string",
+             "s-strings", "s-ragged", "h-object"]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_environment_file_is_a_usage_error(tmp_path, env_file, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_malformed(env_file)[case].encode("utf-8", "surrogateescape"))
+    assert main(["bounds", "--env", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"env": {"path": str(path)}, "checks": ["validate"]}))
+    assert main(["check-all", "--config", str(config), "-o", str(tmp_path / "r.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", ["2", "5"])
+def test_gen_env_rejects_a_one_dimensional_totally_asymmetric_environment(tmp_path, capsys, L):
+    rc = main(["gen-env", "--d", "1", "--L", L, "--seed", "0",
+               "--generator", "totally-asymmetric", "-o", str(tmp_path / "env.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--generator" in err and "d >= 2" in err and "Traceback" not in err
+    assert not (tmp_path / "env.json").exists()
+
+
+def test_config_rejects_a_one_dimensional_totally_asymmetric_environment(tmp_path, capsys):
+    env = {"d": 1, "L": 5, "seed": 0, "generator": "totally-asymmetric"}
+    with pytest.raises(ConfigError, match="env.generator: totally-asymmetric needs d >= 2"):
+        report.config_from_dict({"env": env})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": env, "checks": ["validate"]}))
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert report.config_from_dict({"env": {**env, "d": 2}}).env["d"] == 2
 
 
 def test_output_prefix_env_var(tmp_path, env_file, monkeypatch):

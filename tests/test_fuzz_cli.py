@@ -23,7 +23,9 @@ from bistoch.report import CHECK_NAMES
 FUZZ = settings(max_examples=4, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-ENV, MISSING = "<env>", "<missing>"  # stand-ins for the environment file paths
+# stand-ins for the environment file paths: the stand-in's suffix on the good file
+ENV, MISSING, TRUNCATED, NO_S = "<env>", "<missing>", "<truncated>", "<no-s>"
+SUFFIX = {ENV: "", MISSING: ".missing", TRUNCATED: ".truncated", NO_S: ".no-s"}
 LAWS = ([None, ["uniform", 0.5, 2.0], ["two_point", 1.0, 4.0, 0.5],
          ["lognormal", 0.0, 0.5], ["gaussian", 0.3]],
         [["bogus", 1.0], ["uniform", 1.0], ["uniform", "a", 2.0],
@@ -40,7 +42,7 @@ FIELDS = {
     "generator": (list(GENERATORS), ["bogus"]),
     "s_dist": LAWS,
     "h_dist": LAWS,
-    "path": ([ENV], [MISSING]),
+    "path": ([ENV], [MISSING, TRUNCATED, NO_S]),
     "grid": (None, BAD_GRIDS),  # good grids follow T
     "x0": (None, [-1, 99, 1.5, True, "0"]),  # good sites follow the torus
     "checks": ([None, ["validate", "decompose", "clt"], list(CHECK_NAMES)],
@@ -50,6 +52,9 @@ FIELDS = {
     "--grid": (None, [g for g in BAD_GRIDS if g and not isinstance(g, str)]),
 }
 ENV_FIELDS = ("d", "L", "env.seed", "generator", "s_dist", "h_dist")
+# a 1-d torus has no plaquettes, so only the conductance-stream generator
+# draws there; the pair (d=1, totally-asymmetric) is a usage error of its own
+GOOD_GENERATORS = {1: GENERATORS[:1]}
 THREADS = st.sampled_from([None, -1, 0, 1, 4])
 
 
@@ -75,6 +80,11 @@ def _picker(draw, broken):
 def env_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "env.json"
     assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "3", "-o", str(path)]) == 0
+    text = path.read_text()
+    (path.parent / ("env.json" + SUFFIX[TRUNCATED])).write_text(text[:len(text) // 2])
+    doc = json.loads(text)
+    del doc["s"]
+    (path.parent / ("env.json" + SUFFIX[NO_S])).write_text(json.dumps(doc))
     return str(path)
 
 
@@ -100,17 +110,17 @@ def test_check_all_config_exit_codes(tmp_path, capsys, env_file, broken, data):
     field = broken and broken[0]
     inline = field in ENV_FIELDS or (field != "path" and draw(st.booleans()))
     if inline:
-        env = {"d": pick("d", FIELDS["d"][0]), "L": pick("L", FIELDS["L"][0]),
+        d = pick("d", FIELDS["d"][0])
+        env = {"d": d, "L": pick("L", FIELDS["L"][0]),
                "seed": pick("env.seed", FIELDS["seed"][0]),
-               "generator": pick("generator", FIELDS["generator"][0])}
+               "generator": pick("generator", GOOD_GENERATORS.get(d, GENERATORS))}
         for key in ("s_dist", "h_dist"):
             law = pick(key, LAWS[0])
             if law is not None:
                 env[key] = law
         n = max(env["L"], 0) ** max(env["d"], 0)
     else:
-        env = {"path": {ENV: env_file, MISSING: env_file + ".missing"}[
-            pick("path", FIELDS["path"][0])]}
+        env = {"path": env_file + SUFFIX[pick("path", FIELDS["path"][0])]}
         n = 16
     T = pick("T", FIELDS["T"][0])
     cfg = {"seed": pick("seed", FIELDS["seed"][0]), "env": env, "T": T,
@@ -140,7 +150,7 @@ def test_simulate_and_decompose_exit_codes(tmp_path, capsys, env_file, command, 
     draw = data.draw
     pick = _picker(draw, broken)
     T = pick("T", FIELDS["T"][0])
-    env = {ENV: env_file, MISSING: env_file + ".missing"}[pick("path", FIELDS["path"][0])]
+    env = env_file + SUFFIX[pick("path", FIELDS["path"][0])]
     argv = [command, "--env", env, "--T", T,
             "--replicas", pick("replicas", FIELDS["replicas"][0]),
             "--seed", pick("seed", FIELDS["seed"][0]), "-o", tmp_path / "out.csv"]
@@ -162,9 +172,10 @@ def test_simulate_and_decompose_exit_codes(tmp_path, capsys, env_file, command, 
 def test_gen_env_exit_codes(tmp_path, capsys, broken, data):
     draw = data.draw
     pick = _picker(draw, broken)
-    argv = ["gen-env", "--generator", draw(st.sampled_from(GENERATORS)),
-            "-o", tmp_path / "env.json"]
-    for key in ("d", "L", "seed"):
+    d = pick("d", FIELDS["d"][0])
+    argv = ["gen-env", "--generator", draw(st.sampled_from(GOOD_GENERATORS.get(d, GENERATORS))),
+            "-o", tmp_path / "env.json", "--d", d]
+    for key in ("L", "seed"):
         argv += [f"--{key}", pick(key, FIELDS[key][0])]
     for key in ("s_dist", "h_dist"):
         law = pick(key, LAWS[0])

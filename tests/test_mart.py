@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from bistoch import mart
 from bistoch.env import (ConductanceField, Environment, FlowField,
@@ -326,6 +327,51 @@ def test_ks_gaussian_accepts_and_rejects():
     assert mart.ks_gaussian(rng.normal(size=4000)) < 0.03
     assert mart.ks_gaussian(rng.exponential(size=4000)) > 0.2
     assert mart.ks_gaussian(np.zeros(100)) == 1.0
+
+
+def _scipy_ks(x, dist, *args) -> float:
+    return float(scipy.stats.kstest(x, dist, args=args).statistic)
+
+
+def test_ks_statistics_are_scipys_to_the_bit(ens_homog):
+    rng = np.random.default_rng(8)
+    holding = ens_homog.holding
+    assert mart.ks_exponential(holding).hex() == _scipy_ks(holding, "expon").hex()
+    samples = {
+        "lattice X, heavy ties": ens_homog.X[:, -1, 0],
+        "signed zeros": np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 2.0]),
+        "n=1": np.array([0.7]),
+        "n=2": np.array([-0.3, 1.1]),
+        "continuous": rng.normal(size=999),
+    }
+    for name, x in samples.items():
+        sd = x.std() if len(x) > 1 else 1.0
+        got = mart._ks_distance(np.asarray(x), lambda v: scipy.stats.norm.cdf(v, 0.0, sd))
+        assert got.hex() == _scipy_ks(x, "norm", 0.0, sd).hex(), name
+        if len(x) > 1:
+            assert mart.ks_gaussian(x).hex() == got.hex(), name
+        nonneg = np.abs(x) if name != "signed zeros" else np.where(x > 0, x, x * 0.0)
+        assert (mart.ks_exponential(nonneg).hex()
+                == _scipy_ks(nonneg, "expon").hex()), name
+
+
+def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
+    fine = mart.run_decomposition_ensemble(env_rand, 8.0, 40, 6, x0=3,
+                                           collect_holding=True)
+    for levels in (1, 4, 5):
+        grid = mart.dyadic_grid(8.0, levels)
+        coarse = mart.run_decomposition_ensemble(env_rand, 8.0, 40, 6, grid=grid, x0=3)
+        got = fine.at_times(grid)
+        assert got.times.tobytes() == coarse.times.tobytes()
+        for name in ("X", "M", "I", "J", "Z", "Y"):
+            assert getattr(got, name).tobytes() == getattr(coarse, name).tobytes(), name
+            assert getattr(got, name).shape == getattr(coarse, name).shape
+        assert got.holding is fine.holding
+        assert np.array_equal(got.n_jumps, coarse.n_jumps)
+        assert np.array_equal(got.final_site, coarse.final_site)
+    for off_grid in ([3.0, 8.0], [8.0, 16.0], [0.0625, 8.0 + 1e-12]):
+        with pytest.raises(ValueError, match="not on the ensemble's grid"):
+            fine.at_times(off_grid)
 
 
 def test_final_site_chisquare(ens_homog):

@@ -1,6 +1,8 @@
 import math
 
-from bistoch import corrector, report
+import pytest
+
+from bistoch import corrector, mart, report
 
 
 def _config(*checks):
@@ -28,3 +30,95 @@ def test_foreign_exception_is_recorded_against_its_check(monkeypatch):
     assert rep["checks"]["helmholtz"]["passed"] is True
     assert set(timings) == {"validate", "helmholtz"}
     assert rep["passed"] is False
+
+
+# -- one ensemble per seed -------------------------------------------------------
+
+README_CONFIG = {"seed": 11, "env": {"d": 2, "L": 8, "seed": 7}, "T": 64.0,
+                 "replicas": 2000, "checks": list(report.CHECK_NAMES)}
+SMALL = {"seed": 11, "env": {"d": 2, "L": 8, "seed": 7}, "T": 16.0, "replicas": 1000}
+WALK_CHECKS = ["decompose", "orthogonality", "clt"]
+
+
+class _FreshWalks:
+    """The old path: every request simulates a new ensemble on exactly its grid."""
+
+    def __init__(self, env, cfg, seed):
+        self.env, self.cfg, self.seed = env, cfg, seed
+
+    def ensemble(self, levels=8):
+        cfg = self.cfg
+        grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
+        return mart.run_decomposition_ensemble(self.env, cfg.T, cfg.replicas, self.seed,
+                                               grid=grid, x0=cfg.x0, collect_holding=True)
+
+
+def _reference_report(cfg) -> dict:
+    """run_config as it was: checks in config order, each walk check on its own ensemble."""
+    env = report.build_environment(cfg)
+    results = {}
+    for name in cfg.checks:
+        fn = report.CHECK_REGISTRY[name]
+        try:
+            if name in report.STATISTICAL_CHECKS:
+                attempts = []
+                for attempt in range(report.MAX_ATTEMPTS):
+                    s = report.reseed(cfg.seed, attempt)
+                    out = fn(env, cfg, _FreshWalks(env, cfg, s))
+                    attempts.append({"seed": s, **out})
+                    if out["passed"]:
+                        break
+                result = {"passed": attempts[-1]["passed"], "attempts": attempts}
+            else:
+                result = fn(env, cfg, _FreshWalks(env, cfg, cfg.seed))
+        except Exception as e:
+            result = {"passed": False, "error": f"{type(e).__name__}: {e}"}
+        results[name] = report._pyify(result)
+    return {"format": report.REPORT_FORMAT, "version": report.REPORT_VERSION,
+            "config": cfg.raw, "config_hash": cfg.config_hash, "checks": results,
+            "passed": all(r["passed"] for r in results.values())}
+
+
+def _counted_ensembles(monkeypatch):
+    calls = []
+    real = mart.run_decomposition_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])  # the master seed
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mart, "run_decomposition_ensemble", counted)
+    return calls
+
+
+def test_readme_config_walks_each_seed_once(monkeypatch):
+    calls = _counted_ensembles(monkeypatch)
+    cfg = report.config_from_dict(README_CONFIG)
+    rep, timings = report.run_config(cfg)
+    assert len(calls) == len(set(calls)) == 3
+    assert len(rep["checks"]["clt"]["attempts"]) == 3  # so three seeds are due
+    calls.clear()
+    want = _reference_report(cfg)
+    assert len(calls) == 5  # decompose, orthogonality and three clt attempts
+    assert report.canonical_json(rep) == report.canonical_json(want)
+    assert list(rep["checks"]) == list(timings) == README_CONFIG["checks"]
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"seed": 0, "grid": [2.0, 5.0, 16.0], "checks": WALK_CHECKS}, id="grid"),
+    # orthogonality needs all three attempts here, interleaved with clt's
+    pytest.param({"seed": 0, "x0": 5, "checks": WALK_CHECKS}, id="fixed-x0"),
+    pytest.param({"seed": 0, "env": {"d": 1, "L": 16, "seed": 3}, "checks": WALK_CHECKS},
+                 id="d1"),
+    pytest.param({"seed": 3, "env": {"d": 3, "L": 4, "seed": 2}, "checks": WALK_CHECKS},
+                 id="d3"),
+    pytest.param({"checks": ["clt", "validate", "orthogonality", "decompose", "clt"]},
+                 id="clt-before-decompose"),
+    pytest.param({"replicas": 50, "checks": WALK_CHECKS}, id="too-few-replicas"),
+])
+def test_shared_ensembles_give_the_reference_report(monkeypatch, fields):
+    cfg = report.config_from_dict({**SMALL, **fields})
+    calls = _counted_ensembles(monkeypatch)
+    rep, _ = report.run_config(cfg)
+    assert len(calls) == len(set(calls))  # no seed is walked twice
+    assert report.canonical_json(rep) == report.canonical_json(_reference_report(cfg))

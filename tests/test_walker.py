@@ -8,7 +8,7 @@ from bistoch.env import (ConductanceField, Environment, FlowField,
 from bistoch.errors import AbsorbingState, NoConvergence, NotStationary, Reducible
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
-from bistoch.walker import (DensityField, RateField, ensemble_summary_csv,
+from bistoch.walker import (DensityField, RateField, _generator, ensemble_summary_csv,
                             environment_view, occupation_fractions,
                             replica_key, reweight_rates, run_ensemble,
                             simulate, solve_stationary_density)
@@ -20,6 +20,20 @@ def test_replica_key_disjoint():
     keys = {replica_key(m, r) for m in (0, 1, 77) for r in range(100)}
     assert len(keys) == 300
     assert replica_key(5, 3) == (5 << 64) | 3
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+def test_generator_starts_where_a_keyed_philox_starts(key):
+    got = _generator(key)
+    want = np.random.Generator(np.random.Philox(key=key))
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    assert got.random(1024).tobytes() == want.random(1024).tobytes()
+
+
+@pytest.mark.parametrize("key", [-1, 2**128])
+def test_generator_rejects_keys_philox_rejects(key):
+    with pytest.raises(ValueError, match="key must be positive and less than 2\\*\\*128"):
+        _generator(key)
 
 
 def test_batch_matches_single_replica_bitwise(env_rand):
