@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,16 +40,16 @@ def _outpath(path: str | None) -> str | None:
     return path
 
 
-# least admissible value of each integer argument that has one
-_MINIMA = {**report.ENV_MINIMA, "replicas": 1}
+# admissible range [least, limit) of each integer argument that has one
+_RANGES = {**report.ENV_RANGES, "replicas": (1, math.inf)}
 
 
 def _check_numbers(args) -> None:
     """Reject out-of-range numeric arguments before any work is done."""
-    for name, least in _MINIMA.items():
+    for name, (least, limit) in _RANGES.items():
         value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise ConfigError(f"--{name}", f"must be an integer >= {least}")
+        if value is not None:
+            report.require_integer(value, f"--{name}", least, limit)
     T = getattr(args, "T", None)
     if T is not None and not (np.isfinite(T) and T > 0):
         raise ConfigError("--T", "must be a positive finite number")
@@ -167,11 +168,7 @@ def _cmd_gen_env(args) -> int:
                              generator=args.generator,
                              s_dist=_parse_dist(args.s_dist),
                              h_dist=_parse_dist(args.h_dist))
-    rep = env.validate()
-    if not rep.passed:
-        print(f"generated environment failed validation:\n{rep}",
-              file=sys.stderr)
-        return 1
+    rep = report.require_valid(env, "--s-dist/--h-dist")
     out = _outpath(args.output)
     save_env(env, out)
     print(f"wrote {out} (d={args.d}, L={args.L}, {env.torus.n} sites, "

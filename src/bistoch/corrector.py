@@ -31,8 +31,10 @@ from .torus import Torus
 DENSE_CAP = 4096
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
-# rows per block (and tile side) of the edge-space Riesz residuals
+# rows per block of the edge-space idempotency residual
 RIESZ_BLOCK = 512
+# tile side of the edge-space symmetry residual
+SYMMETRY_TILE = 64
 
 
 def edge_conductances(env: Environment) -> np.ndarray:
@@ -223,9 +225,15 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     Lambda = (1/sqrt 2) D(r) G S^(-1/2) satisfies Lambda^T Lambda = P, the
     projector onto mean-zero functions, and Pi = Lambda Lambda^T is a
     symmetric idempotent on edge space.  Returns the max deviations.
+
+    numpy forms Lambda Lambda^T as a symmetric rank-k update, so Pi is
+    symmetric to the bit; the symmetry residual certifies this in the same
+    call, and the idempotency residual then reads only the tiles of Pi Pi
+    on and above the diagonal (see _projector_residuals).
     """
-    r_edge = np.sqrt(edge_conductances(env))
-    Lam = (r_edge[:, None] * (spec.assembly.G @ spec.S_invhalf)) / np.sqrt(2.0)
+    Lam = spec.assembly.G @ spec.S_invhalf
+    Lam *= np.sqrt(edge_conductances(env))[:, None]
+    Lam /= np.sqrt(2.0)
     gram = Lam.T @ Lam
     pi = Lam @ Lam.T
     del Lam
@@ -240,24 +248,35 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
 def _projector_residuals(pi: np.ndarray) -> tuple:
     """max |Pi Pi - Pi| and max |Pi - Pi^T|, bit for bit.
 
-    Reduced over row blocks and tiles of RIESZ_BLOCK edges, so besides Pi
-    only one block is alive at a time; every entry is formed exactly as in
-    the full-matrix expressions.
+    The symmetry residual is read first, over the SYMMETRY_TILE tiles on
+    and above the diagonal, since |x - y| == |y - x| exactly.  When it is
+    0, Pi is symmetric to the bit, and so is Pi Pi: its entries (i, j) and
+    (j, i) add the same products, Pi_ik Pi_kj == Pi_jk Pi_ki, and gemm adds
+    the products of every entry in the same order over k (the tests check
+    this against the full product).  Pi Pi - Pi is then symmetric too, so
+    the tiles below the diagonal add nothing to the max, and each
+    RIESZ_BLOCK row block forms only the columns from its own diagonal on.
+    Otherwise (a NaN, or a Pi that is not symmetric) every block forms all
+    columns.  Besides Pi only one block is alive at a time, and every entry
+    is formed exactly as in the full-matrix expressions.
     """
-    blocks = [slice(a, a + RIESZ_BLOCK) for a in range(0, pi.shape[0], RIESZ_BLOCK)]
-    idempotency = []
-    for rows in blocks:
-        blk = pi[rows] @ pi
-        blk -= pi[rows]
-        idempotency.append(np.abs(blk, out=blk).max())
-    # |x - y| == |y - x| exactly, so the tiles on and above the diagonal suffice
+    m = pi.shape[0]
+    tiles = [slice(a, a + SYMMETRY_TILE) for a in range(0, m, SYMMETRY_TILE)]
     symmetry = []
-    for i, rows in enumerate(blocks):
-        for cols in blocks[i:]:
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
             tile = pi[rows, cols] - pi[cols, rows].T
             symmetry.append(np.abs(tile, out=tile).max())
     # np.max, unlike the builtin max, propagates a NaN from any block
-    return float(np.max(idempotency)), float(np.max(symmetry))
+    symmetry = float(np.max(symmetry))
+    upper = symmetry == 0.0
+    idempotency = []
+    for a in range(0, m, RIESZ_BLOCK):
+        rows, cols = slice(a, a + RIESZ_BLOCK), slice(a if upper else 0, m)
+        blk = pi[rows] @ pi[:, cols]
+        blk -= pi[rows, cols]
+        idempotency.append(np.abs(blk, out=blk).max())
+    return float(np.max(idempotency)), symmetry
 
 
 # -- harmonic coordinates ------------------------------------------------------

@@ -25,7 +25,7 @@ from . import corrector, helmholtz, mart
 from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
                   load_env, random_environment)
 from .errors import ConfigError
-from .walker import check_grid, check_site
+from .walker import SEED_LIMIT, check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
 REPORT_VERSION = 1
@@ -38,8 +38,9 @@ STATISTICAL_CHECKS = frozenset({"orthogonality", "clt"})
 RESEED_STEP = 0x9E3779B97F4A7C15
 MAX_ATTEMPTS = 3
 
-# least admissible value of each integer environment parameter
-ENV_MINIMA = {"d": 1, "L": 2, "seed": 0}
+# admissible range [least, limit) of each integer environment parameter;
+# a seed is the high word of every replica key, so it stays below 2**64
+ENV_RANGES = {"d": (1, math.inf), "L": (2, math.inf), "seed": (0, SEED_LIMIT)}
 
 # large-sample 99% critical coefficient for the one-sample KS statistic
 KS_99_COEFF = 1.6276236115189504
@@ -80,6 +81,14 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def require_integer(value, path: str, least: int, limit=math.inf) -> None:
+    """Raise ConfigError unless value is an integer in [least, limit)."""
+    rule = f"an integer >= {least}" if limit == math.inf else (
+        f"an integer in [{least}, {limit})")
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and least <= value < limit, path, f"must be {rule}")
+
+
 def require_site(x0, n: int, path: str = "x0") -> None:
     """Raise ConfigError unless x0 is None or a site index in [0, n)."""
     if x0 is not None:
@@ -96,8 +105,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _require(key in known, key, "unknown field")
 
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed",
-             "must be a nonnegative integer")
+    require_integer(seed, "seed", *ENV_RANGES["seed"])
 
     env = data.get("env")
     _require(isinstance(env, dict), "env", "must be an object")
@@ -109,10 +117,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         env_known = {"d", "L", "seed", "generator", "s_dist", "h_dist"}
         for key in env:
             _require(key in env_known, f"env.{key}", "unknown field")
-        for key, least in ENV_MINIMA.items():
-            value = env.get(key)
-            _require(isinstance(value, int) and not isinstance(value, bool)
-                     and value >= least, f"env.{key}", f"must be an integer >= {least}")
+        for key, (least, limit) in ENV_RANGES.items():
+            require_integer(env.get(key), f"env.{key}", least, limit)
         try:
             check_generator(env.get("generator", GENERATORS[0]), env["d"])
         except ValueError as e:
@@ -135,8 +141,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(isinstance(T, (int, float)) and not isinstance(T, bool) and 0 < T < math.inf,
              "T", "must be a positive finite number")
     replicas = data.get("replicas", 2000)
-    _require(isinstance(replicas, int) and not isinstance(replicas, bool)
-             and replicas >= 1, "replicas", "must be a positive integer")
+    require_integer(replicas, "replicas", 1)
     tolerance = data.get("tolerance", 1e-12)
     _require(isinstance(tolerance, (int, float)) and tolerance > 0,
              "tolerance", "must be positive")
@@ -173,7 +178,20 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def require_valid(env: Environment, path: str):
+    """The validation report of a drawn environment; ConfigError unless it passes.
+
+    The tolerance is the one load_env applies to files.  Only the laws and
+    the seed shape the draw, so a failure (a law with negative values, say)
+    is an input error.
+    """
+    rep = env.validate()
+    _require(rep.passed, path, f"the laws draw an invalid environment\n{rep}")
+    return rep
+
+
 def build_environment(cfg: ExperimentConfig) -> Environment:
+    """The config's environment, loaded from its file or drawn and validated."""
     spec = cfg.env
     if "path" in spec:
         return load_env(spec["path"])
@@ -184,7 +202,9 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         kwargs["s_dist"] = tuple(spec["s_dist"])
     if "h_dist" in spec:
         kwargs["h_dist"] = tuple(spec["h_dist"])
-    return random_environment(spec["d"], spec["L"], spec["seed"], **kwargs)
+    env = random_environment(spec["d"], spec["L"], spec["seed"], **kwargs)
+    require_valid(env, "env")
+    return env
 
 
 def _pyify(obj):

@@ -27,10 +27,14 @@ from .errors import AbsorbingState, NoConvergence, NotStationary, Reducible
 from .torus import Torus
 
 
+# master seeds and replica indices are the two 64-bit words of a replica key
+SEED_LIMIT = 1 << 64
+
+
 def replica_key(master_seed: int, replica: int) -> int:
     """128-bit Philox key for one replica of a seeded run."""
-    if master_seed < 0 or replica < 0:
-        raise ValueError("seeds and replica indices must be nonnegative")
+    if not (0 <= master_seed < SEED_LIMIT and 0 <= replica < SEED_LIMIT):
+        raise ValueError("seeds and replica indices must be in [0, 2**64)")
     return (int(master_seed) << 64) | int(replica)
 
 

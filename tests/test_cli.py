@@ -287,6 +287,66 @@ def test_config_rejects_a_one_dimensional_totally_asymmetric_environment(tmp_pat
     assert report.config_from_dict({"env": {**env, "d": 2}}).env["d"] == 2
 
 
+NEGATIVE_LAW = {"d": 2, "L": 4, "seed": 3, "s_dist": ["gaussian", 0.3]}
+
+
+def test_inline_environment_is_validated_like_a_file(tmp_path, capsys):
+    # the law draws negative conductances: a config error, not a failed check
+    cfg = report.config_from_dict({"env": NEGATIVE_LAW, "checks": ["validate"]})
+    with pytest.raises(ConfigError, match="env: the laws draw an invalid environment"):
+        report.run_config(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": NEGATIVE_LAW}))
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL validate" not in captured.out and "Traceback" not in captured.err
+    assert "rate_nonnegative" in captured.err
+    assert not (tmp_path / "r.json").exists()
+    # gen-env applies the same rule to the same law
+    assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "3", "--s-dist", "gaussian,0.3",
+                 "-o", str(tmp_path / "env.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "env.json").exists()
+
+
+SEED_MAX = str(2**64 - 1)
+SEED_PAST = str(2**64)
+
+
+@pytest.mark.parametrize("command", ["gen-env", "simulate", "simulate-traj", "decompose"])
+def test_cli_seed_range_ends_below_two_to_the_64(tmp_path, env_file, capsys, command):
+    argv = {"gen-env": ["gen-env", "--d", "2", "--L", "4"],
+            "simulate": ["simulate", "--env", env_file, "--T", "2", "--replicas", "2"],
+            "simulate-traj": ["simulate", "--env", env_file, "--T", "2", "--x0", "0",
+                              "--traj", str(tmp_path / "t.jsonl")],
+            "decompose": ["decompose", "--env", env_file, "--T", "2", "--replicas", "2"]}[command]
+    argv += ["-o", str(tmp_path / "out")]
+    assert main(argv + ["--seed", SEED_MAX]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--seed", SEED_PAST]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["seed", "env.seed"])
+def test_config_seed_range_ends_below_two_to_the_64(tmp_path, env_file, capsys, where):
+    def config(seed):
+        if where == "seed":
+            return {"seed": seed, "env": {"path": env_file}}
+        return {"env": {"d": 2, "L": 4, "seed": seed}}
+
+    cfg = report.config_from_dict({**config(int(SEED_MAX)), "T": 2.0, "replicas": 2,
+                                   "checks": ["validate", "decompose"]})
+    rep, _ = report.run_config(cfg)
+    assert all("error" not in result for result in rep["checks"].values())
+    with pytest.raises(ConfigError, match=where.replace(".", r"\.")):
+        report.config_from_dict(config(int(SEED_PAST)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config(int(SEED_PAST)), "checks": ["decompose"]}))
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_output_prefix_env_var(tmp_path, env_file, monkeypatch):
     monkeypatch.setenv("RWRE_OUT", str(tmp_path))
     rc = main(["simulate", "--env", env_file, "--T", "2.0",

@@ -124,7 +124,7 @@ def _full_riesz(env, spec):
             "symmetry": float(np.max(np.abs(pi - pi.T)))}
 
 
-@pytest.mark.parametrize("d,L,seed", [(2, 16, 4), (3, 6, 10)])
+@pytest.mark.parametrize("d,L,seed", [(2, 16, 4), (3, 6, 10), (3, 8, 2)])
 def test_riesz_blocks_match_full_matrices(d, L, seed):
     env = random_environment(d, L, seed=seed)
     assert env.torus.ndir * env.torus.n > cor.RIESZ_BLOCK  # two blocks or more
@@ -134,17 +134,39 @@ def test_riesz_blocks_match_full_matrices(d, L, seed):
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
+def _full_residuals(pi):
+    return float(np.max(np.abs(pi @ pi - pi))), float(np.max(np.abs(pi - pi.T)))
+
+
 def test_projector_residual_blocks_match_full_matrix():
-    # Pi Pi^T is symmetric to the bit; a general matrix with a ragged last
-    # block exercises every tile of the symmetry residual
+    # X X^T is a symmetric rank-k update, so symmetric to the bit like Pi;
+    # the ragged last block and tile exercise the edges of both reductions
+    m = 2 * cor.RIESZ_BLOCK + 37
+    x = np.random.default_rng(3).normal(size=(m, m // 2))
+    pi = x @ x.T
+    got = cor._projector_residuals(pi)
+    assert [v.hex() for v in got] == [v.hex() for v in _full_residuals(pi)]
+    assert got[1] == 0.0
+    for site in [(-1, -2),  # in the last tile only
+                 (-1, 0)]:  # in a tile strictly below the diagonal only
+        bad = pi.copy()
+        bad[site] = np.nan
+        assert np.isnan(cor._projector_residuals(bad)).all(), site
+
+
+def test_projector_residuals_read_every_tile_of_an_asymmetric_matrix():
+    # a matrix that is not symmetric to the bit, with its largest
+    # |Pi Pi - Pi| in a tile strictly below the diagonal: the upper tiles
+    # alone would miss it, so every row block forms all columns
     m = 2 * cor.RIESZ_BLOCK + 37
     pi = np.random.default_rng(3).normal(size=(m, m))
+    pi[-1] *= 10.0
+    full = np.abs(pi @ pi - pi)
+    i, j = np.unravel_index(np.argmax(full), full.shape)
+    assert j < i // cor.RIESZ_BLOCK * cor.RIESZ_BLOCK
     got = cor._projector_residuals(pi)
-    assert got[0] == float(np.max(np.abs(pi @ pi - pi)))
-    assert got[1] == float(np.max(np.abs(pi - pi.T)))
+    assert [v.hex() for v in got] == [v.hex() for v in _full_residuals(pi)]
     assert got[1] > 0.0
-    pi[-1, -2] = np.nan  # lands in the last tile only
-    assert np.isnan(cor._projector_residuals(pi)).all()
 
 
 def test_riesz_certificate_propagates_nan():

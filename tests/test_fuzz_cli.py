@@ -30,17 +30,22 @@ LAWS = ([None, ["uniform", 0.5, 2.0], ["two_point", 1.0, 4.0, 0.5],
          ["lognormal", 0.0, 0.5], ["gaussian", 0.3]],
         [["bogus", 1.0], ["uniform", 1.0], ["uniform", "a", 2.0],
          ["gaussian", True], [], "uniform"])
+# a conductance law must draw a valid environment: a gaussian may draw a
+# negative conductance, and one below zero everywhere breaks domination
+# on every edge, so the conductance-stream generator rejects it at any size
+S_LAWS = ([law for law in LAWS[0] if law is None or law[0] != "gaussian"],
+          [*LAWS[1], ["uniform", -2.0, -1.0]])
 BAD_GRIDS = [[1.0, 0.5, 2.0], [-1.0, 2.0], [0.0, 2.0], [0.1], ["a"], [[2.0]],
              [True], [], "2.0"]
 # field: (good values, bad values); None leaves an optional field out
 FIELDS = {
     "d": ([1, 2], [-1, 0]),
     "L": ([2, 4], [-1, 0, 1]),
-    "seed": ([0, 5], [-1]),
+    "seed": ([0, 5, 2**64 - 1], [-1, 2**64]),
     "replicas": ([1, 2], [-1, 0]),
     "T": ([0.5, 2.0], [-1.0, 0.0, math.nan, math.inf]),
     "generator": (list(GENERATORS), ["bogus"]),
-    "s_dist": LAWS,
+    "s_dist": S_LAWS,
     "h_dist": LAWS,
     "path": ([ENV], [MISSING, TRUNCATED, NO_S]),
     "grid": (None, BAD_GRIDS),  # good grids follow T
@@ -56,6 +61,13 @@ ENV_FIELDS = ("d", "L", "env.seed", "generator", "s_dist", "h_dist")
 # draws there; the pair (d=1, totally-asymmetric) is a usage error of its own
 GOOD_GENERATORS = {1: GENERATORS[:1]}
 THREADS = st.sampled_from([None, -1, 0, 1, 4])
+
+
+def _generators(d, broken):
+    """Generators to draw from: only conductance-stream reads a broken s_dist."""
+    if broken and broken[0] == "s_dist":
+        return GENERATORS[:1]
+    return GOOD_GENERATORS.get(d, GENERATORS)
 
 
 def _cases(*names, command=None):
@@ -113,9 +125,9 @@ def test_check_all_config_exit_codes(tmp_path, capsys, env_file, broken, data):
         d = pick("d", FIELDS["d"][0])
         env = {"d": d, "L": pick("L", FIELDS["L"][0]),
                "seed": pick("env.seed", FIELDS["seed"][0]),
-               "generator": pick("generator", GOOD_GENERATORS.get(d, GENERATORS))}
+               "generator": pick("generator", _generators(d, broken))}
         for key in ("s_dist", "h_dist"):
-            law = pick(key, LAWS[0])
+            law = pick(key, FIELDS[key][0])
             if law is not None:
                 env[key] = law
         n = max(env["L"], 0) ** max(env["d"], 0)
@@ -173,12 +185,12 @@ def test_gen_env_exit_codes(tmp_path, capsys, broken, data):
     draw = data.draw
     pick = _picker(draw, broken)
     d = pick("d", FIELDS["d"][0])
-    argv = ["gen-env", "--generator", draw(st.sampled_from(GOOD_GENERATORS.get(d, GENERATORS))),
+    argv = ["gen-env", "--generator", draw(st.sampled_from(_generators(d, broken))),
             "-o", tmp_path / "env.json", "--d", d]
     for key in ("L", "seed"):
         argv += [f"--{key}", pick(key, FIELDS[key][0])]
     for key in ("s_dist", "h_dist"):
-        law = pick(key, LAWS[0])
+        law = pick(key, FIELDS[key][0])
         if law is not None:
             argv.append(f"--{key.replace('_', '-')}={_text(law)}")
     _run(capsys, argv, broken)

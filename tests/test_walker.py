@@ -22,6 +22,13 @@ def test_replica_key_disjoint():
     assert replica_key(5, 3) == (5 << 64) | 3
 
 
+@pytest.mark.parametrize("master,replica", [(2**64, 0), (0, 2**64), (-1, 0)])
+def test_replica_key_rejects_words_outside_64_bits(master, replica):
+    assert replica_key(2**64 - 1, 2**64 - 1) == 2**128 - 1
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        replica_key(master, replica)
+
+
 @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
 def test_generator_starts_where_a_keyed_philox_starts(key):
     got = _generator(key)
