@@ -18,9 +18,9 @@ from .errors import (AbsorbingState, BistochError, ConfigError,
                      DegenerateEdge, DenseCapExceeded, InconsistentRHS,
                      InsufficientReplicas, InvalidEnvironment, NoConvergence,
                      NonzeroFlux, NonZeroMean, NotDivergenceFree,
-                     NotPositiveDefinite, NotStationary, Reducible,
-                     SymmetryViolation, ZeroConductanceCrossing)
-from .helmholtz import PoissonSolver, poisson_solve, stream_from_flow
+                     NotPositiveDefinite, Reducible, SymmetryViolation,
+                     ZeroConductanceCrossing)
+from .helmholtz import PoissonSolver, stream_from_flow
 from .mart import (BracketFields, DiffusivityBounds, DriftFields,
                    MartingaleEnsemble, bounds, bracket_fields, decompose,
                    drift_fields, dyadic_grid, harmonic_mean_conductance,
@@ -29,11 +29,10 @@ from .corrector import (HarmonicSolution, OperatorAssembly, SpectralOperator,
                         assemble, build_spectral_operator,
                         effective_diffusivity, gradient_matrix,
                         riesz_certificate, solve_harmonic,
-                        solve_harmonic_spectral, truncate_environment)
+                        solve_harmonic_spectral)
 from .report import ExperimentConfig, load_config, run_config
 from .torus import Torus
-from .walker import (DensityField, EnsembleResult, RateField, Trajectory,
-                     replica_key, reweight_rates, run_ensemble, simulate,
-                     solve_stationary_density)
+from .walker import (EnsembleResult, Trajectory, replica_key, run_ensemble,
+                     simulate)
 
 __version__ = "0.1.0"

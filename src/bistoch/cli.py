@@ -11,7 +11,6 @@ config errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
 from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
-                  load_env, random_environment, save_env)
+                  load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
@@ -50,9 +49,8 @@ def _check_numbers(args) -> None:
         value = getattr(args, name, None)
         if value is not None:
             report.require_integer(value, f"--{name}", least, limit)
-    T = getattr(args, "T", None)
-    if T is not None and not (np.isfinite(T) and T > 0):
-        raise ConfigError("--T", "must be a positive finite number")
+    if getattr(args, "T", None) is not None:
+        report.require_positive(args.T, "--T")
 
 
 def _parse_dist(text: str) -> tuple:
@@ -164,11 +162,10 @@ def _cmd_gen_env(args) -> int:
         check_generator(args.generator, args.d)
     except ValueError as e:
         raise ConfigError("--generator", str(e))
-    env = random_environment(args.d, args.L, args.seed,
-                             generator=args.generator,
-                             s_dist=_parse_dist(args.s_dist),
-                             h_dist=_parse_dist(args.h_dist))
-    rep = report.require_valid(env, "--s-dist/--h-dist")
+    env, rep = report.draw_environment(args.d, args.L, args.seed, "--s-dist/--h-dist",
+                                       generator=args.generator,
+                                       s_dist=_parse_dist(args.s_dist),
+                                       h_dist=_parse_dist(args.h_dist))
     out = _outpath(args.output)
     save_env(env, out)
     print(f"wrote {out} (d={args.d}, L={args.L}, {env.torus.n} sites, "

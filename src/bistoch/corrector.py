@@ -22,13 +22,15 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .env import ConductanceField, Environment, StreamTensor, curl, _scale
+from .env import Environment, _scale
 from .errors import (DenseCapExceeded, InconsistentRHS, NoConvergence,
                      NotPositiveDefinite, Reducible)
 from .mart import drift_fields
 from .torus import Torus
 
 DENSE_CAP = 4096
+# relative residual target of the Krylov iteration; lgmres is given no looser one
+KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
 # rows per block of the edge-space idempotency residual
@@ -178,14 +180,13 @@ class SpectralOperator:
                 "zero_modes": int(np.sum(self.s_eigenvalues <= 0.0))}
 
 
-def build_spectral_operator(env: Environment,
-                            dense_cap: int = DENSE_CAP) -> SpectralOperator:
+def build_spectral_operator(env: Environment) -> SpectralOperator:
     """Diagonalize S and conjugate A into the skew operator B.
 
     Raises
     ------
     DenseCapExceeded
-        if the site count is too large for dense factorization.
+        if the site count exceeds DENSE_CAP.
     NotPositiveDefinite
         if S has a genuinely negative eigenvalue.
     Reducible
@@ -193,8 +194,8 @@ def build_spectral_operator(env: Environment,
         conductance graph).
     """
     n = env.torus.n
-    if n > dense_cap:
-        raise DenseCapExceeded(n, dense_cap)
+    if n > DENSE_CAP:
+        raise DenseCapExceeded(n, DENSE_CAP)
     ops = assemble(env)
     S = ops.S.toarray()
     A = ops.A.toarray()
@@ -307,7 +308,7 @@ def _gradient_of(torus: Torus, g: np.ndarray) -> np.ndarray:
     return g[torus.nbr] - g[:, None]
 
 
-def solve_harmonic(env: Environment, rhs, tol: float = 1e-10,
+def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL,
                    project: bool = False,
                    residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
     """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
@@ -348,7 +349,7 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
     def cb(xk):
         count[0] += 1
 
-    g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=min(tol, 1e-10),
+    g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=min(tol, KRYLOV_TOL),
                                          atol=0.0, maxiter=max(200, n),
                                          callback=cb)
     g = g - g.mean()
@@ -360,21 +361,18 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
 
 
 def solve_harmonic_spectral(env: Environment, rhs,
-                            spec: SpectralOperator | None = None,
-                            project: bool = False,
-                            dense_cap: int = DENSE_CAP,
-                            residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
+                            spec: SpectralOperator | None = None) -> HarmonicSolution:
     """Dense resolvent solve g = -S^(-1/2) (I - B)^(-1) S^(-1/2) rhs."""
     t_ = env.torus
-    rhs = _check_rhs(rhs, project)
+    rhs = _check_rhs(rhs, False)
     if spec is None:
-        spec = build_spectral_operator(env, dense_cap)
+        spec = build_spectral_operator(env)
     u = spec.S_invhalf @ rhs
     v = scipy.linalg.solve(np.eye(t_.n) - spec.B, u)
     g = -(spec.S_invhalf @ v)
     g = g - g.mean()
     res = float(np.max(np.abs(spec.assembly.L @ g - rhs)))
-    if res > residual_cap * _scale(rhs):
+    if res > RESIDUAL_CAP * _scale(rhs):
         raise NoConvergence(0, res)
     return HarmonicSolution(potential=g, gradient=_gradient_of(t_, g),
                             residual=res, iterations=0, method="spectral")
@@ -397,9 +395,7 @@ class DiffusivityResult:
     method: str
 
 
-def effective_diffusivity(env: Environment, method: str = "krylov",
-                          tol: float = 1e-10,
-                          dense_cap: int = DENSE_CAP) -> DiffusivityResult:
+def effective_diffusivity(env: Environment, method: str = "krylov") -> DiffusivityResult:
     """Corrector-based diffusivity of the corrected coordinates.
 
     chi_i solves L chi_i = -(phi_i + psi_i); with u = e_i + grad chi_i the
@@ -418,9 +414,10 @@ def effective_diffusivity(env: Environment, method: str = "krylov",
         L = assemble(env).L
 
         def solve(rhs):
-            return _solve_krylov(env, L, _check_rhs(rhs, False), tol, RESIDUAL_CAP)
+            return _solve_krylov(env, L, _check_rhs(rhs, False), KRYLOV_TOL,
+                                 RESIDUAL_CAP)
     elif method == "spectral":
-        spec = build_spectral_operator(env, dense_cap)
+        spec = build_spectral_operator(env)
 
         def solve(rhs):
             return solve_harmonic_spectral(env, rhs, spec=spec)
@@ -449,31 +446,3 @@ def corrector_csv(potential: np.ndarray, path: str) -> None:
         f.write("site,value\n")
         for x, v in enumerate(np.asarray(potential, dtype=float)):
             f.write(f"{x},{float(v)!r}\n")
-
-
-# -- truncation ----------------------------------------------------------------
-
-def truncate_environment(env: Environment, K: float) -> Environment:
-    """Zero out extreme conductances and stream values.
-
-    Keeps r = sqrt(s) only where 1/K <= r <= K and stream entries only
-    where |h| <= K; the flow is rebuilt as the curl of the truncated
-    tensor.  For K at least as large as every field range the environment
-    is unchanged.  The result need not dominate its flow, so it is
-    returned without the weak ellipticity flag; it is meant for operator
-    construction, not simulation.
-    """
-    if env.h is None:
-        raise ValueError("truncation requires a stream tensor")
-    if K <= 0:
-        raise ValueError("truncation level must be positive")
-    t_ = env.torus
-    r = np.sqrt(env.s.canonical)
-    keep = (r >= 1.0 / K) & (r <= K)
-    s_new = np.where(keep, env.s.canonical, 0.0)
-    h_can = env.h.canonical
-    h_new = np.where(np.abs(h_can) <= K, h_can, 0.0)
-    h_t = StreamTensor(t_, h_new)
-    return Environment(t_, ConductanceField.from_canonical(t_, s_new),
-                       b=curl(h_t), h=h_t, weak_ellipticity=False,
-                       meta={**env.meta, "truncation": float(K)})

@@ -89,11 +89,6 @@ class ConductanceField:
     def canonical(self) -> np.ndarray:
         return self.full[:, : self.torus.d]
 
-    @property
-    def r(self) -> np.ndarray:
-        """Square-root conductances r = sqrt(s) over all directions."""
-        return np.sqrt(self.full)
-
     def min_value(self) -> float:
         return float(self.full.min())
 
@@ -226,11 +221,12 @@ class FlowField:
         return float(np.max(np.abs(self.full))) if self.full.size else 0.0
 
 
-def curl(h: StreamTensor, tol: float = DEFAULT_TOL) -> FlowField:
+def curl(h: StreamTensor) -> FlowField:
     """Contract a stream tensor to its flow: b_k(x) = sum_l h_{k,l}(x).
 
     The tensor symmetries are validated first; the resulting flow is
-    divergence-free by construction and that is asserted before returning.
+    divergence-free by construction and that is asserted before returning,
+    both at DEFAULT_TOL.
 
     Raises
     ------
@@ -239,7 +235,7 @@ def curl(h: StreamTensor, tol: float = DEFAULT_TOL) -> FlowField:
     """
     t = h.torus
     full = h.full()
-    abs_tol = tol * _scale(full)
+    abs_tol = DEFAULT_TOL * _scale(full)
     for name, (value, (site, k, l)) in h.symmetry_faults().items():
         if value > abs_tol:
             raise SymmetryViolation(site, (k, l), value, identity=name)
@@ -285,16 +281,6 @@ class ValidationReport:
             if e.name == name:
                 return e.residual
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "identities": {
-                e.name: {"residual": e.residual, "scale": e.scale, "passed": e.passed}
-                for e in self.entries
-            },
-        }
 
     def __str__(self) -> str:
         lines = [f"validation ({'pass' if self.passed else 'FAIL'}, tol {self.tolerance:g}):"]

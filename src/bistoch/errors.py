@@ -42,15 +42,6 @@ class Reducible(BistochError):
     """The directed rate graph is not strongly connected."""
 
 
-class NotStationary(BistochError):
-    """A density does not solve the stationarity equation within tolerance."""
-
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(f"stationarity residual {residual:.3e} exceeds {tol:.3e}")
-
-
 class ZeroConductanceCrossing(BistochError):
     """A trajectory crossed an edge whose conductance is zero."""
 

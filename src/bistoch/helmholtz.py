@@ -22,6 +22,9 @@ from .env import FlowField, StreamTensor, _scale
 from .errors import NoConvergence, NonZeroMean, NonzeroFlux, NotDivergenceFree
 from .torus import Torus
 
+# relative max-norm tolerance of every residual checked in this module
+STREAM_TOL = 1e-10
+
 
 def laplacian_apply(torus: Torus, f: np.ndarray) -> np.ndarray:
     """Lattice Laplacian: (Lap f)(x) = sum_k [f(x+k) - f(x)] over all 2d steps."""
@@ -42,16 +45,15 @@ class PoissonSolver:
         with eigenvalue lam(m) = 2 * sum_j (cos(2 pi m_j / L) - 1);
         "cg" runs conjugate gradients on -Lap with a rank-one mean shift
         that pins the constant mode.
-    tol : float
-        Max-norm residual bound checked after every solve.
+
+    Every solve checks its max-norm residual against STREAM_TOL.
     """
 
-    def __init__(self, torus: Torus, method: str = "spectral", tol: float = 1e-10):
+    def __init__(self, torus: Torus, method: str = "spectral"):
         if method not in ("spectral", "cg"):
             raise ValueError(f"unknown method {method!r}")
         self.torus = torus
         self.method = method
-        self.tol = tol
         if method == "spectral":
             L = torus.L
             line = 2.0 * (np.cos(2.0 * np.pi * np.arange(L) / L) - 1.0)
@@ -75,7 +77,7 @@ class PoissonSolver:
             u = self._solve_cg(f - mean)
         u = u - u.mean()
         res = float(np.max(np.abs(laplacian_apply(t, u) - (f - mean))))
-        if res > self.tol * scale:
+        if res > STREAM_TOL * scale:
             raise NoConvergence(0, res)
         return u
 
@@ -104,14 +106,7 @@ class PoissonSolver:
         return u
 
 
-def poisson_solve(torus: Torus, f: np.ndarray, method: str = "spectral",
-                  tol: float = 1e-10) -> np.ndarray:
-    """One-shot Lap u = f solve; see PoissonSolver."""
-    return PoissonSolver(torus, method=method, tol=tol).solve(f)
-
-
-def stream_from_flow(b: FlowField, solver: PoissonSolver | None = None,
-                     tol: float = 1e-10) -> StreamTensor:
+def stream_from_flow(b: FlowField) -> StreamTensor:
     """Recover a stream tensor whose curl is the given flow.
 
     The result is gauge-dependent: two different tensors can share the same
@@ -130,14 +125,13 @@ def stream_from_flow(b: FlowField, solver: PoissonSolver | None = None,
     scale = _scale(b.full)
     div = b.divergence()
     worst = int(np.argmax(np.abs(div)))
-    if abs(div[worst]) > tol * scale:
+    if abs(div[worst]) > STREAM_TOL * scale:
         raise NotDivergenceFree(worst, float(div[worst]))
     fl = b.flux()
     for i in range(t.d):
-        if abs(fl[i]) > tol * scale:
+        if abs(fl[i]) > STREAM_TOL * scale:
             raise NonzeroFlux(i, float(fl[i]))
-    if solver is None:
-        solver = PoissonSolver(t, tol=tol)
+    solver = PoissonSolver(t)
 
     # the 2d potentials are solved independently; their mutual consistency
     # is certified below instead of being wired in by construction
@@ -152,7 +146,7 @@ def stream_from_flow(b: FlowField, solver: PoissonSolver | None = None,
 
     raw = StreamTensor.from_full(t, h_full)
     sym = raw.symmetry_residuals()
-    sym_tol = max(1e-11 * _scale(h_full), tol * scale)
+    sym_tol = max(1e-11 * _scale(h_full), STREAM_TOL * scale)
     for name, value in sym.items():
         if value > sym_tol:
             raise NoConvergence(0, value)
@@ -161,6 +155,6 @@ def stream_from_flow(b: FlowField, solver: PoissonSolver | None = None,
     # reproduce b within the solver tolerance
     out = StreamTensor(t, raw.canonical)
     curl_gap = float(np.max(np.abs(out.full().sum(axis=2) - b.full)))
-    if curl_gap > tol * scale:
+    if curl_gap > STREAM_TOL * scale:
         raise NoConvergence(0, curl_gap)
     return out

@@ -16,12 +16,12 @@ averages reduce to exact cancellations over +/- direction pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.stats
 
-from .env import Environment, _scale
+from .env import Environment
 from .errors import InsufficientReplicas, ZeroConductanceCrossing
 from .walker import Trajectory, check_grid, run_ensemble
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import corrector, helmholtz, mart
 from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
                   load_env, random_environment)
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateEdge
 from .walker import SEED_LIMIT, check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
@@ -89,6 +89,12 @@ def require_integer(value, path: str, least: int, limit=math.inf) -> None:
              and least <= value < limit, path, f"must be {rule}")
 
 
+def require_positive(value, path: str) -> None:
+    """Raise ConfigError unless value is a positive finite number (not a bool)."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and 0 < value < math.inf, path, "must be a positive finite number")
+
+
 def require_site(x0, n: int, path: str = "x0") -> None:
     """Raise ConfigError unless x0 is None or a site index in [0, n)."""
     if x0 is not None:
@@ -138,13 +144,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                  f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
     T = data.get("T", 100.0)
-    _require(isinstance(T, (int, float)) and not isinstance(T, bool) and 0 < T < math.inf,
-             "T", "must be a positive finite number")
+    require_positive(T, "T")
     replicas = data.get("replicas", 2000)
     require_integer(replicas, "replicas", 1)
     tolerance = data.get("tolerance", 1e-12)
-    _require(isinstance(tolerance, (int, float)) and tolerance > 0,
-             "tolerance", "must be positive")
+    require_positive(tolerance, "tolerance")
     x0 = data.get("x0")
     _require(x0 is None or isinstance(x0, int), "x0",
              "must be an integer site index or null")
@@ -178,16 +182,21 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def require_valid(env: Environment, path: str):
-    """The validation report of a drawn environment; ConfigError unless it passes.
+def draw_environment(d: int, L: int, seed: int, path: str, **laws) -> tuple:
+    """A random environment and its validation report; ConfigError unless valid.
 
-    The tolerance is the one load_env applies to files.  Only the laws and
-    the seed shape the draw, so a failure (a law with negative values, say)
-    is an input error.
+    Only the laws and the seed shape the draw, so a stream law that leaves
+    an edge without flow (DegenerateEdge) and an environment that fails
+    validation (a law with negative values, say) are input errors.  The
+    tolerance is the one load_env applies to files.
     """
+    try:
+        env = random_environment(d, L, seed, **laws)
+    except DegenerateEdge as e:
+        raise ConfigError(path, f"the laws draw an edge without flow: {e}")
     rep = env.validate()
     _require(rep.passed, path, f"the laws draw an invalid environment\n{rep}")
-    return rep
+    return env, rep
 
 
 def build_environment(cfg: ExperimentConfig) -> Environment:
@@ -195,16 +204,8 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     spec = cfg.env
     if "path" in spec:
         return load_env(spec["path"])
-    kwargs = {}
-    if "generator" in spec:
-        kwargs["generator"] = spec["generator"]
-    if "s_dist" in spec:
-        kwargs["s_dist"] = tuple(spec["s_dist"])
-    if "h_dist" in spec:
-        kwargs["h_dist"] = tuple(spec["h_dist"])
-    env = random_environment(spec["d"], spec["L"], spec["seed"], **kwargs)
-    require_valid(env, "env")
-    return env
+    laws = {key: spec[key] for key in ("generator", "s_dist", "h_dist") if key in spec}
+    return draw_environment(spec["d"], spec["L"], spec["seed"], "env", **laws)[0]
 
 
 def _pyify(obj):

@@ -1,4 +1,4 @@
-"""Event-driven simulation of the quenched walk and its environment process.
+"""Event-driven simulation of the quenched walk.
 
 The walk is an exact continuous-time Markov chain: at site x it waits an
 exponential time with rate sum_k p_k(x), then jumps in direction k with
@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
-from .env import ConductanceField, Environment, FlowField, _scale
-from .errors import AbsorbingState, NoConvergence, NotStationary, Reducible
-from .torus import Torus
+from .env import Environment
+from .errors import AbsorbingState
 
 
 # master seeds and replica indices are the two 64-bit words of a replica key
@@ -182,22 +178,6 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         sites=np.asarray(sites, dtype=np.int64),
         displacement=np.stack(disp, axis=0),
     )
-
-
-def environment_view(traj: Trajectory) -> list:
-    """The walk as seen from the walker: (time, wrapped site) at each jump."""
-    out = [(0.0, int(traj.sites[0]))]
-    out.extend((float(t), int(s)) for t, s in zip(traj.times, traj.sites[1:]))
-    return out
-
-
-def occupation_fractions(traj: Trajectory, n: int) -> np.ndarray:
-    """Fraction of [0, T] spent at each site."""
-    bounds = np.concatenate([[0.0], traj.times, [traj.T]])
-    durations = np.diff(bounds)
-    out = np.zeros(n)
-    np.add.at(out, traj.sites, durations)
-    return out / traj.T
 
 
 # -- batch engine -------------------------------------------------------------
@@ -438,139 +418,3 @@ def ensemble_summary_csv(result: EnsembleResult, path: str) -> None:
             row += [repr(float(x)) for x in result.displacement[r, -1]]
             row.append(int(result.n_jumps[r]))
             w.writerow(row)
-
-
-# -- stationary density and reweighting ---------------------------------------
-
-@dataclass
-class RateField:
-    """Bare jump rates on a torus, not necessarily bistochastic."""
-
-    torus: Torus
-    p_full: np.ndarray
-
-    def __post_init__(self):
-        self.p_full = np.asarray(self.p_full, dtype=float)
-        if self.p_full.shape != (self.torus.n, self.torus.ndir):
-            raise ValueError("rate array has wrong shape")
-        if np.any(self.p_full < 0):
-            raise ValueError("rates must be nonnegative")
-
-
-@dataclass
-class DensityField:
-    """Positive site density normalized to site-average one."""
-
-    torus: Torus
-    rho: np.ndarray
-    residual: float = 0.0
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        if self.rho.shape != (self.torus.n,):
-            raise ValueError("density has wrong shape")
-
-
-def _generator_matrix(torus: Torus, p_full: np.ndarray) -> scipy.sparse.csr_matrix:
-    """CTMC generator Q with Q[x, x+k] = p_k(x) and zero row sums."""
-    n, ndir = torus.n, torus.ndir
-    rows = np.repeat(np.arange(n), ndir)
-    cols = torus.nbr.ravel()
-    data = p_full.ravel()
-    off = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-    diag = scipy.sparse.diags(-p_full.sum(axis=1))
-    return (off + diag).tocsr()
-
-
-def solve_stationary_density(rates, dense_cap: int = 4096,
-                             tol: float = 1e-10) -> DensityField:
-    """Solve the finite-volume stationarity equation for a rate field.
-
-    Finds rho > 0 with sum_k rho(x+k) p_{-k}(x+k) = rho(x) sum_k p_k(x) at
-    every site, normalized to site-average one.  Solved as the null space
-    of the transposed generator: dense factorization with two steps of
-    iterative refinement up to `dense_cap` sites, inverse iteration above.
-
-    Raises
-    ------
-    Reducible
-        if the directed rate graph is not strongly connected.
-    NoConvergence
-        if the balance residual stays above tolerance or rho is not positive;
-        it carries the number of refinement or inverse-iteration steps run.
-    """
-    t_ = rates.torus
-    p = rates.p_full
-    n = t_.n
-    # csgraph counts explicitly stored zeros as edges, so drop them first
-    live = p.ravel() > 0
-    adj = scipy.sparse.coo_matrix(
-        (np.ones(int(live.sum())),
-         (np.repeat(np.arange(n), t_.ndir)[live], t_.nbr.ravel()[live])),
-        shape=(n, n))
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    if ncomp != 1:
-        raise Reducible(f"{ncomp} strongly connected components")
-
-    QT = _generator_matrix(t_, p).T.tocsr()
-    if n <= dense_cap:
-        K = QT.toarray()
-        K[-1, :] = 1.0  # replace one balance row by the normalization
-        rhs = np.zeros(n)
-        rhs[-1] = float(n)
-        lu = scipy.linalg.lu_factor(K)
-        rho = scipy.linalg.lu_solve(lu, rhs)
-        iterations = 2  # steps of iterative refinement, which sharpen the residual
-        for _ in range(iterations):
-            r = rhs - K @ rho
-            rho = rho + scipy.linalg.lu_solve(lu, r)
-    else:
-        sigma = 1e-8 * float(p.sum(axis=1).mean())
-        shifted = (QT - sigma * scipy.sparse.identity(n, format="csr")).tocsc()
-        lu = scipy.sparse.linalg.splu(shifted)
-        rho = np.ones(n)
-        iterations = 50  # steps of inverse iteration
-        for _ in range(iterations):
-            rho = lu.solve(rho)
-            rho = rho / np.max(np.abs(rho))
-
-    rho = rho * (n / rho.sum())
-    balance = QT @ rho
-    scale = _scale(p * rho[:, None])
-    res = float(np.max(np.abs(balance)))
-    if res > tol * scale:
-        raise NoConvergence(iterations, res)
-    if rho.min() <= 0:
-        raise NoConvergence(iterations, float(rho.min()))
-    return DensityField(t_, rho, residual=res)
-
-
-def reweight_rates(rates, density: DensityField, tol: float = 1e-8) -> Environment:
-    """Multiply rates by a stationary density to restore bistochasticity.
-
-    The embedded jump chain is unchanged because rho cancels from the
-    per-site jump distribution; only holding times are rescaled.
-
-    Raises
-    ------
-    NotStationary
-        if the density does not balance the rates within tolerance.
-    """
-    t_ = rates.torus
-    p = rates.p_full
-    rho = density.rho
-    QT = _generator_matrix(t_, p).T
-    res = float(np.max(np.abs(QT @ rho)))
-    scale = _scale(p * rho[:, None])
-    if res > tol * scale:
-        raise NotStationary(res, tol * scale)
-
-    p_new = rho[:, None] * p
-    s_full = np.empty_like(p_new)
-    for k in range(t_.ndir):
-        s_full[:, k] = 0.5 * (p_new[:, k] + p_new[t_.nbr[:, k], t_.opposite(k)])
-    b_full = p_new - s_full
-    weak = bool(s_full.min() > 0)
-    env = Environment(t_, ConductanceField(t_, s_full), b=FlowField(t_, b_full),
-                      h=None, weak_ellipticity=weak, meta={"generator": "reweighted"})
-    return env

@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from bistoch import corrector as cor
 from bistoch import mart, report

@@ -183,6 +183,9 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     pytest.param({"T": math.inf}, id="T-infinite"),
     pytest.param({"T": True}, id="T-bool"),
     pytest.param({"replicas": True}, id="replicas-bool"),
+    pytest.param({"tolerance": True}, id="tolerance-bool"),
+    # an infinite tolerance would pass every residual, even an infinite one
+    pytest.param({"tolerance": math.inf}, id="tolerance-infinite"),
 ])
 def test_check_all_bad_config(tmp_path, env_file, capsys, fields):
     path = tmp_path / "bad.json"
@@ -306,6 +309,30 @@ def test_inline_environment_is_validated_like_a_file(tmp_path, capsys):
     assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "3", "--s-dist", "gaussian,0.3",
                  "-o", str(tmp_path / "env.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "env.json").exists()
+
+
+FLOWLESS_LAW = {"d": 2, "L": 4, "seed": 1, "generator": "totally-asymmetric",
+                "h_dist": ["two_point", 1.0, 1.0, 0.5]}
+
+
+def test_a_stream_law_without_flow_is_a_usage_error(tmp_path, capsys):
+    # a constant stream has zero curl, so no edge of a totally asymmetric
+    # environment can move: the laws decide this, not the computation
+    cfg = report.config_from_dict({"env": FLOWLESS_LAW, "checks": ["validate"]})
+    with pytest.raises(ConfigError, match="env: the laws draw an edge without flow"):
+        report.run_config(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": FLOWLESS_LAW}))
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "without flow" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+    assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "1",
+                 "--generator", "totally-asymmetric", "--h-dist", "two_point,1,1,0.5",
+                 "-o", str(tmp_path / "env.json")]) == 2
+    err = capsys.readouterr().err
+    assert "--h-dist" in err and "without flow" in err and "Traceback" not in err
     assert not (tmp_path / "env.json").exists()
 
 

@@ -321,37 +321,3 @@ def test_corrector_csv(tmp_path):
     path = tmp_path / "chi.csv"
     cor.corrector_csv(np.array([0.5, -1.25]), str(path))
     assert path.read_text() == "site,value\n0,0.5\n1,-1.25\n"
-
-
-# -- truncation ----------------------------------------------------------------------
-
-
-def test_truncation_identity_for_large_cutoff():
-    env = random_environment(2, 4, seed=11)
-    trunc = cor.truncate_environment(env, 100.0)
-    assert np.array_equal(trunc.s.canonical, env.s.canonical)
-    assert np.array_equal(trunc.h.canonical, env.h.canonical)
-    B0 = cor.build_spectral_operator(env).B
-    B1 = cor.build_spectral_operator(trunc).B
-    assert np.array_equal(B0, B1)
-
-
-def test_truncation_zeroes_out_of_range_entries():
-    env = random_environment(2, 4, seed=11)
-    t2 = cor.truncate_environment(env, 1.05)
-    assert not np.array_equal(t2.s.canonical, env.s.canonical)
-    r = np.sqrt(t2.s.canonical[t2.s.canonical > 0])
-    assert np.all((r >= 1 / 1.05 - 1e-12) & (r <= 1.05 + 1e-12))
-    t3 = cor.truncate_environment(env, 0.2)
-    assert np.all(np.abs(t3.h.canonical) <= 0.2)
-    # flow is rebuilt from the truncated tensor, so zero divergence survives
-    assert np.abs(t3.b.divergence()).max() < 1e-12
-
-
-def test_truncation_argument_errors(env_homog):
-    with pytest.raises(ValueError):
-        cor.truncate_environment(env_homog, 0.0)
-    t = Torus(1, 4)
-    flow_only = Environment(t, ConductanceField.from_canonical(t, np.ones((4, 1))))
-    with pytest.raises(ValueError):
-        cor.truncate_environment(flow_only, 2.0)

@@ -164,7 +164,7 @@ def test_json_round_trip_is_exact(tmp_path, env_rand):
 
 
 def test_flow_only_serialization(tmp_path):
-    # reweighted-style environments store b, not h
+    # an environment given by its flow alone stores b, not h
     t = Torus(2, 4)
     h = checkerboard_stream(t, 0.5)
     env = make_conductance_stream_env(

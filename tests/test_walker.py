@@ -3,15 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from bistoch.env import (ConductanceField, Environment, FlowField,
-                         homogeneous_environment, random_environment)
-from bistoch.errors import AbsorbingState, NoConvergence, NotStationary, Reducible
+from bistoch.env import ConductanceField, Environment, FlowField, random_environment
+from bistoch.errors import AbsorbingState
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
-from bistoch.walker import (DensityField, RateField, _generator, ensemble_summary_csv,
-                            environment_view, occupation_fractions,
-                            replica_key, reweight_rates, run_ensemble,
-                            simulate, solve_stationary_density)
+from bistoch.walker import (_generator, ensemble_summary_csv, replica_key, run_ensemble,
+                            simulate)
 
 MASTER = 20240901
 
@@ -185,21 +182,6 @@ def test_positions_at_step_semantics(env_rand):
     assert np.array_equal(traj.positions_at(traj.T), traj.final_displacement)
 
 
-def test_occupation_fractions_sum_to_one(env_rand):
-    traj = simulate(env_rand, 5, 12.0, seed=4)
-    occ = occupation_fractions(traj, env_rand.torus.n)
-    assert abs(occ.sum() - 1.0) < 1e-12
-    assert np.all(occ >= 0)
-
-
-def test_environment_view_structure(env_rand):
-    traj = simulate(env_rand, 7, 3.0, seed=5)
-    view = environment_view(traj)
-    assert view[0] == (0.0, 7)
-    assert len(view) == traj.n_jumps + 1
-    assert [s for _, s in view] == list(traj.sites)
-
-
 def test_trajectory_jsonl_round_trip(tmp_path, env_rand):
     traj = simulate(env_rand, 0, 8.0, seed=11)
     path = tmp_path / "walk.jsonl"
@@ -244,102 +226,3 @@ def test_horizon_must_be_positive_and_finite(env_rand, T):
         run_ensemble(env_rand, T, 2, MASTER, grid=[T])
     with pytest.raises(ValueError, match="horizon"):
         simulate(env_rand, 0, T, seed=1)
-
-
-# -- stationary density and reweighting ---------------------------------------
-
-
-def _two_state_rates():
-    t = Torus(1, 2)
-    p = np.array([[2.0, 2.0], [5.0, 5.0]])
-    return RateField(t, p)
-
-
-def test_two_state_density_closed_form():
-    # rho is proportional to 1/total-rate for a two-site chain
-    dens = solve_stationary_density(_two_state_rates())
-    assert np.allclose(dens.rho, [10.0 / 7.0, 4.0 / 7.0], atol=1e-13)
-    assert dens.residual < 1e-12
-
-
-def test_density_matches_svd_null_space():
-    t = Torus(2, 4)
-    rng = np.random.default_rng(12)
-    rates = RateField(t, rng.uniform(0.5, 2.0, size=(t.n, 4)))
-    dens = solve_stationary_density(rates)
-    # independent route: null vector of the transposed generator by SVD
-    from bistoch.walker import _generator_matrix
-    QT = _generator_matrix(t, rates.p_full).T.toarray()
-    _, sv, vt = np.linalg.svd(QT)
-    null = vt[-1]
-    null = null * (t.n / null.sum())
-    assert sv[-1] < 1e-10 * sv[0]
-    assert np.allclose(dens.rho, null, atol=1e-9)
-
-
-def test_sparse_route_agrees_with_dense():
-    t = Torus(2, 4)
-    rng = np.random.default_rng(21)
-    rates = RateField(t, rng.uniform(0.5, 2.0, size=(t.n, 4)))
-    dense = solve_stationary_density(rates, dense_cap=4096)
-    sparse = solve_stationary_density(rates, dense_cap=1)
-    assert np.allclose(dense.rho, sparse.rho, atol=1e-8)
-
-
-@pytest.mark.parametrize("dense_cap, steps", [(4096, 2), (1, 50)])
-def test_density_no_convergence_reports_steps_run(dense_cap, steps):
-    # no residual meets a zero tolerance, so both routes give up after
-    # their refinement (dense) or inverse-iteration (sparse) steps
-    t = Torus(2, 4)
-    rng = np.random.default_rng(12)
-    rates = RateField(t, rng.uniform(0.5, 2.0, size=(t.n, 4)))
-    with pytest.raises(NoConvergence) as err:
-        solve_stationary_density(rates, dense_cap=dense_cap, tol=0.0)
-    assert err.value.iterations == steps
-    assert err.value.residual > 0
-
-
-def test_reducible_rates_detected():
-    t = Torus(1, 4)
-    p = np.ones((4, 2))
-    p[0, :] = 0.0  # no way out of site 0
-    with pytest.raises(Reducible):
-        solve_stationary_density(RateField(t, p))
-
-
-def test_reweight_restores_bistochasticity():
-    t = Torus(2, 4)
-    rng = np.random.default_rng(30)
-    rates = RateField(t, rng.uniform(0.5, 2.0, size=(t.n, 4)))
-    dens = solve_stationary_density(rates)
-    env = reweight_rates(rates, dens)
-    report = env.validate()
-    assert report.passed
-    assert report.max_residual < 1e-10
-
-
-def test_reweight_preserves_embedded_chain():
-    t = Torus(2, 4)
-    rng = np.random.default_rng(31)
-    p = rng.uniform(0.5, 2.0, size=(t.n, 4))
-    rates = RateField(t, p)
-    dens = solve_stationary_density(rates)
-    env = reweight_rates(rates, dens)
-    chain_old = p / p.sum(axis=1, keepdims=True)
-    chain_new = env.p_full / env.p_full.sum(axis=1, keepdims=True)
-    assert np.allclose(chain_old, chain_new, atol=1e-13)
-
-
-def test_reweight_rejects_non_stationary_density():
-    rates = _two_state_rates()
-    wrong = DensityField(rates.torus, np.ones(2))
-    with pytest.raises(NotStationary):
-        reweight_rates(rates, wrong)
-
-
-def test_rate_field_validates_shape_and_sign():
-    t = Torus(1, 4)
-    with pytest.raises(ValueError):
-        RateField(t, np.ones((4, 3)))
-    with pytest.raises(ValueError):
-        RateField(t, -np.ones((4, 2)))
