@@ -5,7 +5,7 @@ check-all.  Relative output paths are resolved under $RWRE_OUT when set.
 Ensembles run in one serial lockstep engine; `--threads N` is accepted by
 simulate, decompose and check-all for older scripts and ignored.  Exit
 codes: 0 on success, 1 when a computation or check fails, 2 for usage and
-config errors.
+config errors, unreadable input files among them.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidEnvironment) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing or unreadable input file, a directory
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BistochError as e:

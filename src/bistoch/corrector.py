@@ -293,14 +293,12 @@ class HarmonicSolution:
     method: str
 
 
-def _check_rhs(rhs: np.ndarray, project: bool) -> np.ndarray:
+def _check_rhs(rhs: np.ndarray) -> np.ndarray:
     """A mean-zero right side is solvable; anything else is a modeling error."""
     rhs = np.asarray(rhs, dtype=float)
     mean = float(rhs.mean())
     if abs(mean) > 1e-12 * _scale(rhs):
-        if not project:
-            raise InconsistentRHS(mean)
-        rhs = rhs - mean
+        raise InconsistentRHS(mean)
     return rhs
 
 
@@ -308,9 +306,7 @@ def _gradient_of(torus: Torus, g: np.ndarray) -> np.ndarray:
     return g[torus.nbr] - g[:, None]
 
 
-def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL,
-                   project: bool = False,
-                   residual_cap: float = RESIDUAL_CAP) -> HarmonicSolution:
+def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL) -> HarmonicSolution:
     """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
 
     The rank-one augmented map v -> L v + c mean(v) with c the mean total
@@ -320,16 +316,15 @@ def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL,
     Raises
     ------
     InconsistentRHS
-        if rhs has nonzero site mean and project is False.
+        if rhs has nonzero site mean.
     NoConvergence
-        if the final residual exceeds residual_cap times the rhs scale.
+        if the final residual exceeds RESIDUAL_CAP times the rhs scale.
     """
-    return _solve_krylov(env, assemble(env).L, _check_rhs(rhs, project), tol,
-                         residual_cap)
+    return _solve_krylov(env, assemble(env).L, _check_rhs(rhs), tol)
 
 
 def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
-                  tol: float, residual_cap: float) -> HarmonicSolution:
+                  tol: float) -> HarmonicSolution:
     """The Krylov solve of solve_harmonic on an assembled L and a checked rhs."""
     t_ = env.torus
     n = t_.n
@@ -354,19 +349,17 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
                                          callback=cb)
     g = g - g.mean()
     res = float(np.max(np.abs(L @ g - rhs)))
-    if res > residual_cap * _scale(rhs):
+    if res > RESIDUAL_CAP * _scale(rhs):
         raise NoConvergence(count[0], res)
     return HarmonicSolution(potential=g, gradient=_gradient_of(t_, g),
                             residual=res, iterations=count[0], method="krylov")
 
 
 def solve_harmonic_spectral(env: Environment, rhs,
-                            spec: SpectralOperator | None = None) -> HarmonicSolution:
+                            spec: SpectralOperator) -> HarmonicSolution:
     """Dense resolvent solve g = -S^(-1/2) (I - B)^(-1) S^(-1/2) rhs."""
     t_ = env.torus
-    rhs = _check_rhs(rhs, False)
-    if spec is None:
-        spec = build_spectral_operator(env)
+    rhs = _check_rhs(rhs)
     u = spec.S_invhalf @ rhs
     v = scipy.linalg.solve(np.eye(t_.n) - spec.B, u)
     g = -(spec.S_invhalf @ v)
@@ -414,8 +407,7 @@ def effective_diffusivity(env: Environment, method: str = "krylov") -> Diffusivi
         L = assemble(env).L
 
         def solve(rhs):
-            return _solve_krylov(env, L, _check_rhs(rhs, False), KRYLOV_TOL,
-                                 RESIDUAL_CAP)
+            return _solve_krylov(env, L, _check_rhs(rhs), KRYLOV_TOL)
     elif method == "spectral":
         spec = build_spectral_operator(env)
 

@@ -57,6 +57,20 @@ def edge_symmetry_residual(torus: Torus, values: np.ndarray, odd: bool = False) 
     return _worst(values + partner if odd else values - partner)
 
 
+def _expand_canonical(torus: Torus, canonical: np.ndarray, odd: bool) -> np.ndarray:
+    """The (n, 2d) edge field with one value per unoriented edge given.
+
+    canonical[x, i] is the value on the edge (x, x + e_i); the reverse
+    orientation at x takes +-canonical[x - e_i, i], - when `odd`, so the
+    edge symmetry of edge_symmetry_residual holds exactly.
+    """
+    canonical = np.asarray(canonical, dtype=float)
+    if canonical.shape != (torus.n, torus.d):
+        raise ValueError(f"expected shape {(torus.n, torus.d)}, got {canonical.shape}")
+    reverse = canonical[torus.nbr[:, torus.d:], np.arange(torus.d)]  # at x - e_i
+    return np.concatenate([canonical, -reverse if odd else reverse], axis=1)
+
+
 class ConductanceField:
     """Symmetric nonnegative edge field s with s_{-k}(x+k) = s_k(x)."""
 
@@ -69,21 +83,8 @@ class ConductanceField:
 
     @classmethod
     def from_canonical(cls, torus: Torus, canonical: np.ndarray) -> "ConductanceField":
-        """Build the full field from one value per unoriented edge.
-
-        canonical[x, i] is the conductance of the edge (x, x + e_i); the
-        reverse orientation s_{-e_i}(x) = s_{e_i}(x - e_i) is filled in so
-        the edge symmetry holds exactly.
-        """
-        canonical = np.asarray(canonical, dtype=float)
-        if canonical.shape != (torus.n, torus.d):
-            raise ValueError(f"expected shape {(torus.n, torus.d)}, got {canonical.shape}")
-        full = np.empty((torus.n, torus.ndir))
-        full[:, : torus.d] = canonical
-        for i in range(torus.d):
-            back = torus.nbr[:, torus.d + i]  # x - e_i
-            full[:, torus.d + i] = canonical[back, i]
-        return cls(torus, full)
+        """Build the full field from one conductance per unoriented edge."""
+        return cls(torus, _expand_canonical(torus, canonical, odd=False))
 
     @property
     def canonical(self) -> np.ndarray:
@@ -187,15 +188,8 @@ class FlowField:
 
     @classmethod
     def from_canonical(cls, torus: Torus, canonical: np.ndarray) -> "FlowField":
-        canonical = np.asarray(canonical, dtype=float)
-        if canonical.shape != (torus.n, torus.d):
-            raise ValueError(f"expected shape {(torus.n, torus.d)}, got {canonical.shape}")
-        full = np.empty((torus.n, torus.ndir))
-        full[:, : torus.d] = canonical
-        for i in range(torus.d):
-            back = torus.nbr[:, torus.d + i]
-            full[:, torus.d + i] = -canonical[back, i]
-        return cls(torus, full)
+        """Build the full field from one flow value per unoriented edge."""
+        return cls(torus, _expand_canonical(torus, canonical, odd=True))
 
     @classmethod
     def zero(cls, torus: Torus) -> "FlowField":
@@ -276,11 +270,9 @@ class ValidationReport:
     def max_residual(self) -> float:
         return max((e.residual for e in self.entries), default=0.0)
 
-    def residual(self, name: str) -> float:
-        for e in self.entries:
-            if e.name == name:
-                return e.residual
-        raise KeyError(name)
+    @property
+    def residuals(self) -> dict:
+        return {e.name: e.residual for e in self.entries}
 
     def __str__(self) -> str:
         lines = [f"validation ({'pass' if self.passed else 'FAIL'}, tol {self.tolerance:g}):"]
@@ -319,13 +311,6 @@ class Environment:
     @property
     def n(self) -> int:
         return self.torus.n
-
-    def min_gap(self) -> float:
-        """min over edges of s_k - |b_k| (zero for totally asymmetric rates)."""
-        return float(np.min(self.s.full - np.abs(self.b.full)))
-
-    def validate(self, tolerance: float = DEFAULT_TOL) -> ValidationReport:
-        return validate(self, tolerance)
 
 
 def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationReport:
@@ -367,8 +352,7 @@ def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationRepo
     return report
 
 
-def make_conductance_stream_env(s_tilde: ConductanceField, h: StreamTensor,
-                                meta: dict | None = None) -> Environment:
+def make_conductance_stream_env(s_tilde: ConductanceField, h: StreamTensor) -> Environment:
     """Rates p_k = s_tilde_k + 2(b_k)_+ with b = curl(h).
 
     The symmetric part of the result is s_tilde_k + |b_k| exactly and the
@@ -377,30 +361,26 @@ def make_conductance_stream_env(s_tilde: ConductanceField, h: StreamTensor,
     """
     b = curl(h)
     s_full = s_tilde.full + np.abs(b.full)
-    env = Environment(h.torus, ConductanceField(h.torus, s_full), b=b, h=h,
-                      meta={"generator": "conductance-stream", **(meta or {})})
-    return env
+    return Environment(h.torus, ConductanceField(h.torus, s_full), b=b, h=h,
+                       meta={"generator": "conductance-stream"})
 
 
-def make_totally_asymmetric_env(h: StreamTensor, weak_ellipticity: bool = True,
-                                meta: dict | None = None) -> Environment:
+def make_totally_asymmetric_env(h: StreamTensor) -> Environment:
     """Rates p_k = 2(b_k)_+ with b = curl(h); every edge is one-way.
 
     Raises
     ------
     DegenerateEdge
-        if some edge has zero flow while weak ellipticity is required.
+        if some edge has zero flow, which weak ellipticity forbids; on a
+        1-d torus, which has no plaquettes, that is every edge.
     """
     b = curl(h)
-    if weak_ellipticity:
-        zero = np.argwhere(b.full == 0.0)
-        if zero.size:
-            x, k = zero[0]
-            raise DegenerateEdge(int(x), int(k))
-    s_full = np.abs(b.full)
-    return Environment(h.torus, ConductanceField(h.torus, s_full), b=b, h=h,
-                       weak_ellipticity=weak_ellipticity,
-                       meta={"generator": "totally-asymmetric", **(meta or {})})
+    zero = np.argwhere(b.full == 0.0)
+    if zero.size:
+        x, k = zero[0]
+        raise DegenerateEdge(int(x), int(k))
+    return Environment(h.torus, ConductanceField(h.torus, np.abs(b.full)), b=b, h=h,
+                       meta={"generator": "totally-asymmetric"})
 
 
 def homogeneous_environment(d: int, L: int, s: float = 1.0) -> Environment:
@@ -509,8 +489,6 @@ def random_environment(d: int, L: int, seed: int, generator: str = "conductance-
         s_tilde = random_conductances(t, rng, s_dist)
         env = make_conductance_stream_env(s_tilde, h)
     elif generator == "totally-asymmetric":
-        if t.npairs == 0:
-            raise DegenerateEdge(0, 0)  # no plaquettes, so curl(h) = 0 on every edge
         env = make_totally_asymmetric_env(h)
     else:
         raise ValueError(f"unknown generator {generator!r}")
@@ -604,8 +582,8 @@ def _doc_array(doc: dict, key: str) -> np.ndarray:
         raise InvalidEnvironment(f"field {key!r} must be an array of numbers")
 
 
-def env_from_dict(doc: dict, tolerance: float = DEFAULT_TOL) -> Environment:
-    """Rebuild an environment and reject it if any invariant fails.
+def env_from_dict(doc: dict) -> Environment:
+    """Rebuild an environment and reject it if any invariant fails at DEFAULT_TOL.
 
     Raises
     ------
@@ -648,14 +626,14 @@ def env_from_dict(doc: dict, tolerance: float = DEFAULT_TOL) -> Environment:
             "params": doc.get("params", {})}
     env = Environment(t, s, b=b, h=h, weak_ellipticity=bool(doc.get("weak_ellipticity", True)),
                       meta=meta)
-    report = validate(env, tolerance)
+    report = validate(env)
     if not report.passed:
         bad = [e.name for e in report.entries if not e.passed]
         raise InvalidEnvironment(f"invariants violated: {', '.join(bad)}\n{report}")
     return env
 
 
-def load_env(path: str, tolerance: float = DEFAULT_TOL) -> Environment:
+def load_env(path: str) -> Environment:
     """Read and check an environment file.
 
     Raises
@@ -668,4 +646,4 @@ def load_env(path: str, tolerance: float = DEFAULT_TOL) -> Environment:
             doc = json.load(f)
         except ValueError as e:  # undecodable bytes or invalid JSON
             raise InvalidEnvironment(f"{path}: not a JSON document: {e}")
-    return env_from_dict(doc, tolerance)
+    return env_from_dict(doc)

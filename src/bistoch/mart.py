@@ -31,6 +31,10 @@ Z_99 = 2.5758293035489004
 # largest accepted residual of the exact path identities X = M + I + J = Z + Y + I + J
 IDENTITY_TOL = 1e-10
 
+# batches of a batch-means interval, and the fewest replicas a bracket estimate accepts
+N_BATCHES = 32
+MIN_REPLICAS = 1000
+
 
 # -- local drift fields --------------------------------------------------------
 
@@ -50,11 +54,6 @@ class DriftFields:
     alpha: np.ndarray
     beta: np.ndarray
     s_bar: np.ndarray
-
-    def mean_residuals(self) -> dict:
-        """Site averages of phi and psi (zero for zero-flux environments)."""
-        return {"phi": float(np.max(np.abs(self.phi.mean(axis=0)))),
-                "psi": float(np.max(np.abs(self.psi.mean(axis=0))))}
 
 
 def harmonic_mean_conductance(env: Environment) -> np.ndarray:
@@ -352,13 +351,12 @@ class MartingaleEnsemble(DecompositionPath):
 
 def run_decomposition_ensemble(env: Environment, T: float, n_replicas: int,
                                master_seed: int, grid=None, x0: int | None = None,
-                               collect_holding: bool = False,
-                               block: int = 512) -> MartingaleEnsemble:
+                               collect_holding: bool = False) -> MartingaleEnsemble:
     site_table, jump_table = _field_tables(env)
     res = run_ensemble(env, T, n_replicas, master_seed,
                        grid=dyadic_grid(T) if grid is None else grid,
                        site_fields=site_table, jump_weights=jump_table, x0=x0,
-                       collect_holding=collect_holding, block=block)
+                       collect_holding=collect_holding)
     return MartingaleEnsemble(
         times=res.times, **_components(res.displacement, res.integrals, res.jump_sums),
         n_jumps=res.n_jumps, final_site=res.final_site, holding=res.holding,
@@ -397,7 +395,6 @@ class MeanInterval:
     half_width: float
     se: float
     n_batches: int
-    level: float = 0.99
 
     @property
     def lo(self) -> float:
@@ -411,30 +408,30 @@ class MeanInterval:
         return self.lo <= value <= self.hi
 
 
-def batch_mean_interval(samples, n_batches: int = 32, z: float = Z_99) -> MeanInterval:
+def batch_mean_interval(samples) -> MeanInterval:
+    """99% interval from the means of N_BATCHES equal batches of the samples."""
     samples = np.asarray(samples, dtype=float).ravel()
     R = len(samples)
-    if R < 2 * n_batches:
-        raise InsufficientReplicas(R, 2 * n_batches)
-    usable = R - (R % n_batches)
-    batches = samples[:usable].reshape(n_batches, -1).mean(axis=1)
-    se = float(batches.std(ddof=1) / np.sqrt(n_batches))
-    return MeanInterval(mean=float(batches.mean()), half_width=z * se,
-                        se=se, n_batches=n_batches)
+    if R < 2 * N_BATCHES:
+        raise InsufficientReplicas(R, 2 * N_BATCHES)
+    usable = R - (R % N_BATCHES)
+    batches = samples[:usable].reshape(N_BATCHES, -1).mean(axis=1)
+    se = float(batches.std(ddof=1) / np.sqrt(N_BATCHES))
+    return MeanInterval(mean=float(batches.mean()), half_width=Z_99 * se,
+                        se=se, n_batches=N_BATCHES)
 
 
-def variance_rate(ens: MartingaleEnsemble, g: int = -1) -> MeanInterval:
-    """Estimate E|X(t)|^2 / t with a 99% batch-means interval."""
-    t = float(ens.times[g])
-    return batch_mean_interval((ens.X[:, g, :] ** 2).sum(axis=1) / t)
+def variance_rate(ens: MartingaleEnsemble) -> MeanInterval:
+    """Estimate E|X(T)|^2 / T at the last grid time with a 99% batch-means interval."""
+    t = float(ens.times[-1])
+    return batch_mean_interval((ens.X[:, -1, :] ** 2).sum(axis=1) / t)
 
 
 def second_moment_curve(ens: MartingaleEnsemble) -> tuple:
     """E|X(t)|^2 at every grid time, with per-time standard errors."""
     m2 = (ens.X ** 2).sum(axis=2)  # (R, G)
-    means = np.array([batch_mean_interval(m2[:, g]).mean for g in range(m2.shape[1])])
-    ses = np.array([batch_mean_interval(m2[:, g]).se for g in range(m2.shape[1])])
-    return means, ses
+    ivs = [batch_mean_interval(m2[:, g]) for g in range(m2.shape[1])]
+    return np.array([iv.mean for iv in ivs]), np.array([iv.se for iv in ivs])
 
 
 def growth_slope(times, second_moments) -> float:
@@ -444,12 +441,12 @@ def growth_slope(times, second_moments) -> float:
     return float(np.polyfit(lt, lm, 1)[0])
 
 
-def zz_matrix(ens: MartingaleEnsemble, g: int = -1, min_replicas: int = 1000) -> tuple:
-    """Estimate E[Z Z^T] / t entrywise with batch-means standard errors."""
-    if ens.n_replicas < min_replicas:
-        raise InsufficientReplicas(ens.n_replicas, min_replicas)
-    t = float(ens.times[g])
-    Zg = ens.Z[:, g, :]
+def zz_matrix(ens: MartingaleEnsemble) -> tuple:
+    """Estimate E[Z Z^T] / t at the last grid time with batch-means standard errors."""
+    if ens.n_replicas < MIN_REPLICAS:
+        raise InsufficientReplicas(ens.n_replicas, MIN_REPLICAS)
+    t = float(ens.times[-1])
+    Zg = ens.Z[:, -1, :]
     d = Zg.shape[1]
     est = np.empty((d, d))
     se = np.empty((d, d))
@@ -461,22 +458,21 @@ def zz_matrix(ens: MartingaleEnsemble, g: int = -1, min_replicas: int = 1000) ->
     return est, se
 
 
-def orthogonality_report(ens: MartingaleEnsemble, g1: int = 0, g2: int = -1,
-                         min_replicas: int = 1000) -> dict:
+def orthogonality_report(ens: MartingaleEnsemble) -> dict:
     """99% intervals for the cross moments that vanish for orthogonal parts.
 
-    Tests E[Z(t1) . Y(t2)] and E[Z(t1) . (I+J)(t2)] at two grid times; both
-    are zero when Z is orthogonal to the remainder of the decomposition.
+    Tests E[Z(t1) . Y(t2)] and E[Z(t1) . (I+J)(t2)] at the first and last
+    grid times; both are zero when Z is orthogonal to the remainder of the
+    decomposition.
     """
-    if ens.n_replicas < min_replicas:
-        raise InsufficientReplicas(ens.n_replicas, min_replicas)
-    Z1 = ens.Z[:, g1, :]
-    out = {
-        "z_dot_y": batch_mean_interval((Z1 * ens.Y[:, g2, :]).sum(axis=1)),
+    if ens.n_replicas < MIN_REPLICAS:
+        raise InsufficientReplicas(ens.n_replicas, MIN_REPLICAS)
+    Z1 = ens.Z[:, 0, :]
+    return {
+        "z_dot_y": batch_mean_interval((Z1 * ens.Y[:, -1, :]).sum(axis=1)),
         "z_dot_drift": batch_mean_interval(
-            (Z1 * (ens.I[:, g2, :] + ens.J[:, g2, :])).sum(axis=1)),
+            (Z1 * (ens.I[:, -1, :] + ens.J[:, -1, :])).sum(axis=1)),
     }
-    return out
 
 
 def _ks_distance(x: np.ndarray, cdf) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corrector, helmholtz, mart
 from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
-                  load_env, random_environment)
+                  load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
 from .walker import SEED_LIMIT, check_grid, check_site
 
@@ -172,13 +172,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as f:
+    """Read and check a config file; OSError if it cannot be opened."""
+    with open(path) as f:
+        try:
             data = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(path, "no such file")
-    except json.JSONDecodeError as e:
-        raise ConfigError(path, f"invalid JSON: {e}")
+        except ValueError as e:  # undecodable bytes or invalid JSON
+            raise ConfigError(path, f"not a JSON document: {e}")
     return config_from_dict(data)
 
 
@@ -194,7 +193,7 @@ def draw_environment(d: int, L: int, seed: int, path: str, **laws) -> tuple:
         env = random_environment(d, L, seed, **laws)
     except DegenerateEdge as e:
         raise ConfigError(path, f"the laws draw an edge without flow: {e}")
-    rep = env.validate()
+    rep = validate(env)
     _require(rep.passed, path, f"the laws draw an invalid environment\n{rep}")
     return env, rep
 
@@ -265,10 +264,10 @@ class _Walks:
 
 
 def _check_validate(env, cfg, walks):
-    rep = env.validate(cfg.tolerance)
+    rep = validate(env, cfg.tolerance)
     return {"passed": rep.passed,
             "max_residual": rep.max_residual,
-            "residuals": {e.name: e.residual for e in rep.entries}}
+            "residuals": rep.residuals}
 
 
 def _check_bounds(env, cfg, walks):

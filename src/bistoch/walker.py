@@ -87,15 +87,6 @@ class Trajectory:
         idx = np.searchsorted(self.times, np.asarray(ts, dtype=float), side="right")
         return self.displacement[idx]
 
-    def holding_times(self, total_rate: np.ndarray) -> np.ndarray:
-        """Completed holding times scaled by the site total rate (Exp(1) in law).
-
-        The censored final interval [last jump, T] is excluded.
-        """
-        bounds = np.concatenate([[0.0], self.times])
-        durations = np.diff(bounds)
-        return durations * total_rate[self.sites[: len(durations)]]
-
     def to_jsonl(self, path: str) -> None:
         """One JSON record per jump: {"t": time, "k": direction index}."""
         with open(path, "w") as f:

@@ -16,7 +16,7 @@ from bistoch import mart, report
 from bistoch.cli import main
 from bistoch.env import (ConductanceField, Environment, FlowField,
                          curl, homogeneous_environment, random_environment,
-                         random_stream)
+                         random_stream, validate)
 from bistoch.errors import NonzeroFlux
 from bistoch.helmholtz import stream_from_flow
 from bistoch.torus import Torus
@@ -44,7 +44,7 @@ def test_criterion_01_structural_exactness():
                     cases.append((d, L, gen, seed))
     worst = 0.0
     for d, L, gen, seed in cases[:100]:
-        rep = random_environment(d, L, seed=seed, generator=gen).validate()
+        rep = validate(random_environment(d, L, seed=seed, generator=gen))
         assert rep.passed, (d, L, gen, seed)
         worst = max(worst, rep.max_residual)
     _verdict(1, worst <= 1e-12,

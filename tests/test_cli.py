@@ -6,7 +6,7 @@ import pytest
 
 from bistoch import report
 from bistoch.cli import main
-from bistoch.env import load_env
+from bistoch.env import load_env, validate
 from bistoch.errors import ConfigError
 from bistoch.walker import replica_key
 
@@ -23,7 +23,7 @@ def env_file(tmp_path_factory):
 def test_gen_env_writes_loadable_file(env_file):
     env = load_env(env_file)
     assert env.torus.d == 2 and env.torus.L == 4
-    assert env.validate().passed
+    assert validate(env).passed
 
 
 def test_gen_env_accepts_distribution_flags(tmp_path):
@@ -236,6 +236,19 @@ def test_decompose_bad_grid(tmp_path, env_file, capsys):
 def test_missing_environment_file(tmp_path):
     rc = main(["bounds", "--env", str(tmp_path / "nope.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("case", ["directory", "undecodable"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, env_file, capsys, case):
+    path = tmp_path / "input.json"
+    if case == "directory":
+        path.mkdir()
+    else:  # 0xff starts no UTF-8 sequence
+        path.write_bytes(b"\xff" + open(env_file, "rb").read())
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    assert main(["bounds", "--env", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
 
 
 def _malformed(env_file):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from bistoch.env import (ConductanceField, Environment, FlowField, StreamTensor,
                          adjoint_environment, checkerboard_stream, curl,
+                         edge_symmetry_residual,
                          env_from_dict, env_to_dict, homogeneous_environment,
                          integrability_diagnostics, load_env,
                          make_conductance_stream_env,
                          make_totally_asymmetric_env, random_environment,
-                         save_env)
+                         save_env, validate)
 from bistoch.errors import (DegenerateEdge, InvalidEnvironment,
                             SymmetryViolation)
 from bistoch.torus import Torus
@@ -39,23 +40,21 @@ def test_conductance_stream_rates_off_checkerboard():
     # s = s_tilde + |b| = 1 + 2 = 3 on every edge; p = s + b in {5, 1}
     assert np.array_equal(env.s.full, np.full((t.n, 4), 3.0))
     assert set(np.unique(env.p_full[:, 0])) == {1.0, 5.0}
-    assert env.validate().passed
-    assert env.min_gap() == 1.0
+    assert validate(env).passed
+    assert np.array_equal(env.s.full - np.abs(env.b.full), s_tilde.full)
 
 
 def test_totally_asymmetric_rates():
     t = Torus(2, 4)
     h = checkerboard_stream(t, 1.0)
-    env = make_totally_asymmetric_env(h, weak_ellipticity=False)
+    env = make_totally_asymmetric_env(h)
     # s = |b| = 2 everywhere, p = 2 b_+ in {0, 4}
     assert np.array_equal(env.s.full, np.full((t.n, 4), 2.0))
     even = t.index((0, 0))
     odd = t.index((1, 0))
     assert env.p_full[even].tolist() == [4.0, 0.0, 4.0, 0.0]
     assert env.p_full[odd].tolist() == [0.0, 4.0, 0.0, 4.0]
-    assert env.min_gap() == 0.0
-    rep = env.validate()
-    assert rep.passed
+    assert validate(env).passed
 
 
 def test_totally_asymmetric_rejects_dead_edges():
@@ -70,12 +69,30 @@ def test_d1_has_no_stream_plaquettes():
         random_environment(1, 8, seed=0, generator="totally-asymmetric")
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (2, 3), (3, 2)])
+def test_canonical_expansion_matches_the_per_axis_rule(shape):
+    # the reference loop: the reverse orientation at x reads x - e_i
+    t = Torus(*shape)
+    can = np.random.default_rng(0).normal(size=(t.n, t.d))
+    s = ConductanceField.from_canonical(t, can).full
+    b = FlowField.from_canonical(t, can).full
+    assert np.array_equal(s[:, :t.d], can) and np.array_equal(b[:, :t.d], can)
+    for i in range(t.d):
+        back = t.nbr[:, t.d + i]
+        assert np.array_equal(s[:, t.d + i], can[back, i])
+        assert np.array_equal(b[:, t.d + i], -can[back, i])
+    assert edge_symmetry_residual(t, s)[0] == 0.0
+    assert edge_symmetry_residual(t, b, odd=True)[0] == 0.0
+    with pytest.raises(ValueError):
+        FlowField.from_canonical(t, can[:, :0])
+
+
 # -- structural validation ------------------------------------------------------
 
 def test_validate_on_random_family():
     for seed in range(10):
         env = random_environment(2, 8, seed=seed)
-        rep = env.validate()
+        rep = validate(env)
         assert rep.passed, str(rep)
         assert rep.max_residual <= 1e-12
 
@@ -85,7 +102,7 @@ def test_validate_on_random_family():
 def test_validate_is_seed_independent(seed, shape):
     d, L = shape
     env = random_environment(d, L, seed=seed)
-    assert env.validate().passed
+    assert validate(env).passed
 
 
 def test_validate_flags_broken_conductance_symmetry(env_rand):
@@ -93,9 +110,9 @@ def test_validate_flags_broken_conductance_symmetry(env_rand):
     s_bad[0, 0] += 1e-6
     env = Environment(env_rand.torus, ConductanceField(env_rand.torus, s_bad),
                       b=env_rand.b)
-    rep = env.validate()
+    rep = validate(env)
     assert not rep.passed
-    assert rep.residual("conductance_symmetry") > 1e-7
+    assert rep.residuals["conductance_symmetry"] > 1e-7
 
 
 def test_validate_flags_nonzero_divergence(env_rand):
@@ -103,10 +120,10 @@ def test_validate_flags_nonzero_divergence(env_rand):
     b_bad[0, 0] += 1e-6
     env = Environment(env_rand.torus, env_rand.s,
                       b=FlowField(env_rand.torus, b_bad))
-    rep = env.validate()
+    rep = validate(env)
     assert not rep.passed
-    assert rep.residual("divergence_free") > 1e-7 or \
-        rep.residual("flow_antisymmetry") > 1e-7
+    assert rep.residuals["divergence_free"] > 1e-7 or \
+        rep.residuals["flow_antisymmetry"] > 1e-7
 
 
 def test_validate_flags_domination_violation():
@@ -115,19 +132,19 @@ def test_validate_flags_domination_violation():
     b = curl(h)
     s = ConductanceField(t, np.full((t.n, 4), 1.0))  # |b| = 2 > 1 = s
     env = Environment(t, s, b=b, weak_ellipticity=False)
-    rep = env.validate()
+    rep = validate(env)
     assert not rep.passed
-    assert rep.residual("domination") > 0.5
-    assert rep.residual("rate_nonnegative") > 0.5
+    assert rep.residuals["domination"] > 0.5
+    assert rep.residuals["rate_nonnegative"] > 0.5
 
 
 def test_validate_flags_dead_edge_under_weak_ellipticity():
     t = Torus(1, 4)
     s = ConductanceField.from_canonical(t, np.array([[1.0], [0.0], [1.0], [1.0]]))
     env = Environment(t, s, weak_ellipticity=True)
-    rep = env.validate()
+    rep = validate(env)
     assert not rep.passed
-    assert rep.residual("weak_ellipticity") == np.inf
+    assert rep.residuals["weak_ellipticity"] == np.inf
 
 
 def test_stream_symmetry_fault_detected():
@@ -213,7 +230,7 @@ def test_loader_rejects_invariant_violations(env_rand):
 
 def test_adjoint_environment(env_rand):
     adj = adjoint_environment(env_rand)
-    assert adj.validate().passed
+    assert validate(adj).passed
     assert np.array_equal(adj.p_full, env_rand.s.full - env_rand.b.full)
     # reversal of the reversal is the original
     back = adjoint_environment(adj)
@@ -241,4 +258,4 @@ def test_diagnostics_flags_dead_edges():
 def test_homogeneous_bracket_scale():
     env = homogeneous_environment(3, 4, s=2.0)
     assert np.array_equal(env.p_full, np.full((64, 6), 2.0))
-    assert env.validate().passed
+    assert validate(env).passed

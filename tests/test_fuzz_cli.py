@@ -25,7 +25,11 @@ FUZZ = settings(max_examples=4, deadline=None, derandomize=True,
 
 # stand-ins for the environment file paths: the stand-in's suffix on the good file
 ENV, MISSING, TRUNCATED, NO_S = "<env>", "<missing>", "<truncated>", "<no-s>"
-SUFFIX = {ENV: "", MISSING: ".missing", TRUNCATED: ".truncated", NO_S: ".no-s"}
+DIRECTORY, UNDECODABLE = "<directory>", "<undecodable>"
+SUFFIX = {ENV: "", MISSING: ".missing", TRUNCATED: ".truncated", NO_S: ".no-s",
+          DIRECTORY: ".dir", UNDECODABLE: ".undecodable"}
+# 0xff starts no UTF-8 sequence, so a file that begins with it cannot be read as text
+NOT_UTF8 = b"\xff"
 LAWS = ([None, ["uniform", 0.5, 2.0], ["two_point", 1.0, 4.0, 0.5],
          ["lognormal", 0.0, 0.5], ["gaussian", 0.3]],
         [["bogus", 1.0], ["uniform", 1.0], ["uniform", "a", 2.0],
@@ -47,7 +51,8 @@ FIELDS = {
     "generator": (list(GENERATORS), ["bogus"]),
     "s_dist": S_LAWS,
     "h_dist": LAWS,
-    "path": ([ENV], [MISSING, TRUNCATED, NO_S]),
+    "path": ([ENV], [MISSING, TRUNCATED, NO_S, DIRECTORY, UNDECODABLE]),
+    "config": ([None], [DIRECTORY, UNDECODABLE]),  # the config file itself
     "grid": (None, BAD_GRIDS),  # good grids follow T
     "x0": (None, [-1, 99, 1.5, True, "0"]),  # good sites follow the torus
     "checks": ([None, ["validate", "decompose", "clt"], list(CHECK_NAMES)],
@@ -108,6 +113,8 @@ def env_file(tmp_path_factory):
     doc = json.loads(text)
     del doc["s"]
     (path.parent / ("env.json" + SUFFIX[NO_S])).write_text(json.dumps(doc))
+    (path.parent / ("env.json" + SUFFIX[DIRECTORY])).mkdir()
+    (path.parent / ("env.json" + SUFFIX[UNDECODABLE])).write_bytes(NOT_UTF8 + text.encode())
     return str(path)
 
 
@@ -124,7 +131,7 @@ def _run(capsys, argv, broken) -> None:
 
 
 @pytest.mark.parametrize("broken", _cases(*ENV_FIELDS, "path", "seed", "T", "replicas",
-                                          "grid", "x0", "checks"))
+                                          "grid", "x0", "checks", "config"))
 @FUZZ
 @given(data=st.data())
 def test_check_all_config_exit_codes(tmp_path, capsys, env_file, broken, data):
@@ -154,7 +161,12 @@ def test_check_all_config_exit_codes(tmp_path, capsys, env_file, broken, data):
                 "checks": pick("checks", FIELDS["checks"][0])}
     cfg.update({k: v for k, v in optional.items() if v is not None})
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    stand_in = pick("config", FIELDS["config"][0])
+    if stand_in == DIRECTORY:
+        path.mkdir(exist_ok=True)
+    else:
+        text = json.dumps(cfg).encode()
+        path.write_bytes(NOT_UTF8 + text if stand_in == UNDECODABLE else text)
     argv = ["check-all", "--config", path, "-o", tmp_path / "report.json"]
     threads = draw(THREADS)
     if threads is not None:

@@ -150,13 +150,6 @@ def test_negative_total_rate_stops_the_engine_as_the_reference_walker():
         run_ensemble(env, 5.0, 3, MASTER, x0=2)
 
 
-def test_holding_times_exclude_censored_interval(env_rand):
-    traj = simulate(env_rand, 0, 25.0, seed=9)
-    holds = traj.holding_times(env_rand.total_rate)
-    assert len(holds) == traj.n_jumps
-    assert np.all(holds > 0)
-
-
 def test_normalized_holding_times_are_exponential(env_homog):
     res = run_ensemble(env_homog, 50.0, 400, MASTER, collect_holding=True)
     assert res.holding is not None and len(res.holding) > 10000
