@@ -17,9 +17,8 @@ from .env import (ConductanceField, Diagnostics, Environment, FlowField,
 from .errors import (AbsorbingState, BistochError, ConfigError,
                      DegenerateEdge, DenseCapExceeded, InconsistentRHS,
                      InsufficientReplicas, InvalidEnvironment, NoConvergence,
-                     NonzeroFlux, NonZeroMean, NotDivergenceFree,
-                     NotPositiveDefinite, Reducible, SymmetryViolation,
-                     ZeroConductanceCrossing)
+                     NonzeroFlux, NotDivergenceFree, NotPositiveDefinite,
+                     Reducible, SymmetryViolation, ZeroConductanceCrossing)
 from .helmholtz import PoissonSolver, stream_from_flow
 from .mart import (BracketFields, DiffusivityBounds, DriftFields,
                    MartingaleEnsemble, bounds, bracket_fields, decompose,

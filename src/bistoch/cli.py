@@ -21,7 +21,7 @@ from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
 from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
-                  load_env, save_env)
+                  curl_gap, load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
@@ -216,23 +216,16 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    env = load_env(args.env)
-    bd = mart.bounds(env)
-    dv = cor.effective_diffusivity(env)
-    chk = bd.check(dv.sigma2, atol=1e-9)
-    print(f"lower trace {bd.lower_trace:.6f} <= trace sigma2 "
-          f"{chk['trace']:.6f} <= upper {bd.upper_trace:.6f}")
-    print(f"sigma2 = {_fmt_matrix(dv.sigma2)}")
-    ok = chk["lower_ok"] and chk["upper_ok"]
+    res = report.bounds_verdict(load_env(args.env))
+    print(f"lower trace {np.trace(res['lower']):.6f} <= trace sigma2 "
+          f"{res['trace']:.6f} <= upper {res['upper_trace']:.6f}")
+    print(f"sigma2 = {_fmt_matrix(res['sigma2'])}")
     if args.output:
         out = _outpath(args.output)
-        payload = report._pyify({
-            "lower": bd.lower, "upper_trace": bd.upper_trace,
-            "sigma2": dv.sigma2, **chk})
         with open(out, "w") as f:
-            f.write(report.canonical_json(payload) + "\n")
+            f.write(report.canonical_json(report._pyify(res)) + "\n")
         print(f"wrote {out}")
-    return 0 if ok else 1
+    return 0 if res["passed"] else 1
 
 
 def _cmd_corrector(args) -> int:
@@ -259,7 +252,7 @@ def _cmd_corrector(args) -> int:
 def _cmd_helmholtz(args) -> int:
     env = load_env(args.env)
     recon = hh.stream_from_flow(env.b)
-    gap = float(np.max(np.abs(curl(recon).full - env.b.full)))
+    gap = curl_gap(recon, env.b)
     params = dict(env.meta.get("params") or {})
     params["stream"] = "reconstructed"
     rebuilt = Environment(env.torus, env.s, b=curl(recon), h=recon,

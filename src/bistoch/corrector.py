@@ -22,9 +22,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .env import Environment, _scale
-from .errors import (DenseCapExceeded, InconsistentRHS, NoConvergence,
-                     NotPositiveDefinite, Reducible)
+from .env import Environment, _scale, require_mean_zero
+from .errors import DenseCapExceeded, NoConvergence, NotPositiveDefinite, Reducible
 from .mart import drift_fields
 from .torus import Torus
 
@@ -293,17 +292,15 @@ class HarmonicSolution:
     method: str
 
 
-def _check_rhs(rhs: np.ndarray) -> np.ndarray:
-    """A mean-zero right side is solvable; anything else is a modeling error."""
-    rhs = np.asarray(rhs, dtype=float)
-    mean = float(rhs.mean())
-    if abs(mean) > 1e-12 * _scale(rhs):
-        raise InconsistentRHS(mean)
-    return rhs
-
-
-def _gradient_of(torus: Torus, g: np.ndarray) -> np.ndarray:
-    return g[torus.nbr] - g[:, None]
+def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray, iterations: int,
+               method: str) -> HarmonicSolution:
+    """g made mean-zero, with its residual; NoConvergence above RESIDUAL_CAP."""
+    g = g - g.mean()
+    res = float(np.max(np.abs(L @ g - rhs)))
+    if res > RESIDUAL_CAP * _scale(rhs):
+        raise NoConvergence(iterations, res)
+    return HarmonicSolution(potential=g, gradient=g[torus.nbr] - g[:, None],
+                            residual=res, iterations=iterations, method=method)
 
 
 def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL) -> HarmonicSolution:
@@ -320,7 +317,7 @@ def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL) -> HarmonicSo
     NoConvergence
         if the final residual exceeds RESIDUAL_CAP times the rhs scale.
     """
-    return _solve_krylov(env, assemble(env).L, _check_rhs(rhs), tol)
+    return _solve_krylov(env, assemble(env).L, require_mean_zero(rhs), tol)
 
 
 def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
@@ -347,28 +344,16 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
     g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=min(tol, KRYLOV_TOL),
                                          atol=0.0, maxiter=max(200, n),
                                          callback=cb)
-    g = g - g.mean()
-    res = float(np.max(np.abs(L @ g - rhs)))
-    if res > RESIDUAL_CAP * _scale(rhs):
-        raise NoConvergence(count[0], res)
-    return HarmonicSolution(potential=g, gradient=_gradient_of(t_, g),
-                            residual=res, iterations=count[0], method="krylov")
+    return _certified(t_, L, g, rhs, count[0], "krylov")
 
 
 def solve_harmonic_spectral(env: Environment, rhs,
                             spec: SpectralOperator) -> HarmonicSolution:
     """Dense resolvent solve g = -S^(-1/2) (I - B)^(-1) S^(-1/2) rhs."""
-    t_ = env.torus
-    rhs = _check_rhs(rhs)
+    rhs = require_mean_zero(rhs)
     u = spec.S_invhalf @ rhs
-    v = scipy.linalg.solve(np.eye(t_.n) - spec.B, u)
-    g = -(spec.S_invhalf @ v)
-    g = g - g.mean()
-    res = float(np.max(np.abs(spec.assembly.L @ g - rhs)))
-    if res > RESIDUAL_CAP * _scale(rhs):
-        raise NoConvergence(0, res)
-    return HarmonicSolution(potential=g, gradient=_gradient_of(t_, g),
-                            residual=res, iterations=0, method="spectral")
+    v = scipy.linalg.solve(np.eye(env.torus.n) - spec.B, u)
+    return _certified(env.torus, spec.assembly.L, -(spec.S_invhalf @ v), rhs, 0, "spectral")
 
 
 def harmonic_equation_residual(env: Environment, solution: HarmonicSolution,
@@ -407,7 +392,7 @@ def effective_diffusivity(env: Environment, method: str = "krylov") -> Diffusivi
         L = assemble(env).L
 
         def solve(rhs):
-            return _solve_krylov(env, L, _check_rhs(rhs), KRYLOV_TOL)
+            return _solve_krylov(env, L, require_mean_zero(rhs), KRYLOV_TOL)
     elif method == "spectral":
         spec = build_spectral_operator(env)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEdge, InvalidEnvironment, SymmetryViolation
+from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment, SymmetryViolation
 from .torus import Torus
 
 DEFAULT_TOL = 1e-12
@@ -37,6 +37,24 @@ def _scale(*arrays) -> float:
         if a is not None and a.size:
             m = max(m, float(np.max(np.abs(a))))
     return m
+
+
+def require_mean_zero(values) -> np.ndarray:
+    """values as a float array, once their mean is within 1e-12 of their scale.
+
+    A right side of L g = f or Lap u = f is solvable on the torus only when
+    it is mean-zero; anything else is a modeling error.
+
+    Raises
+    ------
+    InconsistentRHS
+        if |mean| exceeds 1e-12 * max(1, max |values|).
+    """
+    values = np.asarray(values, dtype=float)
+    mean = float(values.mean())
+    if abs(mean) > 1e-12 * _scale(values):
+        raise InconsistentRHS(mean)
+    return values
 
 
 def _worst(residual: np.ndarray) -> tuple:
@@ -57,22 +75,8 @@ def edge_symmetry_residual(torus: Torus, values: np.ndarray, odd: bool = False) 
     return _worst(values + partner if odd else values - partner)
 
 
-def _expand_canonical(torus: Torus, canonical: np.ndarray, odd: bool) -> np.ndarray:
-    """The (n, 2d) edge field with one value per unoriented edge given.
-
-    canonical[x, i] is the value on the edge (x, x + e_i); the reverse
-    orientation at x takes +-canonical[x - e_i, i], - when `odd`, so the
-    edge symmetry of edge_symmetry_residual holds exactly.
-    """
-    canonical = np.asarray(canonical, dtype=float)
-    if canonical.shape != (torus.n, torus.d):
-        raise ValueError(f"expected shape {(torus.n, torus.d)}, got {canonical.shape}")
-    reverse = canonical[torus.nbr[:, torus.d:], np.arange(torus.d)]  # at x - e_i
-    return np.concatenate([canonical, -reverse if odd else reverse], axis=1)
-
-
-class ConductanceField:
-    """Symmetric nonnegative edge field s with s_{-k}(x+k) = s_k(x)."""
+class EdgeField:
+    """An (n, 2d) field with f_{-k}(x+k) = f_k(x), or = -f_k(x) when the subclass is `odd`."""
 
     def __init__(self, torus: Torus, full: np.ndarray):
         full = np.asarray(full, dtype=float)
@@ -82,16 +86,28 @@ class ConductanceField:
         self.full = full
 
     @classmethod
-    def from_canonical(cls, torus: Torus, canonical: np.ndarray) -> "ConductanceField":
-        """Build the full field from one conductance per unoriented edge."""
-        return cls(torus, _expand_canonical(torus, canonical, odd=False))
+    def from_canonical(cls, torus: Torus, canonical: np.ndarray):
+        """The full field from canonical[x, i], the value on the edge (x, x + e_i).
+
+        The reverse orientation at x takes +-canonical[x - e_i, i], so the
+        edge symmetry holds exactly.
+        """
+        canonical = np.asarray(canonical, dtype=float)
+        if canonical.shape != (torus.n, torus.d):
+            raise ValueError(f"expected shape {(torus.n, torus.d)}, got {canonical.shape}")
+        reverse = canonical[torus.nbr[:, torus.d:], np.arange(torus.d)]  # at x - e_i
+        return cls(torus, np.concatenate([canonical, -reverse if cls.odd else reverse],
+                                         axis=1))
 
     @property
     def canonical(self) -> np.ndarray:
         return self.full[:, : self.torus.d]
 
-    def min_value(self) -> float:
-        return float(self.full.min())
+
+class ConductanceField(EdgeField):
+    """Symmetric nonnegative edge field s with s_{-k}(x+k) = s_k(x)."""
+
+    odd = False
 
 
 class StreamTensor:
@@ -176,28 +192,14 @@ class StreamTensor:
         return self.max_abs() == 0.0
 
 
-class FlowField:
+class FlowField(EdgeField):
     """Antisymmetric edge field b with b_{-k}(x+k) = -b_k(x)."""
 
-    def __init__(self, torus: Torus, full: np.ndarray):
-        full = np.asarray(full, dtype=float)
-        if full.shape != (torus.n, torus.ndir):
-            raise ValueError(f"expected shape {(torus.n, torus.ndir)}, got {full.shape}")
-        self.torus = torus
-        self.full = full
-
-    @classmethod
-    def from_canonical(cls, torus: Torus, canonical: np.ndarray) -> "FlowField":
-        """Build the full field from one flow value per unoriented edge."""
-        return cls(torus, _expand_canonical(torus, canonical, odd=True))
+    odd = True
 
     @classmethod
     def zero(cls, torus: Torus) -> "FlowField":
         return cls(torus, np.zeros((torus.n, torus.ndir)))
-
-    @property
-    def canonical(self) -> np.ndarray:
-        return self.full[:, : self.torus.d]
 
     def divergence(self) -> np.ndarray:
         """Per-site sum over directions; zero for a divergence-free flow."""
@@ -240,6 +242,11 @@ def curl(h: StreamTensor) -> FlowField:
         raise SymmetryViolation(int(np.argmax(np.abs(flow.divergence()))), (), float(div),
                                 identity="divergence_free")
     return flow
+
+
+def curl_gap(h: StreamTensor, b: FlowField) -> float:
+    """max |sum_l h_{k,l} - b_k|, how far b is from the curl of h; never raises."""
+    return float(np.max(np.abs(h.full().sum(axis=2) - b.full)))
 
 
 @dataclass
@@ -300,18 +307,6 @@ class Environment:
         self.cum_rates = np.cumsum(self.p_full, axis=1)
         self.total_rate = self.cum_rates[:, -1].copy()
 
-    @property
-    def d(self) -> int:
-        return self.torus.d
-
-    @property
-    def L(self) -> int:
-        return self.torus.L
-
-    @property
-    def n(self) -> int:
-        return self.torus.n
-
 
 def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationReport:
     """Check every structural identity and report residuals; never raises.
@@ -332,8 +327,7 @@ def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationRepo
         h_scale = _scale(env.h.full())
         for name, value in env.h.symmetry_residuals().items():
             report.add(f"stream_{name}", value, h_scale)
-        flow_gap = np.max(np.abs(env.h.full().sum(axis=2) - env.b.full))
-        report.add("flow_is_curl", flow_gap, max(b_scale, h_scale))
+        report.add("flow_is_curl", curl_gap(env.h, env.b), max(b_scale, h_scale))
     report.add("flow_antisymmetry", edge_symmetry_residual(t, env.b.full, odd=True)[0],
                b_scale)
     report.add("divergence_free", np.max(np.abs(env.b.divergence())), b_scale)
@@ -341,11 +335,11 @@ def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationRepo
     report.add("domination", max(domin, 0.0), max(s_scale, b_scale))
     report.add("rate_nonnegative", max(float(np.max(-env.p_full)), 0.0), p_scale)
     inflow = np.zeros(t.n)
-    for k in range(t.ndir):
-        inflow += env.p_full[t.nbr[:, k], t.opposite(k)]
+    for k, back in enumerate(t.opp):
+        inflow += env.p_full[t.nbr[:, k], back]
     report.add("bistochasticity", np.max(np.abs(env.p_full.sum(axis=1) - inflow)), p_scale)
     if env.weak_ellipticity:
-        gap = env.s.min_value()
+        gap = float(env.s.full.min())
         report.add("weak_ellipticity", max(-gap, 0.0) if gap <= 0 else 0.0, 1.0)
         if gap == 0.0:
             report.entries[-1].residual = np.inf

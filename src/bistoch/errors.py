@@ -43,7 +43,11 @@ class Reducible(BistochError):
 
 
 class ZeroConductanceCrossing(BistochError):
-    """A trajectory crossed an edge whose conductance is zero."""
+    """An edge with zero conductance carries a positive rate.
+
+    The jump weights s_bar / s_k(x) of such an edge are undefined, so the
+    weight tables reject it before any walk is simulated.
+    """
 
     def __init__(self, site: int, direction: int):
         self.site = site
@@ -87,7 +91,7 @@ class NoConvergence(BistochError):
 
 
 class InconsistentRHS(BistochError):
-    """A right-hand side that must be mean-zero is not."""
+    """A right-hand side that must be mean-zero (of L g = f or Lap u = f) is not."""
 
     def __init__(self, mean: float):
         self.mean = mean
@@ -110,14 +114,6 @@ class NotDivergenceFree(BistochError):
         self.site = site
         self.value = value
         super().__init__(f"divergence {value:.3e} at site {site}")
-
-
-class NonZeroMean(BistochError):
-    """A lattice function that must be mean-zero is not."""
-
-    def __init__(self, mean: float):
-        self.mean = mean
-        super().__init__(f"function has nonzero mean {mean:.3e}")
 
 
 class InvalidEnvironment(BistochError):

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .env import FlowField, StreamTensor, _scale
-from .errors import NoConvergence, NonZeroMean, NonzeroFlux, NotDivergenceFree
+from .env import FlowField, StreamTensor, _scale, curl_gap, require_mean_zero
+from .errors import NoConvergence, NonzeroFlux, NotDivergenceFree
 from .torus import Torus
 
 # relative max-norm tolerance of every residual checked in this module
@@ -46,7 +46,8 @@ class PoissonSolver:
         "cg" runs conjugate gradients on -Lap with a rank-one mean shift
         that pins the constant mode.
 
-    Every solve checks its max-norm residual against STREAM_TOL.
+    Every solve checks its max-norm residual against STREAM_TOL; a right
+    side that is not mean-zero raises InconsistentRHS.
     """
 
     def __init__(self, torus: Torus, method: str = "spectral"):
@@ -65,12 +66,10 @@ class PoissonSolver:
             self._eigenvalues = lam
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(getattr(f, "values", f), dtype=float)
+        f = require_mean_zero(f)
         t = self.torus
         scale = _scale(f)
         mean = float(f.mean())
-        if abs(mean) > 1e-12 * scale:
-            raise NonZeroMean(mean)
         if self.method == "spectral":
             u = self._solve_spectral(f - mean)
         else:
@@ -154,7 +153,7 @@ def stream_from_flow(b: FlowField) -> StreamTensor:
     # return the canonicalized tensor (exact symmetries); its curl must still
     # reproduce b within the solver tolerance
     out = StreamTensor(t, raw.canonical)
-    curl_gap = float(np.max(np.abs(out.full().sum(axis=2) - b.full)))
-    if curl_gap > STREAM_TOL * scale:
-        raise NoConvergence(0, curl_gap)
+    gap = curl_gap(out, b)
+    if gap > STREAM_TOL * scale:
+        raise NoConvergence(0, gap)
     return out

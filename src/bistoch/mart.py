@@ -132,10 +132,6 @@ class DiffusivityBounds:
     lower: np.ndarray
     upper_trace: float
 
-    @property
-    def lower_trace(self) -> float:
-        return float(np.trace(self.lower))
-
     def check(self, sigma2: np.ndarray, atol: float = 0.0) -> dict:
         """Compare a diffusivity matrix against both bounds.
 
@@ -394,7 +390,6 @@ class MeanInterval:
     mean: float
     half_width: float
     se: float
-    n_batches: int
 
     @property
     def lo(self) -> float:
@@ -417,8 +412,7 @@ def batch_mean_interval(samples) -> MeanInterval:
     usable = R - (R % N_BATCHES)
     batches = samples[:usable].reshape(N_BATCHES, -1).mean(axis=1)
     se = float(batches.std(ddof=1) / np.sqrt(N_BATCHES))
-    return MeanInterval(mean=float(batches.mean()), half_width=Z_99 * se,
-                        se=se, n_batches=N_BATCHES)
+    return MeanInterval(mean=float(batches.mean()), half_width=Z_99 * se, se=se)
 
 
 def variance_rate(ens: MartingaleEnsemble) -> MeanInterval:

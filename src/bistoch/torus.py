@@ -45,9 +45,6 @@ class Torus:
         self.pairs = [(i, j) for i in range(self.d) for j in range(i + 1, self.d)]
         self.npairs = len(self.pairs)
 
-    def opposite(self, k: int) -> int:
-        return (k + self.d) % self.ndir
-
     @property
     def opp(self) -> np.ndarray:
         """Vector of opposite-direction indices."""
@@ -62,10 +59,6 @@ class Torus:
     def all_coords(self) -> np.ndarray:
         """(n, d) array of site coordinates in index order."""
         return np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1)
-
-    def shift(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Translate a site-indexed array: result[x] = values[x + step(k)]."""
-        return values[self.nbr[:, k]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Torus) and self.d == other.d and self.L == other.L

@@ -82,11 +82,6 @@ class Trajectory:
     def final_displacement(self) -> np.ndarray:
         return self.displacement[-1]
 
-    def positions_at(self, ts) -> np.ndarray:
-        """Unwrapped displacement at each query time (step function)."""
-        idx = np.searchsorted(self.times, np.asarray(ts, dtype=float), side="right")
-        return self.displacement[idx]
-
     def to_jsonl(self, path: str) -> None:
         """One JSON record per jump: {"t": time, "k": direction index}."""
         with open(path, "w") as f:

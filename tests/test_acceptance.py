@@ -55,7 +55,7 @@ def test_criterion_02_homogeneous_calibration():
     t0 = time.perf_counter()
     env = homogeneous_environment(2, 8)
     bd = mart.bounds(env)
-    exact = bd.lower_trace == 4.0 and bd.upper_trace == 4.0
+    exact = np.trace(bd.lower) == 4.0 and bd.upper_trace == 4.0
     res = run_ensemble(env, 1000.0, 10000, 23)
     iv = mart.batch_mean_interval(
         (res.displacement[:, -1, :] ** 2).sum(axis=1) / 1000.0)

@@ -100,6 +100,15 @@ def test_bounds_json(tmp_path, env_file):
     assert np.asarray(doc["sigma2"]).shape == (2, 2)
 
 
+def test_bounds_document_is_the_battery_entry(tmp_path, env_file):
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--env", env_file, "-o", str(out)]) == 0
+    cfg = report.config_from_dict({"env": {"path": env_file}, "checks": ["bounds"]})
+    entry = report.run_config(cfg)[0]["checks"]["bounds"]
+    assert json.loads(out.read_text()) == entry
+    assert entry["passed"] is True
+
+
 def test_corrector_outputs(tmp_path, env_file):
     out = tmp_path / "chi.csv"
     coo = tmp_path / "ops"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bistoch.env import FlowField, checkerboard_stream, curl, random_stream
-from bistoch.errors import NonzeroFlux, NonZeroMean, NotDivergenceFree
+from bistoch.errors import InconsistentRHS, NonzeroFlux, NotDivergenceFree
 from bistoch.helmholtz import PoissonSolver, laplacian_apply, stream_from_flow
 from bistoch.torus import Torus
 
@@ -31,7 +31,7 @@ def test_spectral_and_cg_routes_agree():
 
 def test_poisson_rejects_nonzero_mean():
     t = Torus(2, 4)
-    with pytest.raises(NonZeroMean):
+    with pytest.raises(InconsistentRHS):
         PoissonSolver(t).solve(np.ones(t.n))
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from bistoch import corrector, mart, report
@@ -18,6 +20,69 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
     assert math.isnan(result["riesz_idempotency"])
     assert result["passed"] is False
     assert rep["passed"] is False
+
+
+# -- the spectral route gate -------------------------------------------------------
+
+
+def _spectral(env_spec) -> dict:
+    cfg = report.config_from_dict({"env": env_spec, "checks": ["spectral"]})
+    return report.run_config(cfg)[0]["checks"]["spectral"]
+
+
+@pytest.mark.parametrize("L", [64, 128, 200, 256, 512, 700, 1024])
+def test_spectral_check_passes_in_one_dimension(L):
+    # a fixed 1e-8 route gap failed every draw from L = 200 on: the Krylov
+    # residual is amplified by 1 / lam1 ~ (L / 2 pi)^2
+    for seed in range(5):
+        result = _spectral({"d": 1, "L": L, "seed": seed})
+        assert result["passed"] is True, (seed, result)
+
+
+def _route_bound(env_spec) -> float:
+    """sqrt(n) (res_k + res_s) / lam1, as _check_spectral computes it."""
+    env = report.build_environment(report.config_from_dict({"env": env_spec}))
+    spec = corrector.build_spectral_operator(env)
+    f = mart.drift_fields(env)
+    rhs = -(f.phi[:, 0] + f.psi[:, 0])
+    res = (corrector.solve_harmonic(env, rhs).residual
+           + corrector.solve_harmonic_spectral(env, rhs, spec=spec).residual)
+    return math.sqrt(env.torus.n) * res / spec.s_eigenvalues[1]
+
+
+@pytest.mark.parametrize("env_spec", [{"d": 1, "L": 256, "seed": 0},
+                                      {"d": 2, "L": 8, "seed": 7}])
+def test_spectral_route_gap_beyond_its_bound_fails(monkeypatch, env_spec):
+    assert _spectral(env_spec)["passed"] is True
+    bound = _route_bound(env_spec)
+    solve = corrector.solve_harmonic_spectral
+
+    def shifted(env, rhs, spec):
+        sol = solve(env, rhs, spec=spec)
+        kick = np.zeros(env.torus.n)
+        kick[:2] = (2.0 * bound, -2.0 * bound)  # mean-zero; residual left as it was
+        return dataclasses.replace(sol, potential=sol.potential + kick)
+
+    monkeypatch.setattr(corrector, "solve_harmonic_spectral", shifted)
+    result = _spectral(env_spec)
+    assert result["route_gap"] > bound
+    assert result["passed"] is False
+
+
+@pytest.mark.parametrize("lift_cap", [False, True])
+def test_spectral_check_fails_a_loose_krylov_solve(monkeypatch, lift_cap):
+    solve = corrector.solve_harmonic
+    monkeypatch.setattr(corrector, "KRYLOV_TOL", 1e-6)
+    monkeypatch.setattr(corrector, "solve_harmonic",
+                        lambda env, rhs: solve(env, rhs, tol=1e-6))
+    if lift_cap:
+        monkeypatch.setattr(corrector, "RESIDUAL_CAP", 1.0)
+    result = _spectral({"d": 1, "L": 256, "seed": 0})
+    assert result["passed"] is False
+    if lift_cap:  # the solve returns, and the equation residual gate catches it
+        assert result["harmonic_equation_residual"] > 1e-8
+    else:
+        assert result["error"].startswith("NoConvergence")
 
 
 def test_foreign_exception_is_recorded_against_its_check(monkeypatch):
