@@ -52,7 +52,8 @@ class ZeroConductanceCrossing(BistochError):
     def __init__(self, site: int, direction: int):
         self.site = site
         self.direction = direction
-        super().__init__(f"jump across zero-conductance edge at site {site}, direction {direction}")
+        super().__init__(f"edge at site {site}, direction {direction} has zero conductance "
+                         "but a positive rate")
 
 
 class InsufficientReplicas(BistochError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .env import Environment
 from .errors import InsufficientReplicas, ZeroConductanceCrossing
@@ -472,7 +472,7 @@ def orthogonality_report(ens: MartingaleEnsemble) -> dict:
 def _ks_distance(x: np.ndarray, cdf) -> float:
     """Two-sided one-sample KS statistic of x against a distribution function.
 
-    Sorts once and takes D+ and D- as scipy.stats.kstest does (each the
+    Sorts once and takes D+ and D- as scipy's kstest does (each the
     value at its first argmax, D+ where it is strictly larger), so the
     statistic is bit for bit scipy's; no p-value is computed.
     """
@@ -486,11 +486,27 @@ def _ks_distance(x: np.ndarray, cdf) -> float:
     return float(d_plus if d_plus > d_minus else d_minus)
 
 
+def _expon_cdf(x: np.ndarray) -> np.ndarray:
+    """Unit exponential CDF, bit for bit scipy's expon.cdf.
+
+    scipy evaluates -expm1(-x) on the open support only, so x <= 0 (-0.0
+    included) gives +0.0; +inf gives 1.0 and NaN stays NaN on their own.
+    """
+    cdf = -scipy.special.expm1(-x)
+    cdf[x <= 0] = 0.0
+    return cdf
+
+
+def _normal_cdf(x: np.ndarray, sd: float) -> np.ndarray:
+    """Centered normal CDF, bit for bit scipy's norm.cdf(x, 0, sd)."""
+    return scipy.special.ndtr(x / sd)
+
+
 def ks_exponential(holding) -> float:
     """KS distance of normalized holding times from the unit exponential."""
     if holding is None or len(holding) == 0:
         raise ValueError("no holding-time samples; run with collect_holding=True")
-    return _ks_distance(np.asarray(holding, dtype=float), scipy.stats.expon.cdf)
+    return _ks_distance(np.asarray(holding, dtype=float), _expon_cdf)
 
 
 def ks_gaussian(samples: np.ndarray) -> float:
@@ -499,10 +515,16 @@ def ks_gaussian(samples: np.ndarray) -> float:
     sd = samples.std()
     if sd == 0:
         return 1.0
-    return _ks_distance(samples, lambda x: scipy.stats.norm.cdf(x, 0.0, sd))
+    return _ks_distance(samples, lambda x: _normal_cdf(x, sd))
 
 
 def final_site_chisquare(final_site: np.ndarray, n_sites: int) -> float:
-    """Chi-square p-value for uniformity of the wrapped endpoint counts."""
-    counts = np.bincount(final_site, minlength=n_sites)
-    return float(scipy.stats.chisquare(counts).pvalue)
+    """Chi-square p-value for uniformity of the wrapped endpoint counts.
+
+    Pearson's statistic and its upper tail with n_sites - 1 degrees of
+    freedom, evaluated as scipy's chisquare does, so bit for bit its
+    p-value.
+    """
+    f = np.bincount(final_site, minlength=n_sites).astype(float)
+    stat = ((f - f.mean()) ** 2 / f.mean()).sum()
+    return float(scipy.special.chdtrc(len(f) - 1.0, stat))

@@ -4,10 +4,15 @@ No lint tool is required: the check reads each module's syntax tree.  A
 name bound by an import counts as used when the module loads it anywhere;
 `import a.b` counts as used only when an attribute chain starting with
 a.b appears, so an import of one submodule is not excused by another.
+A fresh interpreter also checks that importing the package leaves
+scipy.stats out of the import graph.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +61,16 @@ def test_unused_import_detector_sees_what_it_should():
                                           if p.name != "__init__.py"))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_package_never_imports_scipy_stats():
+    """scipy.stats costs more than half a second to import and nothing needs it."""
+    code = ("import sys\n"
+            "import bistoch, bistoch.cli, bistoch.report\n"
+            "assert 'scipy.stats' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy.stats'))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -101,8 +101,10 @@ def test_zero_conductance_crossing_rejected():
     b[0, 0] = 0.5
     b[1, 1] = -0.5
     env = Environment(t, ConductanceField(t, s), b=FlowField(t, b))
-    with pytest.raises(ZeroConductanceCrossing):
+    with pytest.raises(ZeroConductanceCrossing) as err:
         mart.jump_weight_tables(env)
+    assert str(err.value) == ("edge at site 0, direction 0 has zero conductance "
+                              "but a positive rate")
 
 
 # -- bounds ----------------------------------------------------------------------
@@ -377,6 +379,43 @@ def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
 def test_final_site_chisquare(ens_homog):
     p = mart.final_site_chisquare(ens_homog.final_site, 64)
     assert 1e-4 < p <= 1.0
+
+
+# edge values of the CDF kernels: signed zeros, negatives, the smallest
+# subnormal, the expm1 underflow edge, the largest finite scale, infinities, NaN
+CDF_EDGES = np.array([0.0, -0.0, -1.0, -2.5, -1e308, 5e-324, 1e-300, 1e-10,
+                      0.3, 40.0, 745.2, 1e308, np.inf, -np.inf, np.nan])
+
+
+def test_expon_cdf_kernel_is_scipys_to_the_bit():
+    rng = np.random.default_rng(21)
+    for x in (CDF_EDGES, rng.exponential(size=5000), -rng.exponential(size=50)):
+        got = mart._expon_cdf(x)
+        assert got.tobytes() == scipy.stats.expon.cdf(x).tobytes()
+    signs = np.signbit(mart._expon_cdf(np.array([-0.0, -1.0, -np.inf])))
+    assert not signs.any()
+
+
+@pytest.mark.parametrize("sd", [1.0, 0.37, 2.75, 1e-300, 1e300])
+def test_normal_cdf_kernel_is_scipys_to_the_bit(sd):
+    rng = np.random.default_rng(22)
+    with np.errstate(over="ignore", under="ignore"):
+        for x in (CDF_EDGES, rng.normal(scale=3.0, size=5000)):
+            got = mart._normal_cdf(x, sd)
+            assert got.tobytes() == scipy.stats.norm.cdf(x, 0.0, sd).tobytes()
+
+
+@pytest.mark.parametrize("counts", [
+    np.full(64, 10),                               # uniform: statistic 0, p-value 1
+    np.array([0, 0, 5, 3, 0, 9, 0, 4]),           # with zeros
+    np.array([40, 31, 22, 19, 18, 12, 9, 7, 5]),  # skewed
+    np.array([3, 9]),                             # n = 2
+    np.random.default_rng(23).poisson(5.0, 4096),  # n = 4096
+], ids=["uniform", "zeros", "skewed", "n2", "n4096"])
+def test_final_site_chisquare_is_scipys_to_the_bit(counts):
+    final_site = np.repeat(np.arange(len(counts)), counts)
+    got = mart.final_site_chisquare(final_site, len(counts))
+    assert got.hex() == float(scipy.stats.chisquare(counts).pvalue).hex()
 
 
 def test_zz_matrix_tracks_lower_bound(ens_rand, env_rand):
