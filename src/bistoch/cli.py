@@ -20,8 +20,8 @@ import numpy as np
 from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
-from .env import (GENERATORS, Environment, check_dist, check_generator, curl,
-                  curl_gap, load_env, save_env)
+from .env import (DEFAULT_LAWS, GENERATORS, Environment, check_dist, check_generator,
+                  curl, curl_gap, load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
@@ -54,24 +54,16 @@ def _check_numbers(args) -> None:
 
 
 def _parse_dist(text: str) -> tuple:
-    parts = text.split(",")
-    name = parts[0]
-    try:
-        args = [float(p) for p in parts[1:]]
-    except ValueError:
-        raise ConfigError("dist", f"non-numeric parameter in {text!r}")
-    try:
-        check_dist((name, *args))
-    except ValueError as e:
-        raise ConfigError("dist", str(e))
-    return (name, *args)
+    """The law `name,p1,...` as (name, *floats); ValueError unless check_dist accepts it."""
+    name, *params = text.split(",")
+    law = (name, *map(float, params))
+    check_dist(law)
+    return law
 
 
 def _parse_grid(text: str, T: float) -> np.ndarray:
-    try:
-        return check_grid([float(p) for p in text.split(",")], T)
-    except ValueError as e:
-        raise ConfigError("grid", str(e))
+    """Comma-separated sample times as check_grid returns them; ValueError if bad."""
+    return check_grid([float(p) for p in text.split(",")], T)
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -97,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--generator", default="conductance-stream",
+    p.add_argument("--generator", default=GENERATORS[0],
                    choices=GENERATORS)
-    p.add_argument("--s-dist", default="uniform,0.5,2.0",
+    p.add_argument("--s-dist", default=",".join(map(str, DEFAULT_LAWS["s_dist"])),
                    help="conductance law, e.g. uniform,0.5,2.0 or two_point,1,4,0.5")
-    p.add_argument("--h-dist", default="gaussian,0.3",
+    p.add_argument("--h-dist", default=",".join(map(str, DEFAULT_LAWS["h_dist"])),
                    help="stream law, e.g. gaussian,0.3")
     p.add_argument("-o", "--output", required=True)
 
@@ -158,14 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_env(args) -> int:
-    try:
-        check_generator(args.generator, args.d)
-    except ValueError as e:
-        raise ConfigError("--generator", str(e))
-    env, rep = report.draw_environment(args.d, args.L, args.seed, "--s-dist/--h-dist",
-                                       generator=args.generator,
-                                       s_dist=_parse_dist(args.s_dist),
-                                       h_dist=_parse_dist(args.h_dist))
+    report.checked("--generator", check_generator, args.generator, args.d)
+    env, rep = report.draw_environment(
+        args.d, args.L, args.seed, "--s-dist/--h-dist", generator=args.generator,
+        s_dist=report.checked("--s-dist", _parse_dist, args.s_dist),
+        h_dist=report.checked("--h-dist", _parse_dist, args.h_dist))
     out = _outpath(args.output)
     save_env(env, out)
     print(f"wrote {out} (d={args.d}, L={args.L}, {env.torus.n} sites, "
@@ -178,12 +167,9 @@ def _cmd_simulate(args) -> int:
     report.require_site(args.x0, env.torus.n, "--x0")
     if args.traj is not None:
         if args.x0 is None:
-            print("--traj needs an explicit --x0", file=sys.stderr)
-            return 2
+            raise ConfigError("--traj", "needs an explicit --x0")
         if args.replicas != 1:
-            print("--traj writes a single trajectory; use --replicas 1",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--traj", "writes a single trajectory; use --replicas 1")
         traj = simulate(env, args.x0, args.T, replica_key(args.seed, 0))
         out = _outpath(args.traj)
         traj.to_jsonl(out)
@@ -204,7 +190,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_decompose(args) -> int:
     env = load_env(args.env)
     report.require_site(args.x0, env.torus.n, "--x0")
-    grid = _parse_grid(args.grid, args.T) if args.grid else None
+    grid = report.checked("--grid", _parse_grid, args.grid, args.T) if args.grid else None
     ens = mart.run_decomposition_ensemble(env, args.T, args.replicas,
                                           args.seed, grid=grid, x0=args.x0)
     res = ens.identity_residuals()
@@ -222,17 +208,14 @@ def _cmd_bounds(args) -> int:
     print(f"sigma2 = {_fmt_matrix(res['sigma2'])}")
     if args.output:
         out = _outpath(args.output)
-        with open(out, "w") as f:
-            f.write(report.canonical_json(report._pyify(res)) + "\n")
+        report.write_report(report._pyify(res), out)
         print(f"wrote {out}")
     return 0 if res["passed"] else 1
 
 
 def _cmd_corrector(args) -> int:
     env = load_env(args.env)
-    if not 1 <= args.axis <= env.torus.d:
-        print(f"--axis must be in 1..{env.torus.d}", file=sys.stderr)
-        return 2
+    report.require_integer(args.axis, "--axis", 1, env.torus.d + 1)
     dv = cor.effective_diffusivity(env, method=args.method)
     print(f"sigma2 = {_fmt_matrix(dv.sigma2)} "
           f"(max harmonic residual {dv.residuals.max():.3e})")
@@ -305,10 +288,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidEnvironment) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # a missing or unreadable input file, a directory
+    except (ConfigError, InvalidEnvironment, OSError) as e:  # OSError: an unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BistochError as e:

@@ -416,6 +416,8 @@ def checkerboard_stream(torus: Torus, c: float = 1.0) -> StreamTensor:
 # parameter count of each distribution name accepted by random_environment
 DISTRIBUTIONS = {"uniform": 2, "two_point": 3, "lognormal": 2, "gaussian": 1}
 GENERATORS = ("conductance-stream", "totally-asymmetric")
+# the conductance and stream laws drawn from unless a caller names others
+DEFAULT_LAWS = {"s_dist": ("uniform", 0.5, 2.0), "h_dist": ("gaussian", 0.3)}
 
 
 def check_generator(generator, d: int) -> None:
@@ -460,20 +462,20 @@ def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     return rng.normal(0.0, scale, size)
 
 
-def random_conductances(torus: Torus, rng: np.random.Generator,
-                        dist=("uniform", 0.5, 2.0)) -> ConductanceField:
+def random_conductances(torus: Torus, rng: np.random.Generator, dist) -> ConductanceField:
     """iid conductances per unoriented edge."""
     return ConductanceField.from_canonical(torus, _draw(rng, dist, (torus.n, torus.d)))
 
 
 def random_stream(torus: Torus, rng: np.random.Generator,
-                  dist=("gaussian", 0.3)) -> StreamTensor:
+                  dist=DEFAULT_LAWS["h_dist"]) -> StreamTensor:
     """iid stream values per oriented plaquette."""
     return StreamTensor(torus, _draw(rng, dist, (torus.n, torus.npairs)))
 
 
-def random_environment(d: int, L: int, seed: int, generator: str = "conductance-stream",
-                       s_dist=("uniform", 0.5, 2.0), h_dist=("gaussian", 0.3)) -> Environment:
+def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0],
+                       s_dist=DEFAULT_LAWS["s_dist"],
+                       h_dist=DEFAULT_LAWS["h_dist"]) -> Environment:
     """Convenience builder used by the CLI and the test batteries."""
     t = Torus(d, L)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

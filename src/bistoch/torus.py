@@ -50,12 +50,6 @@ class Torus:
         """Vector of opposite-direction indices."""
         return np.concatenate([np.arange(self.d, 2 * self.d), np.arange(self.d)])
 
-    def index(self, coords) -> int:
-        return int(np.ravel_multi_index(np.asarray(coords) % self.L, self.shape))
-
-    def coords(self, index: int) -> tuple:
-        return tuple(int(c) for c in np.unravel_index(index, self.shape))
-
     def all_coords(self) -> np.ndarray:
         """(n, d) array of site coordinates in index order."""
         return np.stack(np.unravel_index(np.arange(self.n), self.shape), axis=1)

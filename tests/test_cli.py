@@ -20,6 +20,12 @@ def env_file(tmp_path_factory):
     return str(path)
 
 
+def _usage_error(capsys, flag):
+    """Assert that stderr holds one usage error about flag and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+
+
 def test_gen_env_writes_loadable_file(env_file):
     env = load_env(env_file)
     assert env.torus.d == 2 and env.torus.L == 4
@@ -38,12 +44,12 @@ def test_gen_env_accepts_distribution_flags(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--s-dist", "--h-dist"])
-@pytest.mark.parametrize("law", ["bogus,1.0", "uniform,1.0"])
+@pytest.mark.parametrize("law", ["bogus,1.0", "uniform,1.0", "uniform,a,2.0"])
 def test_gen_env_rejects_bad_distribution(tmp_path, capsys, flag, law):
     rc = main(["gen-env", "--d", "2", "--L", "4", "--seed", "5", flag, law,
                "-o", str(tmp_path / "env.json")])
     assert rc == 2
-    assert "Traceback" not in capsys.readouterr().err
+    _usage_error(capsys, flag)
 
 
 def test_simulate_summary_csv(tmp_path, env_file):
@@ -67,17 +73,20 @@ def test_simulate_trajectory_jsonl(tmp_path, env_file):
     assert header["seed"] == replica_key(9, 0)
 
 
-def test_traj_requires_x0(tmp_path, env_file):
+def test_traj_requires_x0(tmp_path, env_file, capsys):
     rc = main(["simulate", "--env", env_file, "--T", "5.0", "--seed", "9",
                "--traj", str(tmp_path / "walk.jsonl")])
     assert rc == 2
+    _usage_error(capsys, "--traj")
 
 
-def test_traj_requires_single_replica(tmp_path, env_file):
+def test_traj_requires_single_replica(tmp_path, env_file, capsys):
     rc = main(["simulate", "--env", env_file, "--T", "5.0", "--seed", "9",
                "--x0", "0", "--replicas", "4",
                "--traj", str(tmp_path / "walk.jsonl")])
     assert rc == 2
+    _usage_error(capsys, "--traj")
+    assert not (tmp_path / "walk.jsonl").exists()
 
 
 def test_decompose_csv(tmp_path, env_file):
@@ -121,9 +130,11 @@ def test_corrector_outputs(tmp_path, env_file):
         assert text.splitlines()[0] == "row,col,value"
 
 
-def test_corrector_axis_range(tmp_path, env_file):
-    rc = main(["corrector", "--env", env_file, "--axis", "3"])
-    assert rc == 2
+def test_corrector_axis_range(tmp_path, env_file, capsys):
+    for axis in ("3", "0"):
+        rc = main(["corrector", "--env", env_file, "--axis", axis])
+        assert rc == 2
+        _usage_error(capsys, "--axis")
 
 
 def test_helmholtz_round_trip(tmp_path, env_file):
@@ -239,7 +250,7 @@ def test_decompose_bad_grid(tmp_path, env_file, capsys):
     rc = main(["decompose", "--env", env_file, "--T", "10.0", "--seed", "2",
                "--grid", "5.0,9.0", "-o", str(tmp_path / "mart.csv")])
     assert rc == 2
-    assert "must end exactly at T" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --grid: grid must end exactly at T\n"
 
 
 def test_missing_environment_file(tmp_path):
@@ -355,6 +366,22 @@ def test_a_stream_law_without_flow_is_a_usage_error(tmp_path, capsys):
                  "-o", str(tmp_path / "env.json")]) == 2
     err = capsys.readouterr().err
     assert "--h-dist" in err and "without flow" in err and "Traceback" not in err
+    assert not (tmp_path / "env.json").exists()
+
+
+@pytest.mark.parametrize("key, law", [("s_dist", ["uniform", 2.0, 1.0]),
+                                      ("h_dist", ["gaussian", -1.0]),
+                                      ("h_dist", ["lognormal", 0.0, -1.0])])
+def test_a_law_parameter_outside_its_domain_is_a_usage_error(tmp_path, capsys, key, law):
+    # numpy's sampler rejects the parameter with a ValueError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"d": 2, "L": 4, "seed": 0, key: law}}))
+    assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
+    _usage_error(capsys, "env")
+    flag = "--" + key.replace("_", "-")
+    assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "0",
+                 flag, ",".join(map(str, law)), "-o", str(tmp_path / "env.json")]) == 2
+    _usage_error(capsys, "--s-dist/--h-dist")
     assert not (tmp_path / "env.json").exists()
 
 

@@ -50,8 +50,8 @@ def test_totally_asymmetric_rates():
     env = make_totally_asymmetric_env(h)
     # s = |b| = 2 everywhere, p = 2 b_+ in {0, 4}
     assert np.array_equal(env.s.full, np.full((t.n, 4), 2.0))
-    even = t.index((0, 0))
-    odd = t.index((1, 0))
+    even = np.ravel_multi_index((0, 0), t.shape)
+    odd = np.ravel_multi_index((1, 0), t.shape)
     assert env.p_full[even].tolist() == [4.0, 0.0, 4.0, 0.0]
     assert env.p_full[odd].tolist() == [0.0, 4.0, 0.0, 4.0]
     assert validate(env).passed

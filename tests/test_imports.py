@@ -5,7 +5,10 @@ name bound by an import counts as used when the module loads it anywhere;
 `import a.b` counts as used only when an attribute chain starting with
 a.b appears, so an import of one submodule is not excused by another.
 A fresh interpreter also checks that importing the package leaves
-scipy.stats out of the import graph.
+scipy.stats out of the import graph.  The same syntax trees check that a
+usage error reaches exit 2 by one path only: a rule's ValueError becomes
+a ConfigError in report.checked (or, for bad JSON, report.load_config),
+and only cli.main returns 2.
 """
 
 import ast
@@ -74,3 +77,62 @@ def test_package_never_imports_scipy_stats():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _enclosed(node, func=None):
+    """(name of the innermost def around it or None, node) for node and all below it."""
+    yield func, node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _enclosed(child, func)
+
+
+def _catches_value_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught)
+
+
+def _raises_config_error(handler: ast.ExceptHandler) -> bool:
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ConfigError"
+               for node in ast.walk(handler))
+
+
+def second_exit_paths(source: str, translators=()) -> list:
+    """Lines of `source` that take a usage error to exit 2 outside the one path.
+
+    That is a `return 2` outside a function named main, and an `except
+    ValueError` handler that raises ConfigError outside the functions named
+    in translators.
+    """
+    found = []
+    for func, node in _enclosed(ast.parse(source)):
+        if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and node.value.value == 2 and func != "main"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ExceptHandler) and _catches_value_error(node)
+              and _raises_config_error(node) and func not in translators):
+            found.append(node.lineno)
+    return found
+
+
+def test_exit_path_detector_sees_what_it_should():
+    source = ("def checked(rule):\n"
+              "    try:\n        return rule()\n"
+              "    except ValueError as e:\n        raise ConfigError('x', str(e))\n"
+              "def parse(text):\n"
+              "    try:\n        return float(text)\n"
+              "    except (TypeError, ValueError):\n        raise ConfigError('y', text)\n"
+              "def run(args):\n"
+              "    if args.bad:\n        print('bad')\n        return 2\n"
+              "    try:\n        return int(args.n)\n"
+              "    except ValueError:\n        return None\n"
+              "def main():\n    return 2\n")
+    assert second_exit_paths(source, translators=("checked",)) == [9, 14]
+
+
+@pytest.mark.parametrize("module, translators", [
+    ("cli.py", ()), ("report.py", ("checked", "load_config"))])
+def test_usage_errors_take_one_path_to_exit_two(module, translators):
+    assert second_exit_paths((PACKAGE / module).read_text(), translators) == []

@@ -48,8 +48,8 @@ def test_compensator_mean_can_be_nonzero():
     # uneven stream: two plaquettes only, unit conductances
     t4 = Torus(2, 4)
     can = np.zeros((t4.n, t4.npairs))
-    can[t4.index((0, 0)), 0] = 1.0
-    can[t4.index((0, 1)), 0] = 2.0
+    can[np.ravel_multi_index((0, 0), t4.shape), 0] = 1.0
+    can[np.ravel_multi_index((0, 1), t4.shape), 0] = 2.0
     env = make_conductance_stream_env(
         ConductanceField.from_canonical(t4, np.ones((t4.n, 2))),
         StreamTensor(t4, can))

@@ -1,11 +1,13 @@
 """Every public function, class, method and property of the package has a user.
 
 A public name counts as used when a module of the package or a benchmark
-script (perfbench/*.py) refers to it anywhere but in its own definition: as
-a name, an attribute or an imported name.  The package __init__.py only
-re-exports, and tests do not count, so a name that only tests reach fails
-unless ALLOWED names it with its reason.  Methods are matched by attribute
-name alone, so a pass is a floor, not proof of use.
+script (perfbench/*.py) refers to it anywhere but in its own definition:
+a function or class as a name, an attribute or an imported name, a method
+only as an attribute, so a local variable or parameter of the same name
+does not hide it.  The package __init__.py only re-exports, and tests do
+not count, so a name that only tests reach fails unless ALLOWED names it
+with its reason.  Methods are matched by attribute name alone, whatever
+the object, so a pass is a floor, not proof of use.
 """
 
 import ast
@@ -28,7 +30,7 @@ ALLOWED = {
     "checkerboard_stream": "oracle: a stream tensor with a closed-form curl",
     "integrability_diagnostics": "the stream functional <h^2/s> that the H-1 upper "
                                  "bound and the integrability check of ROADMAP "
-                                 "items 1 and 3 read",
+                                 "items 1 and 6 read",
 }
 
 
@@ -44,14 +46,17 @@ def public_definitions(tree) -> list:
     return out
 
 
-def references(tree) -> collections.Counter:
-    """How often each name, attribute and imported name occurs in tree."""
+def references(tree, method: bool) -> collections.Counter:
+    """How often each attribute occurs in tree, and unless method, each name
+    and imported name too."""
     out = collections.Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
+        elif method:
+            continue
+        elif isinstance(node, ast.Name):
+            out[node.id] += 1
         elif isinstance(node, ast.alias):
             out[node.name.rsplit(".", 1)[-1]] += 1
     return out
@@ -60,15 +65,19 @@ def references(tree) -> collections.Counter:
 def unreferenced(modules: dict, scripts: list) -> list:
     """Public names of modules (name -> source) that nothing else refers to."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    refs = {name: references(tree) for name, tree in trees.items()}
-    outside = set().union(*(references(ast.parse(src)) for src in scripts))
+    kinds = (False, True)  # whether the definition is a method
+    refs = {name: {m: references(tree, m) for m in kinds} for name, tree in trees.items()}
+    outside = {m: set().union(*(references(ast.parse(src), m) for src in scripts))
+               for m in kinds}
     found = []
     for name, tree in sorted(trees.items()):
-        seen = outside.union(*(r for other, r in refs.items() if other != name))
+        seen = {m: outside[m].union(*(r[m] for other, r in refs.items() if other != name))
+                for m in kinds}
         for qual, node in public_definitions(tree):
+            m = "." in qual
             # a use inside the definition itself (recursion) does not count
-            own = refs[name][node.name] - references(node)[node.name]
-            if node.name not in seen and own == 0:
+            own = refs[name][m][node.name] - references(node, m)[node.name]
+            if node.name not in seen[m] and own == 0:
                 found.append(qual)
     return found
 
@@ -85,10 +94,14 @@ def test_detector_sees_what_it_should():
            "    def used(self):\n        return self.helper()\n"
            "    def helper(self):\n        return 1\n"
            "    def unused(self):\n        return self.unused()\n"
+           "    def coords(self, index):\n        return index\n"
+           "    def index(self):\n        return 0\n"
            "def lonely():\n    return lonely\n"
            "def _private():\n    pass\n")
-    assert unreferenced({"lib": lib}, ["from lib import A\nA().used()\n"]) == [
-        "A.unused", "lonely"]
+    # a local variable named like a method does not count as its use
+    script = "from lib import A\ncoords = A().used()\n"
+    assert unreferenced({"lib": lib}, [script]) == [
+        "A.unused", "A.coords", "A.index", "lonely"]
 
 
 def test_every_public_name_has_a_user():

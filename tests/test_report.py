@@ -85,6 +85,41 @@ def test_spectral_check_fails_a_loose_krylov_solve(monkeypatch, lift_cap):
         assert result["error"].startswith("NoConvergence")
 
 
+# the default laws with every rate scaled by 100 and by 1000: the same walks, run faster
+SCALED_LAWS = [{"d": 2, "L": 8, "seed": 0, "s_dist": ["uniform", 50.0, 200.0],
+                "h_dist": ["gaussian", 30.0]},
+               {"d": 2, "L": 8, "seed": 1, "s_dist": ["uniform", 500.0, 2000.0],
+                "h_dist": ["gaussian", 300.0]}]
+
+
+@pytest.mark.parametrize("env_spec", SCALED_LAWS)
+def test_spectral_harmonic_equation_gate_scales_with_the_rates(env_spec):
+    # an absolute 1e-8 failed both: the residual grows with the rates
+    result = _spectral(env_spec)
+    assert result["harmonic_equation_residual"] > 1e-8
+    assert result["passed"] is True, result
+
+
+@pytest.mark.parametrize("env_spec", [{"d": 2, "L": 8, "seed": 7}, SCALED_LAWS[0]])
+def test_spectral_harmonic_equation_beyond_its_bound_fails(monkeypatch, env_spec):
+    assert _spectral(env_spec)["passed"] is True
+    solve = corrector.solve_harmonic
+    bounds = []
+
+    def perturbed(env, rhs):
+        sol = solve(env, rhs)
+        bounds.append(corrector.RESIDUAL_CAP * max(1.0, float(np.max(np.abs(rhs)))))
+        k = int(np.argmax(env.p_full[0]))
+        kick = np.zeros_like(sol.gradient)
+        kick[0, k] = 2.0 * bounds[-1] / env.p_full[0, k]  # the potential is left as it was
+        return dataclasses.replace(sol, gradient=sol.gradient + kick)
+
+    monkeypatch.setattr(corrector, "solve_harmonic", perturbed)
+    result = _spectral(env_spec)
+    assert result["harmonic_equation_residual"] > bounds[-1]
+    assert result["passed"] is False
+
+
 def test_foreign_exception_is_recorded_against_its_check(monkeypatch):
     def boom(env, cfg, seed):
         raise RuntimeError("boom")
