@@ -17,6 +17,8 @@ faults and loaded files are actually checked.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +119,8 @@ class StreamTensor:
     for i < j; the other images follow from
 
         h_{k,l}(x) = -h_{l,k}(x) = -h_{-k,l}(x+k) = -h_{k,-l}(x+l).
+
+    An explicit `full` (n, 2d, 2d) is kept as given, for curl and validate to check.
     """
 
     def __init__(self, torus: Torus, canonical: np.ndarray | None = None,
@@ -133,14 +137,6 @@ class StreamTensor:
         self._full = None if full is None else np.asarray(full, dtype=float)
         if self._full is not None and self._full.shape != (torus.n, torus.ndir, torus.ndir):
             raise ValueError("full stream tensor has wrong shape")
-
-    @classmethod
-    def from_full(cls, torus: Torus, full: np.ndarray) -> "StreamTensor":
-        """Wrap an explicit (n, 2d, 2d) tensor; symmetries are checked on use."""
-        full = np.asarray(full, dtype=float)
-        canonical = np.stack([full[:, i, j] for (i, j) in torus.pairs], axis=1) \
-            if torus.npairs else np.zeros((torus.n, 0))
-        return cls(torus, canonical=canonical, full=full)
 
     def full(self) -> np.ndarray:
         """(n, 2d, 2d) tensor over all direction pairs."""
@@ -235,12 +231,10 @@ def curl(h: StreamTensor) -> FlowField:
     for name, (value, (site, k, l)) in h.symmetry_faults().items():
         if value > abs_tol:
             raise SymmetryViolation(site, (k, l), value, identity=name)
-    b_full = full.sum(axis=2)
-    flow = FlowField(t, b_full)
-    div = np.max(np.abs(flow.divergence())) if t.n else 0.0
+    flow = FlowField(t, full.sum(axis=2))
+    div, (site,) = _worst(flow.divergence())
     if div > abs_tol:
-        raise SymmetryViolation(int(np.argmax(np.abs(flow.divergence()))), (), float(div),
-                                identity="divergence_free")
+        raise SymmetryViolation(site, (), div, identity="divergence_free")
     return flow
 
 
@@ -339,10 +333,8 @@ def validate(env: Environment, tolerance: float = DEFAULT_TOL) -> ValidationRepo
         inflow += env.p_full[t.nbr[:, k], back]
     report.add("bistochasticity", np.max(np.abs(env.p_full.sum(axis=1) - inflow)), p_scale)
     if env.weak_ellipticity:
-        gap = float(env.s.full.min())
-        report.add("weak_ellipticity", max(-gap, 0.0) if gap <= 0 else 0.0, 1.0)
-        if gap == 0.0:
-            report.entries[-1].residual = np.inf
+        # an edge with s <= 0 carries no walk at all, however small |s| is
+        report.add("weak_ellipticity", np.inf if env.s.full.min() <= 0.0 else 0.0, 1.0)
     return report
 
 
@@ -415,6 +407,23 @@ def checkerboard_stream(torus: Torus, c: float = 1.0) -> StreamTensor:
 
 # parameter count of each distribution name accepted by random_environment
 DISTRIBUTIONS = {"uniform": 2, "two_point": 3, "lognormal": 2, "gaussian": 1}
+# each law as (its parameter domain beyond finiteness, that domain's test, its
+# sampler); numpy draws uniform as lo + (hi - lo) * u, so the width must be finite
+_LAWS = {
+    "uniform": ("lo <= hi with hi - lo finite",
+                lambda lo, hi: lo <= hi and math.isfinite(hi - lo),
+                lambda rng, size, lo, hi: rng.uniform(lo, hi, size)),
+    "two_point": ("its probability in [0, 1]",
+                  lambda a, b, prob_a: 0.0 <= prob_a <= 1.0,
+                  lambda rng, size, a, b, prob_a:
+                  np.where(rng.random(size) < prob_a, a, b).astype(float)),
+    "lognormal": ("sigma >= 0",
+                  lambda mu, sigma: sigma >= 0.0,
+                  lambda rng, size, mu, sigma: rng.lognormal(mu, sigma, size)),
+    "gaussian": ("scale >= 0",
+                 lambda scale: scale >= 0.0,
+                 lambda rng, size, scale: rng.normal(0.0, scale, size)),
+}
 GENERATORS = ("conductance-stream", "totally-asymmetric")
 # the conductance and stream laws drawn from unless a caller names others
 DEFAULT_LAWS = {"s_dist": ("uniform", 0.5, 2.0), "h_dist": ("gaussian", 0.3)}
@@ -434,7 +443,7 @@ def check_generator(generator, d: int) -> None:
 
 
 def check_dist(dist) -> None:
-    """Raise ValueError unless dist is (known name, *its count of real numbers)."""
+    """Raise ValueError unless dist is (known name, *finite floats in the law's domain)."""
     if isinstance(dist, str) or not isinstance(dist, (list, tuple)) or not dist:
         raise ValueError("distribution must be a list [name, *parameters]")
     name, *params = dist
@@ -443,23 +452,46 @@ def check_dist(dist) -> None:
     if len(params) != DISTRIBUTIONS[name] or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
         raise ValueError(f"{name} takes {DISTRIBUTIONS[name]} numeric parameters")
+    # false for NaN, and exact for an integer of any size
+    if not all(-sys.float_info.max <= v <= sys.float_info.max for v in params):
+        raise ValueError(f"{name} parameters must be finite floats, got {params}")
+    rule, holds, _ = _LAWS[name]
+    if not holds(*map(float, params)):
+        raise ValueError(f"{name} needs {rule}, got {params}")
 
 
 def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     """Sample an array from a (name, *params) distribution spec."""
     check_dist(dist)
     name, *params = dist
-    if name == "uniform":
-        lo, hi = params
-        return rng.uniform(lo, hi, size)
-    if name == "two_point":
-        a, b, prob_a = params
-        return np.where(rng.random(size) < prob_a, a, b).astype(float)
-    if name == "lognormal":
-        mu, sigma = params
-        return rng.lognormal(mu, sigma, size)
-    (scale,) = params  # gaussian
-    return rng.normal(0.0, scale, size)
+    return _LAWS[name][2](rng, size, *params)
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands a 128-bit key to Philox as its seed words, low word first.
+
+    Philox(_PhiloxKey(k)) reads its key from generate_state(2, uint64) and
+    so starts in the state of Philox(key=k), without first filling a
+    SeedSequence from OS entropy that the key would then override.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        bits = 8 * np.dtype(dtype).itemsize
+        mask = (1 << bits) - 1
+        return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)],
+                        dtype=dtype)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by seed in [0, 2**128), the package's one keyed stream."""
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        # Philox(key=...)'s own message, which a report may record
+        raise ValueError("key must be positive and less than 2**128.")
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def random_conductances(torus: Torus, rng: np.random.Generator, dist) -> ConductanceField:
@@ -478,7 +510,7 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
                        h_dist=DEFAULT_LAWS["h_dist"]) -> Environment:
     """Convenience builder used by the CLI and the test batteries."""
     t = Torus(d, L)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _generator(seed)
     h = random_stream(t, rng, h_dist)
     params = {"s_dist": list(s_dist), "h_dist": list(h_dist)}
     if generator == "conductance-stream":
@@ -544,6 +576,11 @@ def integrability_diagnostics(env: Environment) -> Diagnostics:
 
 # -- serialization -----------------------------------------------------------
 
+def canonical_json(obj) -> str:
+    """obj as JSON with sorted keys and no whitespace, the package's one byte form."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def env_to_dict(env: Environment) -> dict:
     """JSON-ready document: header plus flat canonical field arrays."""
     meta = env.meta
@@ -567,8 +604,7 @@ def env_to_dict(env: Environment) -> dict:
 
 def save_env(env: Environment, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(env_to_dict(env), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(canonical_json(env_to_dict(env)) + "\n")
 
 
 def _doc_array(doc: dict, key: str) -> np.ndarray:

@@ -7,10 +7,12 @@ explicitly as
     h_{k,l} = D_l Lap^{-1} b_k - D_k Lap^{-1} b_l,
 
 where D_k g(x) = g(x+k) - g(x) and Lap = sum_l (T_l - I) is the lattice
-Laplacian.  Contracting over l gives sum_l h_{k,l} = b_k because
-sum_l D_l = Lap and sum_l b_l = 0; the structural symmetries follow from
-the antisymmetry of b.  Both facts are asserted on the computed tensor
-rather than assumed.
+Laplacian.  Only the canonical entries h_{e_i,e_j}, i < j, are formed, from
+the d potentials u_i = Lap^{-1} b_{e_i}; the antisymmetry of b makes the
+formula's other entries the images that StreamTensor derives from them, so
+the structural symmetries hold by construction.  Contracting over l gives
+sum_l h_{k,l} = b_k because sum_l D_l = Lap and sum_l b_l = 0; that identity
+is asserted on the computed tensor, as its curl gap, rather than assumed.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def stream_from_flow(b: FlowField) -> StreamTensor:
     NonzeroFlux
         if some direction has a nonzero site-average (the torus obstruction).
     NoConvergence
-        if a Poisson solve misses its residual target.
+        if a Poisson solve, or the curl of the result, misses its residual target.
     """
     t = b.torus
     scale = _scale(b.full)
@@ -130,29 +132,14 @@ def stream_from_flow(b: FlowField) -> StreamTensor:
     for i in range(t.d):
         if abs(fl[i]) > STREAM_TOL * scale:
             raise NonzeroFlux(i, float(fl[i]))
+    # one potential u_i = Lap^{-1} b_{e_i} per positive direction; the
+    # canonical form carries every other entry, so its symmetries hold exactly
     solver = PoissonSolver(t)
-
-    # the 2d potentials are solved independently; their mutual consistency
-    # is certified below instead of being wired in by construction
-    u = np.stack([solver.solve(b.full[:, k]) for k in range(t.ndir)], axis=1)
-
-    h_full = np.zeros((t.n, t.ndir, t.ndir))
-    for k in range(t.ndir):
-        for l in range(t.ndir):
-            # includes the same-axis entries, which must come out zero on
-            # their own; the certification below checks that they do
-            h_full[:, k, l] = (u[t.nbr[:, l], k] - u[:, k]) - (u[t.nbr[:, k], l] - u[:, l])
-
-    raw = StreamTensor.from_full(t, h_full)
-    sym = raw.symmetry_residuals()
-    sym_tol = max(1e-11 * _scale(h_full), STREAM_TOL * scale)
-    for name, value in sym.items():
-        if value > sym_tol:
-            raise NoConvergence(0, value)
-
-    # return the canonicalized tensor (exact symmetries); its curl must still
-    # reproduce b within the solver tolerance
-    out = StreamTensor(t, raw.canonical)
+    u = [solver.solve(b.full[:, i]) for i in range(t.d)]
+    canonical = np.empty((t.n, t.npairs))
+    for p, (i, j) in enumerate(t.pairs):
+        canonical[:, p] = (u[i][t.nbr[:, j]] - u[i]) - (u[j][t.nbr[:, i]] - u[j])
+    out = StreamTensor(t, canonical)
     gap = curl_gap(out, b)
     if gap > STREAM_TOL * scale:
         raise NoConvergence(0, gap)

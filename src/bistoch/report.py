@@ -23,8 +23,8 @@ import numpy as np
 
 from . import corrector, helmholtz, mart
 from .corrector import RESIDUAL_CAP
-from .env import (GENERATORS, Environment, _scale, check_dist, check_generator,
-                  curl_gap, load_env, random_environment, validate)
+from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
+                  check_generator, curl_gap, load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
 from .walker import SEED_LIMIT, check_grid, check_site
 
@@ -71,10 +71,6 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode()).hexdigest()
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -285,9 +281,13 @@ def bounds_verdict(env: Environment) -> dict:
             "upper_trace": bd.upper_trace, **chk}
 
 
-def _check_decompose(env, cfg, walks):
-    res = walks.ensemble().identity_residuals()
-    return {"passed": max(res.values()) <= mart.IDENTITY_TOL, **res}
+def decompose_verdict(ens: mart.MartingaleEnsemble) -> dict:
+    """The ensemble's path-identity residuals, each held to mart.IDENTITY_TOL.
+
+    This is a battery's `decompose` entry and the exit code of `bistoch decompose`.
+    """
+    res = ens.identity_residuals()
+    return {"passed": all(v <= mart.IDENTITY_TOL for v in res.values()), **res}
 
 
 def _check_orthogonality(env, cfg, walks):
@@ -370,7 +370,7 @@ def _check_clt(env, cfg, walks):
 CHECK_REGISTRY = {
     "validate": _check_validate,
     "bounds": lambda env, cfg, walks: bounds_verdict(env),
-    "decompose": _check_decompose,
+    "decompose": lambda env, cfg, walks: decompose_verdict(walks.ensemble()),
     "orthogonality": _check_orthogonality,
     "corrector": _check_corrector,
     "spectral": _check_spectral,

@@ -14,12 +14,11 @@ lockstep engine below bit-compatible with the single-trajectory simulator.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment
+from .env import Environment, _generator, canonical_json
 from .errors import AbsorbingState
 
 
@@ -32,32 +31,6 @@ def replica_key(master_seed: int, replica: int) -> int:
     if not (0 <= master_seed < SEED_LIMIT and 0 <= replica < SEED_LIMIT):
         raise ValueError("seeds and replica indices must be in [0, 2**64)")
     return (int(master_seed) << 64) | int(replica)
-
-
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """Hands a 128-bit key to Philox as its seed words, low word first.
-
-    Philox(_PhiloxKey(k)) reads its key from generate_state(2, uint64) and
-    so starts in the state of Philox(key=k), without first filling a
-    SeedSequence from OS entropy that the key would then override.
-    """
-
-    def __init__(self, key: int):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        bits = 8 * np.dtype(dtype).itemsize
-        mask = (1 << bits) - 1
-        return np.array([(self.key >> (bits * i)) & mask for i in range(n_words)],
-                        dtype=dtype)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    key = int(seed)
-    if not 0 <= key < 1 << 128:
-        # Philox(key=...)'s own message, which a report may record
-        raise ValueError("key must be positive and less than 2**128.")
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass
@@ -87,10 +60,9 @@ class Trajectory:
         with open(path, "w") as f:
             header = {"format": "bistoch-traj", "version": 1, "d": self.d, "L": self.L,
                       "x0": self.x0, "T": self.T, "seed": self.seed}
-            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(canonical_json(header) + "\n")
             for t, k in zip(self.times, self.dirs):
-                f.write(json.dumps({"t": float(t), "k": int(k)},
-                                   sort_keys=True, separators=(",", ":")) + "\n")
+                f.write(canonical_json({"t": float(t), "k": int(k)}) + "\n")
 
 
 def check_site(x0, n: int) -> int:

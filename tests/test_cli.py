@@ -6,7 +6,7 @@ import pytest
 
 from bistoch import report
 from bistoch.cli import main
-from bistoch.env import load_env, validate
+from bistoch.env import homogeneous_environment, load_env, save_env, validate
 from bistoch.errors import ConfigError
 from bistoch.walker import replica_key
 
@@ -24,6 +24,7 @@ def _usage_error(capsys, flag):
     """Assert that stderr holds one usage error about flag and no traceback."""
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+    return err
 
 
 def test_gen_env_writes_loadable_file(env_file):
@@ -371,18 +372,36 @@ def test_a_stream_law_without_flow_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, law", [("s_dist", ["uniform", 2.0, 1.0]),
                                       ("h_dist", ["gaussian", -1.0]),
-                                      ("h_dist", ["lognormal", 0.0, -1.0])])
+                                      ("h_dist", ["lognormal", 0.0, -1.0]),
+                                      # numpy would raise OverflowError on these three
+                                      ("s_dist", ["uniform", 0.0, math.inf]),
+                                      ("s_dist", ["uniform", math.nan, 1.0]),
+                                      ("s_dist", ["uniform", 1e308, -1e308]),
+                                      ("h_dist", ["two_point", 1.0, 2.0, 1.5])])
 def test_a_law_parameter_outside_its_domain_is_a_usage_error(tmp_path, capsys, key, law):
-    # numpy's sampler rejects the parameter with a ValueError
+    # check_dist knows each law's domain, so the error names the law's field
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"env": {"d": 2, "L": 4, "seed": 0, key: law}}))
     assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
-    _usage_error(capsys, "env")
+    assert _usage_error(capsys, f"env.{key}").count("\n") == 1
     flag = "--" + key.replace("_", "-")
     assert main(["gen-env", "--d", "2", "--L", "4", "--seed", "0",
                  flag, ",".join(map(str, law)), "-o", str(tmp_path / "env.json")]) == 2
-    _usage_error(capsys, "--s-dist/--h-dist")
+    assert _usage_error(capsys, flag).count("\n") == 1
     assert not (tmp_path / "env.json").exists()
+
+
+def test_a_file_with_a_negative_conductance_is_a_usage_error(tmp_path, capsys):
+    # -1e-13 passes every tolerance but weak ellipticity's: an edge with
+    # s <= 0 carries no walk, however small |s| is
+    path = tmp_path / "env.json"
+    save_env(homogeneous_environment(1, 4), str(path))
+    doc = json.loads(path.read_text())
+    doc["s"][0] = -1e-13
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", "--env", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weak_ellipticity" in err and "Traceback" not in err
 
 
 SEED_MAX = str(2**64 - 1)

@@ -152,12 +152,12 @@ def test_stream_symmetry_fault_detected():
     full = checkerboard_stream(t, 1.0).full().copy()
     full[0, 0, 1] += 1e-3
     with pytest.raises(SymmetryViolation):
-        curl(StreamTensor.from_full(t, full))
+        curl(StreamTensor(t, full=full))
     # a second, larger fault elsewhere: the error must name the site whose
     # residual it prints, not the first site over tolerance
     full[5, 0, 1] += 1e-2
     with pytest.raises(SymmetryViolation) as info:
-        curl(StreamTensor.from_full(t, full))
+        curl(StreamTensor(t, full=full))
     err = info.value
     k, l = err.pair
     assert err.identity == "pair_antisymmetry" and err.site == 5

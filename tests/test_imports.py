@@ -8,7 +8,8 @@ A fresh interpreter also checks that importing the package leaves
 scipy.stats out of the import graph.  The same syntax trees check that a
 usage error reaches exit 2 by one path only: a rule's ValueError becomes
 a ConfigError in report.checked (or, for bad JSON, report.load_config),
-and only cli.main returns 2.
+and only cli.main returns 2.  They also check that the env module alone
+keys a Philox stream and alone writes canonical (separators=) JSON.
 """
 
 import ast
@@ -136,3 +137,34 @@ def test_exit_path_detector_sees_what_it_should():
     ("cli.py", ()), ("report.py", ("checked", "load_config"))])
 def test_usage_errors_take_one_path_to_exit_two(module, translators):
     assert second_exit_paths((PACKAGE / module).read_text(), translators) == []
+
+
+def convention_sites(source: str) -> list:
+    """(kind, line) of each Philox construction and each JSON write with separators=."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = (_dotted(node.func) or "").rsplit(".", 1)[-1]
+        if name == "Philox":
+            found.append(("philox", node.lineno))
+        elif name in ("dump", "dumps") and any(kw.arg == "separators" for kw in node.keywords):
+            found.append(("separators", node.lineno))
+    return found
+
+
+def test_convention_detector_sees_what_it_should():
+    source = ("import json\nimport numpy as np\nfrom numpy.random import Philox\n"
+              "g = np.random.Generator(np.random.Philox(key=1))\n"
+              "h = Philox(2)\n"
+              "a = json.dumps({}, sort_keys=True, separators=(',', ':'))\n"
+              "json.dump({}, f, indent=2)\n"
+              "json.dump({}, f, separators=(',', ':'))\n")
+    assert sorted(convention_sites(source)) == [
+        ("philox", 4), ("philox", 5), ("separators", 6), ("separators", 8)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_env_alone_keys_philox_and_writes_canonical_json(module):
+    kinds = sorted(kind for kind, _ in convention_sites((PACKAGE / module).read_text()))
+    assert kinds == (["philox", "separators"] if module == "env.py" else [])
