@@ -18,7 +18,7 @@ from .errors import (AbsorbingState, BistochError, ConfigError,
                      DegenerateEdge, DenseCapExceeded, InconsistentRHS,
                      InsufficientReplicas, InvalidEnvironment, NoConvergence,
                      NonzeroFlux, NotDivergenceFree, NotPositiveDefinite,
-                     Reducible, SymmetryViolation, ZeroConductanceCrossing)
+                     Reducible, ZeroConductanceCrossing)
 from .helmholtz import PoissonSolver, stream_from_flow
 from .mart import (BracketFields, DiffusivityBounds, DriftFields,
                    MartingaleEnsemble, bounds, bracket_fields, decompose,

@@ -28,7 +28,7 @@ from .mart import drift_fields
 from .torus import Torus
 
 DENSE_CAP = 4096
-# relative residual target of the Krylov iteration; lgmres is given no looser one
+# relative residual target of the Krylov iteration
 KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
@@ -303,7 +303,7 @@ def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray, iterations: int,
                             residual=res, iterations=iterations, method=method)
 
 
-def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL) -> HarmonicSolution:
+def solve_harmonic(env: Environment, rhs) -> HarmonicSolution:
     """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
 
     The rank-one augmented map v -> L v + c mean(v) with c the mean total
@@ -317,11 +317,11 @@ def solve_harmonic(env: Environment, rhs, tol: float = KRYLOV_TOL) -> HarmonicSo
     NoConvergence
         if the final residual exceeds RESIDUAL_CAP times the rhs scale.
     """
-    return _solve_krylov(env, assemble(env).L, require_mean_zero(rhs), tol)
+    return _solve_krylov(env, assemble(env).L, require_mean_zero(rhs))
 
 
-def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
-                  tol: float) -> HarmonicSolution:
+def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix,
+                  rhs: np.ndarray) -> HarmonicSolution:
     """The Krylov solve of solve_harmonic on an assembled L and a checked rhs."""
     t_ = env.torus
     n = t_.n
@@ -341,7 +341,7 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix, rhs: np.ndarray,
     def cb(xk):
         count[0] += 1
 
-    g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=min(tol, KRYLOV_TOL),
+    g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=KRYLOV_TOL,
                                          atol=0.0, maxiter=max(200, n),
                                          callback=cb)
     return _certified(t_, L, g, rhs, count[0], "krylov")
@@ -392,7 +392,7 @@ def effective_diffusivity(env: Environment, method: str = "krylov") -> Diffusivi
         L = assemble(env).L
 
         def solve(rhs):
-            return _solve_krylov(env, L, require_mean_zero(rhs), KRYLOV_TOL)
+            return _solve_krylov(env, L, require_mean_zero(rhs))
     elif method == "spectral":
         spec = build_spectral_operator(env)
 

@@ -7,20 +7,6 @@ class BistochError(Exception):
     """Base class for all package errors."""
 
 
-class SymmetryViolation(BistochError):
-    """A stream tensor (or edge field) breaks one of its structural identities."""
-
-    def __init__(self, site: int, pair: tuple, residual: float, identity: str = ""):
-        self.site = site
-        self.pair = pair
-        self.residual = residual
-        self.identity = identity
-        msg = f"symmetry violated at site {site}, pair {pair}: residual {residual:.3e}"
-        if identity:
-            msg += f" ({identity})"
-        super().__init__(msg)
-
-
 class DegenerateEdge(BistochError):
     """An edge carries zero flow where a one-way rate was required."""
 

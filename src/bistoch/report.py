@@ -178,6 +178,9 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+# a law can draw values whose sums overflow; validate reports the non-finite
+# residuals, which numpy's warnings would only repeat
+@np.errstate(over="ignore", invalid="ignore")
 def draw_environment(d: int, L: int, seed: int, path: str, **laws) -> tuple:
     """A random environment and its validation report; ConfigError unless valid.
 

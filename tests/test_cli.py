@@ -283,11 +283,16 @@ def _malformed(env_file):
     cases["s-strings"] = json.dumps({**doc, "s": ["a"] * len(doc["s"])})
     cases["s-ragged"] = json.dumps({**doc, "s": [[1.0], [1.0, 2.0]]})
     cases["h-object"] = json.dumps({**doc, "h": {"a": 1}})
+    for name, value in (("string", "false"), ("list", [1]), ("int", 0)):
+        cases[f"weak-ellipticity-{name}"] = json.dumps({**doc, "weak_ellipticity": value})
+    # sums overflow to NaN residuals, with no numpy RuntimeWarning on stderr
+    cases["s-overflows"] = json.dumps({**doc, "s": [1e308] * len(doc["s"])})
     return cases
 
 
 MALFORMED = ["truncated", "not-an-object", "binary", "no-d", "no-L", "no-s", "d-string",
-             "s-strings", "s-ragged", "h-object"]
+             "s-strings", "s-ragged", "h-object", "weak-ellipticity-string",
+             "weak-ellipticity-list", "weak-ellipticity-int", "s-overflows"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -402,6 +407,19 @@ def test_a_file_with_a_negative_conductance_is_a_usage_error(tmp_path, capsys):
     assert main(["bounds", "--env", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "weak_ellipticity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, law", [("--h-dist", "gaussian,1e308"),
+                                       ("--s-dist", "lognormal,1000,1")])
+def test_a_law_that_overflows_prints_only_the_error_block(tmp_path, capsys, flag, law):
+    # the draw overflows to non-finite rates; validate reports them as NaN
+    # residuals, and numpy adds no RuntimeWarning of its own
+    assert main(["gen-env", "--d", "2", "--L", "2", "--seed", "0", flag, law,
+                 "-o", str(tmp_path / "env.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --s-dist/--h-dist: the laws draw an invalid environment\n")
+    assert "Warning" not in err and "residual nan" in err
+    assert not (tmp_path / "env.json").exists()
 
 
 SEED_MAX = str(2**64 - 1)

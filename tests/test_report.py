@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bistoch import corrector, mart, report
+from bistoch.env import canonical_json, save_env
 
 
 def _config(*checks):
@@ -20,6 +21,28 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
     assert math.isnan(result["riesz_idempotency"])
     assert result["passed"] is False
     assert rep["passed"] is False
+
+
+# environments whose file holds neither a stream nor a flow array
+ZERO_STREAM_ENVS = [{"d": 1, "L": 8, "seed": 3},
+                    {"d": 2, "L": 4, "seed": 1, "h_dist": ["gaussian", 0.0]}]
+
+
+@pytest.mark.parametrize("env_spec", ZERO_STREAM_ENVS)
+def test_a_saved_environment_reports_like_the_inline_one(tmp_path, env_spec):
+    checks = ["validate", "bounds", "spectral", "helmholtz"]
+    inline = report.run_config(report.config_from_dict({"env": env_spec, "checks": checks}))
+    path = tmp_path / "env.json"
+    save_env(report.build_environment(report.config_from_dict({"env": env_spec})), str(path))
+    text = path.read_text()
+    assert '"h":' not in text and '"b":' not in text
+    cfg = report.config_from_dict({"env": {"path": str(path)}, "checks": checks})
+    saved = report.run_config(cfg)
+    assert canonical_json(saved[0]["checks"]) == canonical_json(inline[0]["checks"])
+    assert "stream_pair_antisymmetry" in saved[0]["checks"]["validate"]["residuals"]
+    # the file reloads to the same bytes
+    save_env(report.build_environment(cfg), str(path))
+    assert path.read_text() == text
 
 
 # -- the spectral route gate -------------------------------------------------------
@@ -71,10 +94,7 @@ def test_spectral_route_gap_beyond_its_bound_fails(monkeypatch, env_spec):
 
 @pytest.mark.parametrize("lift_cap", [False, True])
 def test_spectral_check_fails_a_loose_krylov_solve(monkeypatch, lift_cap):
-    solve = corrector.solve_harmonic
     monkeypatch.setattr(corrector, "KRYLOV_TOL", 1e-6)
-    monkeypatch.setattr(corrector, "solve_harmonic",
-                        lambda env, rhs: solve(env, rhs, tol=1e-6))
     if lift_cap:
         monkeypatch.setattr(corrector, "RESIDUAL_CAP", 1.0)
     result = _spectral({"d": 1, "L": 256, "seed": 0})
