@@ -297,7 +297,7 @@ def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray, iterations: int,
     """g made mean-zero, with its residual; NoConvergence above RESIDUAL_CAP."""
     g = g - g.mean()
     res = float(np.max(np.abs(L @ g - rhs)))
-    if res > RESIDUAL_CAP * _scale(rhs):
+    if not res <= RESIDUAL_CAP * _scale(rhs):
         raise NoConvergence(iterations, res)
     return HarmonicSolution(potential=g, gradient=g[torus.nbr] - g[:, None],
                             residual=res, iterations=iterations, method=method)

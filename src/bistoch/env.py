@@ -55,7 +55,7 @@ def require_mean_zero(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
-    if abs(mean) > 1e-12 * _scale(values):
+    if not abs(mean) <= 1e-12 * _scale(values):
         raise InconsistentRHS(mean)
     return values
 

@@ -78,7 +78,7 @@ class PoissonSolver:
             u = self._solve_cg(f - mean)
         u = u - u.mean()
         res = float(np.max(np.abs(laplacian_apply(t, u) - (f - mean))))
-        if res > STREAM_TOL * scale:
+        if not res <= STREAM_TOL * scale:
             raise NoConvergence(0, res)
         return u
 
@@ -126,11 +126,11 @@ def stream_from_flow(b: FlowField) -> StreamTensor:
     scale = _scale(b.full)
     div = b.divergence()
     worst = int(np.argmax(np.abs(div)))
-    if abs(div[worst]) > STREAM_TOL * scale:
+    if not abs(div[worst]) <= STREAM_TOL * scale:
         raise NotDivergenceFree(worst, float(div[worst]))
     fl = b.flux()
     for i in range(t.d):
-        if abs(fl[i]) > STREAM_TOL * scale:
+        if not abs(fl[i]) <= STREAM_TOL * scale:
             raise NonzeroFlux(i, float(fl[i]))
     # one potential u_i = Lap^{-1} b_{e_i} per positive direction; the
     # canonical form carries every other entry, so its symmetries hold exactly
@@ -141,6 +141,6 @@ def stream_from_flow(b: FlowField) -> StreamTensor:
         canonical[:, p] = (u[i][t.nbr[:, j]] - u[i]) - (u[j][t.nbr[:, i]] - u[j])
     out = StreamTensor(t, canonical)
     gap = curl_gap(out, b)
-    if gap > STREAM_TOL * scale:
+    if not gap <= STREAM_TOL * scale:
         raise NoConvergence(0, gap)
     return out

@@ -35,6 +35,9 @@ IDENTITY_TOL = 1e-10
 N_BATCHES = 32
 MIN_REPLICAS = 1000
 
+# sorted values per strip of the KS sweep, 512 KiB of float64
+KS_BLOCK = 2**16
+
 
 # -- local drift fields --------------------------------------------------------
 
@@ -475,15 +478,37 @@ def _ks_distance(x: np.ndarray, cdf) -> float:
     Sorts once and takes D+ and D- as scipy's kstest does (each the
     value at its first argmax, D+ where it is strictly larger), so the
     statistic is bit for bit scipy's; no p-value is computed.
+
+    The sorted sample is swept in strips of KS_BLOCK values, so only the
+    sorted copy and one strip's arrays are alive.  Each strip keeps the
+    value at its own first argmax of D+ and of D-, and the statistic takes
+    the value at the first argmax over the kept values.  That is the value
+    at the global first argmax: argmax ranks NaN above every number and
+    ties -0.0 with +0.0, and under that order every entry before the global
+    first argmax is strictly smaller.  So every earlier strip keeps a
+    smaller value, and the strip that holds the global first argmax keeps
+    that very element, a NaN or a zero's sign included.  Each entry is the
+    one-pass entry bit for bit: arange(a, b) + 1.0 gives the same exact
+    integers as arange(1.0, n + 1), and cdf acts elementwise.
     """
     x = np.sort(x)
-    cdfvals = cdf(x)
-    n = len(x)
-    d_plus = np.arange(1.0, n + 1) / n - cdfvals
-    d_minus = cdfvals - np.arange(0.0, n) / n
-    d_plus = d_plus[np.argmax(d_plus)]
-    d_minus = d_minus[np.argmax(d_minus)]
+    plus, minus = np.array([_ks_strip(x, a, cdf) for a in range(0, len(x), KS_BLOCK)]).T
+    d_plus = plus[np.argmax(plus)]
+    d_minus = minus[np.argmax(minus)]
     return float(d_plus if d_plus > d_minus else d_minus)
+
+
+def _ks_strip(x: np.ndarray, a: int, cdf) -> tuple:
+    """D+ and D- of the sorted x on the strip from a, each at its first argmax.
+
+    The strip's arrays are freed on return, before the next strip's exist.
+    """
+    n = len(x)
+    cdfvals = cdf(x[a:a + KS_BLOCK])
+    rank = np.arange(a, a + len(cdfvals), dtype=float)
+    d_minus = cdfvals - rank / n
+    d_plus = (rank + 1.0) / n - cdfvals
+    return d_plus[np.argmax(d_plus)], d_minus[np.argmax(d_minus)]
 
 
 def _expon_cdf(x: np.ndarray) -> np.ndarray:

@@ -79,13 +79,33 @@ def check_site(x0, n: int) -> int:
     return int(x0)
 
 
+def check_rates(env: Environment) -> None:
+    """Accept an environment whose jump rates are all finite.
+
+    A NaN rate never ends a holding time and an infinite one ends it at
+    once, so neither gives a walk; both walkers call this before their
+    first draw.  Finite negative rates are left to AbsorbingState.
+
+    Raises
+    ------
+    ValueError
+        naming the first site and direction whose rate is not finite.
+    """
+    bad = ~np.isfinite(env.p_full)
+    if bad.any():
+        x, k = np.argwhere(bad)[0]
+        raise ValueError(f"jump rate at site {x}, direction {k} is {env.p_full[x, k]}; "
+                         "rates must be finite")
+
+
 def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     """Simulate one walk on [0, T]; deterministic in (env, x0, T, seed).
 
     Raises
     ------
     ValueError
-        if T is not positive and finite or x0 is not a site of the torus.
+        if T is not positive and finite, x0 is not a site of the torus or
+        a jump rate is not finite.
     AbsorbingState
         if the walk reaches a site whose total rate is not positive.
     """
@@ -93,6 +113,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         raise ValueError("horizon T must be positive and finite")
     t_ = env.torus
     x0 = check_site(x0, t_.n)
+    check_rates(env)
     rng = _generator(seed)
     block = 1024  # uniforms per refill; consumption order matches the batch engine
     buf = rng.random(block)
@@ -223,6 +244,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         raise ValueError(f"jump_weights must have shape ({n}, {ndir}, W)")
     if block % 2 or block < 2:
         raise ValueError("block must be a positive even number")
+    check_rates(env)
 
     nbr = t_.nbr.ravel()  # edge (x, k) sits at x * ndir + k in every flat table
     # one contiguous column per direction but the last, which equals the

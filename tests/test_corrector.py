@@ -248,6 +248,19 @@ def test_unreachable_residual_cap(env_rand, monkeypatch):
         cor.solve_harmonic(env_rand, rhs)
 
 
+def test_a_nan_conductance_fails_the_residual_cap(env_rand):
+    # a NaN residual compares false with the cap, so the gate must reject it
+    rng = np.random.default_rng(2)
+    rhs = rng.normal(size=env_rand.torus.n)
+    rhs -= rhs.mean()
+    s = env_rand.s.full.copy()
+    s[5, 0] = np.nan
+    env = Environment(env_rand.torus, ConductanceField(env_rand.torus, s),
+                      b=env_rand.b, h=env_rand.h)
+    with pytest.raises(NoConvergence, match="residual nan"):
+        cor.solve_harmonic(env, rhs)
+
+
 # -- effective diffusivity -----------------------------------------------------------
 
 

@@ -36,6 +36,15 @@ def test_poisson_rejects_nonzero_mean():
         PoissonSolver(t).solve(np.ones(t.n))
 
 
+@pytest.mark.parametrize("method", ["spectral", "cg"])
+def test_poisson_rejects_a_nan_right_side(method):
+    t = Torus(2, 4)
+    f = np.cos(2 * np.pi * t.all_coords()[:, 0] / t.L)
+    f[3] = np.nan
+    with pytest.raises(InconsistentRHS, match="mean nan"):
+        PoissonSolver(t, method=method).solve(f)
+
+
 @pytest.mark.parametrize("d,L", [(2, 4), (2, 8), (3, 4)])
 def test_stream_reconstruction_round_trip(d, L):
     t = Torus(d, L)
@@ -76,6 +85,14 @@ def test_non_divergence_free_rejected():
     bad = FlowField(t, rng.normal(size=(t.n, 4)))
     with pytest.raises((NotDivergenceFree, NonzeroFlux)):
         stream_from_flow(bad)
+
+
+def test_a_nan_flow_entry_is_not_divergence_free():
+    t = Torus(2, 4)
+    b_full = curl(checkerboard_stream(t)).full.copy()
+    b_full[9, 1] = np.nan
+    with pytest.raises(NotDivergenceFree, match="divergence nan at site 9"):
+        stream_from_flow(FlowField(t, b_full))
 
 
 def test_zero_flow_reconstructs_zero():

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from bistoch import mart
@@ -355,6 +358,50 @@ def test_ks_statistics_are_scipys_to_the_bit(ens_homog):
         nonneg = np.abs(x) if name != "signed zeros" else np.where(x > 0, x, x * 0.0)
         assert (mart.ks_exponential(nonneg).hex()
                 == _scipy_ks(nonneg, "expon").hex()), name
+
+    # three full strips of the sweep and a partial fourth, drawn as uniforms
+    # and mapped through each CDF's inverse, so both CDFs see the same shape
+    n = 3 * mart.KS_BLOCK + 17
+    tie = np.sort(rng.uniform(size=n))
+    tie[mart.KS_BLOCK - 600:mart.KS_BLOCK + 600] = tie[mart.KS_BLOCK - 600]
+    with_nan = rng.uniform(size=n)
+    with_nan[12345] = np.nan
+    strips = {
+        "maximum in the last strip": (rng.uniform(0.0, 0.5, size=n), 3 * mart.KS_BLOCK, n),
+        "tie across a strip boundary": (rng.permutation(tie), mart.KS_BLOCK - 600,
+                                        mart.KS_BLOCK + 600),
+        "NaN": (with_nan, None, None),
+    }
+    cdfs = {"expon": (lambda u: -np.log1p(-u), mart._expon_cdf),
+            "norm": (scipy.special.ndtri, lambda v: mart._normal_cdf(v, 1.0))}
+    for name, (u, lo, hi) in strips.items():
+        for dist, (inverse, cdf) in cdfs.items():
+            x = inverse(u)
+            if lo is not None:
+                assert lo <= _statistic_index(x, cdf) < hi, (name, dist)
+            got = mart._ks_distance(x, cdf)
+            assert got.hex() == _scipy_ks(x, dist).hex(), (name, dist)
+
+
+def _statistic_index(x, cdf) -> int:
+    """Where in the sorted x the one-pass KS statistic is attained."""
+    x = np.sort(x)
+    n = len(x)
+    d_plus = np.arange(1.0, n + 1) / n - cdf(x)
+    d_minus = cdf(x) - np.arange(0.0, n) / n
+    return int(np.argmax(d_plus if d_plus.max() > d_minus.max() else d_minus))
+
+
+def test_ks_sweep_holds_the_sorted_copy_and_a_few_strips():
+    x = np.random.default_rng(9).exponential(size=4 * mart.KS_BLOCK)
+    tracemalloc.start()
+    try:
+        mart.ks_exponential(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one pass over the whole sample held five sample-sized arrays at once
+    assert peak < x.nbytes + 6 * mart.KS_BLOCK * x.itemsize
 
 
 def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):

@@ -152,6 +152,21 @@ def test_negative_total_rate_stops_the_engine_as_the_reference_walker():
         run_ensemble(env, 5.0, 3, MASTER, x0=2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_walkers_reject_non_finite_rates(value):
+    # a NaN rate never ends a holding time, so the walk would never reach T
+    t = Torus(1, 4)
+    s = np.ones((4, 2))
+    s[1, :] = s[0, 0] = s[2, 1] = value  # both edges of site 1
+    env = Environment(t, ConductanceField(t, s), b=FlowField.zero(t), h=None,
+                      weak_ellipticity=False, meta={})
+    match = f"jump rate at site 0, direction 0 is {value}"
+    with pytest.raises(ValueError, match=match):
+        simulate(env, 2, 5.0, seed=1)
+    with pytest.raises(ValueError, match=match):
+        run_ensemble(env, 5.0, 3, MASTER, x0=2)
+
+
 def test_normalized_holding_times_are_exponential(env_homog):
     res = run_ensemble(env_homog, 50.0, 400, MASTER, collect_holding=True)
     assert res.holding is not None and len(res.holding) > 10000
