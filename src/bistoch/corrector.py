@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 from .env import Environment, _scale, require_mean_zero
 from .errors import DenseCapExceeded, NoConvergence, NotPositiveDefinite, Reducible

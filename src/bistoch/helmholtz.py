@@ -18,7 +18,7 @@ is asserted on the computed tensor, as its curl gap, rather than assumed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+import scipy
 
 from .env import FlowField, StreamTensor, _scale, curl_gap, require_mean_zero
 from .errors import NoConvergence, NonzeroFlux, NotDivergenceFree
@@ -99,8 +99,8 @@ class PoissonSolver:
         def matvec(v):
             return -laplacian_apply(t, v) + v.mean()
 
-        op = LinearOperator((t.n, t.n), matvec=matvec, dtype=float)
-        u, info = cg(op, -f, rtol=1e-12, atol=0.0, maxiter=40 * t.n)
+        op = scipy.sparse.linalg.LinearOperator((t.n, t.n), matvec=matvec, dtype=float)
+        u, info = scipy.sparse.linalg.cg(op, -f, rtol=1e-12, atol=0.0, maxiter=40 * t.n)
         if info != 0:
             raise NoConvergence(info if info > 0 else 0,
                                 float(np.max(np.abs(laplacian_apply(t, u) + f))))

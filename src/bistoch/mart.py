@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special
+import scipy
 
 from .env import Environment
 from .errors import InsufficientReplicas, ZeroConductanceCrossing

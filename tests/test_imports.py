@@ -4,12 +4,16 @@ No lint tool is required: the check reads each module's syntax tree.  A
 name bound by an import counts as used when the module loads it anywhere;
 `import a.b` counts as used only when an attribute chain starting with
 a.b appears, so an import of one submodule is not excused by another.
-A fresh interpreter also checks that importing the package leaves
-scipy.stats out of the import graph.  The same syntax trees check that a
-usage error reaches exit 2 by one path only: a rule's ValueError becomes
-a ConfigError in report.checked (or, for bad JSON, report.load_config),
-and only cli.main returns 2.  They also check that the env module alone
-keys a Philox stream and alone writes canonical (separators=) JSON.
+Fresh interpreters also check the scipy import graph: the package imports
+bare `scipy` only, so each command loads just the submodules it calls
+(importing the package loads none of sparse, linalg, special or stats, and
+the walk commands load neither sparse nor linalg), and every scipy
+attribute chain the package names resolves from `import scipy`.  The same
+syntax trees check that a usage error reaches exit 2 by one path only: a
+rule's ValueError becomes a ConfigError in report.checked (or, for bad
+JSON, report.load_config), and only cli.main returns 2.  They also check
+that the env module alone keys a Philox stream and alone writes canonical
+(separators=) JSON.
 """
 
 import ast
@@ -67,17 +71,123 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def test_package_never_imports_scipy_stats():
-    """scipy.stats costs more than half a second to import and nothing needs it."""
-    code = ("import sys\n"
-            "import bistoch, bistoch.cli, bistoch.report\n"
-            "assert 'scipy.stats' not in sys.modules, sorted(\n"
-            "    m for m in sys.modules if m.startswith('scipy.stats'))\n")
+def assert_runs_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports the package from src."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_no_heavy_scipy_submodule():
+    """Importing bistoch leaves scipy's sparse, linalg, special and stats unloaded.
+
+    scipy.stats alone costs more than half a second and nothing needs it;
+    sparse, linalg and special together cost about 0.3 s and 28 MB, and only
+    the operator commands and the clt check need them.
+    """
+    code = ("import sys\n"
+            "import bistoch, bistoch.cli, bistoch.report\n"
+            "heavy = ('scipy.sparse', 'scipy.linalg', 'scipy.special', 'scipy.stats')\n"
+            "loaded = sorted(m for m in heavy if m in sys.modules)\n"
+            "assert not loaded, loaded\n")
+    assert_runs_fresh(code)
+
+
+def test_walk_commands_load_neither_sparse_nor_linalg(tmp_path):
+    """gen-env, simulate, decompose and helmholtz do no linear algebra.
+
+    bounds, which assembles and solves sparse operators, must load both,
+    so the test cannot pass because nothing is ever loaded.
+    """
+    env_file = str(tmp_path / "env.json")
+    commands = [
+        ["gen-env", "--d", "2", "--L", "4", "--seed", "3", "-o", env_file],
+        ["simulate", "--env", env_file, "--T", "5.0", "--replicas", "4", "--seed", "9",
+         "-o", str(tmp_path / "sum.csv")],
+        ["decompose", "--env", env_file, "--T", "4.0", "--replicas", "50", "--seed", "2",
+         "-o", str(tmp_path / "dec.csv")],
+        ["helmholtz", "--env", env_file, "-o", str(tmp_path / "stream.json")],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from bistoch.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    assert loaded() == [], (argv[0], loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['bounds', '--env', {env_file!r}])\n"
+            "assert loaded() == ['scipy.linalg', 'scipy.sparse'], ('bounds', loaded())\n")
+    assert_runs_fresh(code)
+
+
+def eager_scipy_imports(source: str) -> list:
+    """Lines of `source` with a module-level import of a scipy submodule.
+
+    That is `import scipy.<sub>` or any `from scipy... import`; a bare
+    `import scipy` loads no submodule until an attribute names it.
+    """
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Import):
+            if any(alias.name.startswith("scipy.") for alias in stmt.names):
+                found.append(stmt.lineno)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module and (
+                stmt.module == "scipy" or stmt.module.startswith("scipy.")):
+            found.append(stmt.lineno)
+    return found
+
+
+def test_eager_scipy_import_detector_sees_what_it_should():
+    source = ("import scipy\nimport scipy.sparse\nimport numpy, scipy.linalg as sl\n"
+              "from scipy import special\nfrom scipy.sparse.linalg import cg\n"
+              "from scipyx import y\nimport scipyx.sub\n"
+              "def f():\n    import scipy.stats\n    return scipy.stats\n")
+    assert eager_scipy_imports(source) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_no_scipy_submodule_eagerly(module):
+    assert eager_scipy_imports((PACKAGE / module).read_text()) == []
+
+
+def scipy_chains(source: str) -> set:
+    """Every attribute chain scipy.a.b... that `source` names."""
+    return {chain for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and (chain := _dotted(node)) and chain.startswith("scipy.")}
+
+
+def test_scipy_chain_collector_sees_what_it_should():
+    source = ("import scipy\nx: scipy.sparse.csr_matrix\n"
+              "y = scipy.sparse.linalg.cg(a, b)[0].real\n"
+              "z = notscipy.sparse\ndoc = 'scipy.stats.kstest'\n")
+    assert scipy_chains(source) == {"scipy.sparse", "scipy.sparse.csr_matrix",
+                                    "scipy.sparse.linalg", "scipy.sparse.linalg.cg"}
+
+
+def test_every_scipy_chain_resolves_from_bare_import():
+    """Each scipy.a.b... the package names resolves by getattr from `import scipy`.
+
+    A typo, or a submodule that the installed scipy does not load on first
+    attribute access, would otherwise show only when its code path first runs.
+    """
+    chains = sorted(set().union(*(scipy_chains(p.read_text())
+                                  for p in PACKAGE.glob("*.py"))))
+    assert "scipy.sparse.linalg.cg" in chains
+    code = ("import functools, scipy\n"
+            f"chains = {chains!r}\n"
+            "broken = []\n"
+            "for chain in chains:\n"
+            "    try:\n"
+            "        functools.reduce(getattr, chain.split('.')[1:], scipy)\n"
+            "    except AttributeError as e:\n"
+            "        broken.append(f'{chain}: {e}')\n"
+            "assert not broken, broken\n")
+    assert_runs_fresh(code)
 
 
 def _enclosed(node, func=None):
