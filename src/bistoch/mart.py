@@ -424,17 +424,18 @@ def variance_rate(ens: MartingaleEnsemble) -> MeanInterval:
     return batch_mean_interval((ens.X[:, -1, :] ** 2).sum(axis=1) / t)
 
 
-def second_moment_curve(ens: MartingaleEnsemble) -> tuple:
-    """E|X(t)|^2 at every grid time, with per-time standard errors."""
+def second_moment_curve(ens) -> tuple:
+    """E|X(t)|^2 at every grid time of ens.X (R, G, d), with per-time standard errors."""
     m2 = (ens.X ** 2).sum(axis=2)  # (R, G)
     ivs = [batch_mean_interval(m2[:, g]) for g in range(m2.shape[1])]
     return np.array([iv.mean for iv in ivs]), np.array([iv.se for iv in ivs])
 
 
 def growth_slope(times, second_moments) -> float:
-    """Least-squares slope of log E|X|^2 against log t."""
+    """Least-squares slope of log E|X|^2 against log t; NaN if a moment is 0."""
     lt = np.log(np.asarray(times, dtype=float))
-    lm = np.log(np.asarray(second_moments, dtype=float))
+    with np.errstate(divide="ignore"):  # no replica moved by that time: log 0 = -inf
+        lm = np.log(np.asarray(second_moments, dtype=float))
     return float(np.polyfit(lt, lm, 1)[0])
 
 
@@ -529,8 +530,10 @@ def _normal_cdf(x: np.ndarray, sd: float) -> np.ndarray:
 
 def ks_exponential(holding) -> float:
     """KS distance of normalized holding times from the unit exponential."""
-    if holding is None or len(holding) == 0:
-        raise ValueError("no holding-time samples; run with collect_holding=True")
+    if holding is None:
+        raise ValueError("no holding times were collected; run with collect_holding=True")
+    if len(holding) == 0:
+        raise ValueError("no holding-time samples: no replica jumped before T")
     return _ks_distance(np.asarray(holding, dtype=float), _expon_cdf)
 
 

@@ -18,10 +18,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import corrector, helmholtz, mart
+from . import corrector, helmholtz, mart, walker
 from .corrector import RESIDUAL_CAP
 from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
                   check_generator, curl_gap, load_env, random_environment, validate)
@@ -232,36 +233,70 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 # -- individual checks ---------------------------------------------------------
 #
 # Every check is called as fn(env, cfg, walks), where walks holds the seed of
-# the attempt and its decomposition ensemble.
+# the attempt and the walk of that seed.
+
+# the checks that read the decomposition observers; clt reads only X, the
+# holding times and the final sites
+DECOMPOSITION_CHECKS = frozenset({"decompose", "orthogonality"})
+
 
 def _walk_grid(cfg: ExperimentConfig, levels: int = 8):
     """Sample times of a walk check: the config grid, or the dyadic grid."""
     return cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
 
 
-class _Walks:
-    """The decomposition ensemble of one seed, simulated on first use.
+class _CltSample(NamedTuple):
+    """What clt reads of a walk: X on its grid, the holding times, the final sites."""
 
-    It is sampled on the config grid or on the 8-level dyadic grid, which
-    contains the 4- and 5-level grids that orthogonality and clt read, so
-    every walk check run under this seed takes its own columns from one
-    simulation.  Holding times are collected when clt is configured.
+    times: np.ndarray
+    X: np.ndarray
+    holding: np.ndarray
+    final_site: np.ndarray
+
+
+class _Walks:
+    """The walk of one seed, simulated on first use with what its due checks read.
+
+    due names the checks still to run under this seed.  While decompose or
+    orthogonality is due, the walk is the decomposition ensemble on the
+    config grid or on the 8-level dyadic grid, which contains the 4- and
+    5-level grids that orthogonality and clt read.  Otherwise it is the
+    plain ensemble on clt's grid.  Holding times are collected only while
+    clt is due.  A replica's path depends neither on the observers nor on
+    the grid it is sampled on, so every check reads the numbers that a walk
+    of its own would give, bit for bit, and each seed is walked once.
     """
 
-    def __init__(self, env: Environment, cfg: ExperimentConfig, seed: int):
+    def __init__(self, env: Environment, cfg: ExperimentConfig, seed: int, due: list):
         self.env = env
         self.cfg = cfg
         self.seed = seed
-        self._ens = None
+        self.decomposition = not DECOMPOSITION_CHECKS.isdisjoint(due)
+        self.collect_holding = "clt" in due
+        self._walk = None
+
+    def _run(self):
+        if self._walk is None:
+            cfg = self.cfg
+            if self.decomposition:
+                run, grid = mart.run_decomposition_ensemble, _walk_grid(cfg)
+            else:
+                run, grid = walker.run_ensemble, _walk_grid(cfg, 5)
+            self._walk = run(self.env, cfg.T, cfg.replicas, self.seed, grid=grid,
+                             x0=cfg.x0, collect_holding=self.collect_holding)
+        return self._walk
 
     def ensemble(self, levels: int = 8) -> mart.MartingaleEnsemble:
-        """The ensemble on the config grid, or else on the levels-level dyadic grid."""
-        cfg = self.cfg
-        if self._ens is None:
-            self._ens = mart.run_decomposition_ensemble(
-                self.env, cfg.T, cfg.replicas, self.seed, grid=_walk_grid(cfg),
-                x0=cfg.x0, collect_holding="clt" in cfg.checks)
-        return self._ens.at_times(_walk_grid(cfg, levels))
+        """The decomposition ensemble on the config grid, or on the levels-level dyadic grid."""
+        return self._run().at_times(_walk_grid(self.cfg, levels))
+
+    def clt_sample(self) -> _CltSample:
+        """X on the config grid or the 5-level dyadic grid, with the holding times."""
+        if self.decomposition:
+            ens = self.ensemble(5)
+            return _CltSample(ens.times, ens.X, ens.holding, ens.final_site)
+        res = self._run()
+        return _CltSample(res.times, res.displacement, res.holding, res.final_site)
 
 
 def _check_validate(env, cfg, walks):
@@ -351,14 +386,15 @@ def _check_helmholtz(env, cfg, walks):
 
 
 def _check_clt(env, cfg, walks):
-    ens = walks.ensemble(5)
-    m2, _ = mart.second_moment_curve(ens)
-    slope = mart.growth_slope(ens.times, m2)
-    ks_components = [mart.ks_gaussian(ens.X[:, -1, i])
-                     for i in range(ens.X.shape[2])]
-    ks_hold = mart.ks_exponential(ens.holding)
-    ks_hold_crit = KS_99_COEFF / np.sqrt(len(ens.holding))
-    chi_p = mart.final_site_chisquare(ens.final_site, env.torus.n)
+    walk = walks.clt_sample()
+    # an empty sample, a walk in which no replica jumped, raises here
+    ks_hold = mart.ks_exponential(walk.holding)
+    ks_hold_crit = KS_99_COEFF / np.sqrt(len(walk.holding))
+    m2, _ = mart.second_moment_curve(walk)
+    slope = mart.growth_slope(walk.times, m2)
+    ks_components = [mart.ks_gaussian(walk.X[:, -1, i])
+                     for i in range(walk.X.shape[2])]
+    chi_p = mart.final_site_chisquare(walk.final_site, env.torus.n)
     passed = (0.95 <= slope <= 1.05
               and max(ks_components) < 0.02
               and ks_hold < ks_hold_crit
@@ -366,7 +402,7 @@ def _check_clt(env, cfg, walks):
     return {"passed": bool(passed), "slope": slope,
             "ks_components": ks_components, "ks_holding": ks_hold,
             "ks_holding_crit": float(ks_hold_crit),
-            "holding_samples": int(len(ens.holding)),
+            "holding_samples": int(len(walk.holding)),
             "chisquare_p": chi_p}
 
 
@@ -393,9 +429,10 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     exception type and message, and the remaining checks still run.
 
     The checks run attempt by attempt: all that are due under one seed run
-    before the next seed's ensemble is simulated, so each distinct seed is
-    walked once, at most one ensemble is alive, and the timings charge the
-    simulation to the first check that uses it.
+    before the next seed's walk is simulated, so each distinct seed is
+    walked once, at most one walk is alive, and the timings charge the
+    simulation to the first check that uses it.  Each walk carries only
+    what the checks due under its seed read (see _Walks).
     """
     from time import perf_counter
 
@@ -406,10 +443,9 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     attempts = {name: [] for name in names}
     timings = dict.fromkeys(names, 0.0)
     for attempt in range(MAX_ATTEMPTS):
-        walks = _Walks(env, cfg, reseed(cfg.seed, attempt))
-        for name in names:
-            if name in results:
-                continue
+        due = [name for name in names if name not in results]
+        walks = _Walks(env, cfg, reseed(cfg.seed, attempt), due)
+        for name in due:
             t0 = perf_counter()
             try:
                 out = CHECK_REGISTRY[name](env, cfg, walks)

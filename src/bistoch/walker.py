@@ -290,7 +290,10 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     jsum = np.zeros((R, d * W))
     jsnap = np.zeros((R, G, d * W))
     psnap = np.zeros((R, G, d), dtype=np.int64)
-    holds = [] if collect_holding else None
+    # one buffer, grown in place by a quarter and trimmed after the loop, so
+    # storing the holding times costs at most 1.25 times the sample
+    holding = np.empty(R) if collect_holding else None
+    n_held = 0
 
     # Until the first replica finishes, `rows` is a full slice and every
     # per-step array is unindexed; afterwards it is the live replicas' index.
@@ -352,8 +355,13 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
             inc = site_fields.take(sm, axis=0)
             inc *= dt[:, None]
             acc[rows] += inc
-        if holds is not None:
-            holds.append(dt * rate)
+        if holding is not None:
+            m = n_held + len(dt)
+            if m > len(holding):
+                # no view of the buffer outlives a step, so none is left dangling
+                holding.resize(max(m, len(holding) * 5 // 4), refcheck=False)
+            np.multiply(dt, rate, out=holding[n_held:m])
+            n_held = m
 
         v = u2 * rate
         k = (v >= cum_cols[0][sm]).astype(np.intp)
@@ -371,7 +379,8 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         now[rows] = t_new
         step += 1
 
-    holding = np.concatenate(holds) if holds else (np.empty(0) if collect_holding else None)
+    if holding is not None:
+        holding.resize(n_held, refcheck=False)
     return EnsembleResult(
         times=grid,
         displacement=psnap.astype(float),

@@ -180,6 +180,18 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     assert doc["format"] == "bistoch-report" and doc["passed"] is True
 
 
+def test_check_all_names_a_walk_without_jumps(tmp_path, capsys):
+    # T is so short that no replica jumps, so clt has no holding times
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"d": 2, "L": 4, "seed": 3}, "T": 1e-9,
+                                "replicas": 100, "checks": ["clt"]}))
+    out = tmp_path / "report.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 1
+    assert "Warning" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["checks"]["clt"] == {
+        "passed": False, "error": "ValueError: no holding-time samples: no replica jumped before T"}
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"bogus": 1}, id="unknown-field"),
     pytest.param({"T": 8.0, "grid": ["a", 8.0]}, id="grid-string"),

@@ -314,6 +314,11 @@ def test_growth_slope_exact_power_law():
     assert abs(mart.growth_slope(times, times ** 2) - 2.0) < 1e-12
 
 
+def test_growth_slope_of_a_zero_moment_is_nan_without_a_warning():
+    # no replica has moved by the first time; a RuntimeWarning fails the test
+    assert np.isnan(mart.growth_slope([1.0, 2.0, 4.0], [0.0, 1.0, 2.0]))
+
+
 def test_second_moment_curve_shapes(ens_homog):
     m2, se = mart.second_moment_curve(ens_homog)
     assert m2.shape == se.shape == ens_homog.times.shape
@@ -323,8 +328,10 @@ def test_second_moment_curve_shapes(ens_homog):
 def test_ks_exponential_on_holding(ens_homog):
     ks = mart.ks_exponential(ens_homog.holding)
     assert ks < 3 * 1.36 / np.sqrt(len(ens_homog.holding))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="collect_holding=True"):
         mart.ks_exponential(None)
+    with pytest.raises(ValueError, match="no replica jumped before T"):
+        mart.ks_exponential(np.empty(0))
 
 
 def test_ks_gaussian_accepts_and_rejects():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bistoch import corrector, mart, report
+from bistoch import corrector, mart, report, walker
 from bistoch.env import canonical_json, save_env
 
 
@@ -161,7 +161,7 @@ WALK_CHECKS = ["decompose", "orthogonality", "clt"]
 
 
 class _FreshWalks:
-    """The old path: every request simulates a new ensemble on exactly its grid."""
+    """The old path: every request simulates a new decomposition ensemble on exactly its grid."""
 
     def __init__(self, env, cfg, seed):
         self.env, self.cfg, self.seed = env, cfg, seed
@@ -171,6 +171,10 @@ class _FreshWalks:
         grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
         return mart.run_decomposition_ensemble(self.env, cfg.T, cfg.replicas, self.seed,
                                                grid=grid, x0=cfg.x0, collect_holding=True)
+
+    def clt_sample(self):
+        ens = self.ensemble(5)
+        return report._CltSample(ens.times, ens.X, ens.holding, ens.final_site)
 
 
 def _reference_report(cfg) -> dict:
@@ -199,33 +203,79 @@ def _reference_report(cfg) -> dict:
             "passed": all(r["passed"] for r in results.values())}
 
 
-def _counted_ensembles(monkeypatch):
+def _spy_walks(monkeypatch):
+    """Record each ensemble walked as (engine, master seed, collects holding times).
+
+    run_decomposition_ensemble calls the engine through mart's own name for
+    it, so a decomposition ensemble is recorded once, as "decomposition".
+    """
     calls = []
-    real = mart.run_decomposition_ensemble
+    for module, name, engine in ((mart, "run_decomposition_ensemble", "decomposition"),
+                                 (walker, "run_ensemble", "plain")):
+        def spy(*args, _real=getattr(module, name), _engine=engine, **kwargs):
+            calls.append((_engine, args[3], kwargs.get("collect_holding", False)))
+            return _real(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])  # the master seed
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mart, "run_decomposition_ensemble", counted)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
-def test_readme_config_walks_each_seed_once(monkeypatch):
-    calls = _counted_ensembles(monkeypatch)
-    cfg = report.config_from_dict(README_CONFIG)
-    rep, timings = report.run_config(cfg)
-    assert len(calls) == len(set(calls)) == 3
-    assert len(rep["checks"]["clt"]["attempts"]) == 3  # so three seeds are due
-    calls.clear()
-    want = _reference_report(cfg)
+def _seeds(master):
+    return [report.reseed(master, attempt) for attempt in range(report.MAX_ATTEMPTS)]
+
+
+@pytest.fixture(scope="module")
+def readme_run():
+    """The README battery's report and timings, and the ensembles it walked."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_walks(mp)
+        rep, timings = report.run_config(report.config_from_dict(README_CONFIG))
+    return rep, timings, calls
+
+
+def test_readme_config_walks_each_seed_once(monkeypatch, readme_run):
+    rep, timings, calls = readme_run
+    first, *retries = _seeds(README_CONFIG["seed"])
+    # clt fails every attempt, so three seeds are due; only the first
+    # carries decompose and orthogonality, the retries walk plain
+    assert [a["seed"] for a in rep["checks"]["clt"]["attempts"]] == [first, *retries]
+    assert calls == [("decomposition", first, True),
+                     *[("plain", seed, True) for seed in retries]]
+    calls = _spy_walks(monkeypatch)
+    want = _reference_report(report.config_from_dict(README_CONFIG))
     assert len(calls) == 5  # decompose, orthogonality and three clt attempts
     assert report.canonical_json(rep) == report.canonical_json(want)
     assert list(rep["checks"]) == list(timings) == README_CONFIG["checks"]
 
 
+def test_clt_alone_reports_what_the_readme_battery_does(readme_run):
+    # alone, clt walks every seed plain; in the battery its first seed is
+    # the decomposition ensemble that decompose and orthogonality read
+    rep, _, _ = readme_run
+    cfg = report.config_from_dict({**README_CONFIG, "checks": ["clt"]})
+    alone, _ = report.run_config(cfg)
+    assert (report.canonical_json(alone["checks"]["clt"])
+            == report.canonical_json(rep["checks"]["clt"]))
+
+
+def test_an_orthogonality_retry_collects_no_holding_times(monkeypatch):
+    real = dict(report.CHECK_REGISTRY)
+    monkeypatch.setitem(report.CHECK_REGISTRY, "orthogonality",
+                        lambda *args: {**real["orthogonality"](*args), "passed": False})
+    monkeypatch.setitem(report.CHECK_REGISTRY, "clt",
+                        lambda *args: {**real["clt"](*args), "passed": True})
+    calls = _spy_walks(monkeypatch)
+    rep, _ = report.run_config(report.config_from_dict({**SMALL, "checks": WALK_CHECKS}))
+    assert len(rep["checks"]["orthogonality"]["attempts"]) == 3
+    assert len(rep["checks"]["clt"]["attempts"]) == 1
+    first, *retries = _seeds(SMALL["seed"])
+    assert calls == [("decomposition", first, True),
+                     *[("decomposition", seed, False) for seed in retries]]
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"seed": 0, "grid": [2.0, 5.0, 16.0], "checks": WALK_CHECKS}, id="grid"),
+    pytest.param({"seed": 0, "grid": [2.0, 5.0, 16.0], "checks": ["clt"]}, id="clt-on-grid"),
     # orthogonality needs all three attempts here, interleaved with clt's
     pytest.param({"seed": 0, "x0": 5, "checks": WALK_CHECKS}, id="fixed-x0"),
     pytest.param({"seed": 0, "env": {"d": 1, "L": 16, "seed": 3}, "checks": WALK_CHECKS},
@@ -238,7 +288,8 @@ def test_readme_config_walks_each_seed_once(monkeypatch):
 ])
 def test_shared_ensembles_give_the_reference_report(monkeypatch, fields):
     cfg = report.config_from_dict({**SMALL, **fields})
-    calls = _counted_ensembles(monkeypatch)
+    calls = _spy_walks(monkeypatch)
     rep, _ = report.run_config(cfg)
-    assert len(calls) == len(set(calls))  # no seed is walked twice
+    seeds = [seed for _, seed, _ in calls]
+    assert len(seeds) == len(set(seeds))  # no seed is walked twice
     assert report.canonical_json(rep) == report.canonical_json(_reference_report(cfg))

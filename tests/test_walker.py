@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,26 @@ def test_normalized_holding_times_are_exponential(env_homog):
     res = run_ensemble(env_homog, 50.0, 400, MASTER, collect_holding=True)
     assert res.holding is not None and len(res.holding) > 10000
     assert ks_exponential(res.holding) < 1.36 / np.sqrt(len(res.holding)) * 3
+
+
+def test_storing_holding_times_costs_at_most_a_quarter_over_the_sample(env_homog):
+    peaks = {}
+    for collect in (False, True):
+        tracemalloc.start()
+        try:
+            res = run_ensemble(env_homog, 50.0, 400, MASTER, collect_holding=collect)
+            peaks[collect] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # per-step arrays concatenated at the end held the sample twice
+    assert len(res.holding) > 10000
+    assert peaks[True] - peaks[False] <= 1.25 * res.holding.nbytes
+
+
+def test_a_walk_without_jumps_has_an_empty_holding_sample(env_homog):
+    res = run_ensemble(env_homog, 1e-9, 20, MASTER, collect_holding=True)
+    assert not res.n_jumps.any()
+    assert res.holding.dtype == float and res.holding.shape == (0,)
 
 
 def test_homogeneous_jump_count_mean(env_homog):
