@@ -208,7 +208,7 @@ def _cmd_bounds(args) -> int:
     print(f"sigma2 = {_fmt_matrix(res['sigma2'])}")
     if args.output:
         out = _outpath(args.output)
-        report.write_report(report._pyify(res), out)
+        report.write_report(res, out)
         print(f"wrote {out}")
     return 0 if res["passed"] else 1
 

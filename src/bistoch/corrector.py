@@ -287,18 +287,17 @@ class HarmonicSolution:
     gradient: np.ndarray      # (n, 2d), gradient[x, k] = g(x+k) - g(x)
     residual: float           # max |L g - rhs|
     iterations: int
-    method: str
 
 
-def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray, iterations: int,
-               method: str) -> HarmonicSolution:
+def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray,
+               iterations: int) -> HarmonicSolution:
     """g made mean-zero, with its residual; NoConvergence above RESIDUAL_CAP."""
     g = g - g.mean()
     res = float(np.max(np.abs(L @ g - rhs)))
     if not res <= RESIDUAL_CAP * _scale(rhs):
         raise NoConvergence(iterations, res)
     return HarmonicSolution(potential=g, gradient=g[torus.nbr] - g[:, None],
-                            residual=res, iterations=iterations, method=method)
+                            residual=res, iterations=iterations)
 
 
 def solve_harmonic(env: Environment, rhs) -> HarmonicSolution:
@@ -342,7 +341,7 @@ def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix,
     g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=KRYLOV_TOL,
                                          atol=0.0, maxiter=max(200, n),
                                          callback=cb)
-    return _certified(t_, L, g, rhs, count[0], "krylov")
+    return _certified(t_, L, g, rhs, count[0])
 
 
 def solve_harmonic_spectral(env: Environment, rhs,
@@ -351,7 +350,7 @@ def solve_harmonic_spectral(env: Environment, rhs,
     rhs = require_mean_zero(rhs)
     u = spec.S_invhalf @ rhs
     v = scipy.linalg.solve(np.eye(env.torus.n) - spec.B, u)
-    return _certified(env.torus, spec.assembly.L, -(spec.S_invhalf @ v), rhs, 0, "spectral")
+    return _certified(env.torus, spec.assembly.L, -(spec.S_invhalf @ v), rhs, 0)
 
 
 def harmonic_equation_residual(env: Environment, solution: HarmonicSolution,
@@ -368,7 +367,6 @@ class DiffusivityResult:
     sigma2: np.ndarray            # (d, d)
     correctors: np.ndarray        # (n, d)
     residuals: np.ndarray         # (d,) harmonic equation residuals
-    method: str
 
 
 def effective_diffusivity(env: Environment, method: str = "krylov") -> DiffusivityResult:
@@ -411,8 +409,7 @@ def effective_diffusivity(env: Environment, method: str = "krylov") -> Diffusivi
     D = t_.directions.astype(float)
     u = D[None, :, :] + grads
     sigma2 = np.einsum("xk,xki,xkj->ij", env.s.full, u, u) / t_.n
-    return DiffusivityResult(sigma2=sigma2, correctors=chi,
-                             residuals=residuals, method=method)
+    return DiffusivityResult(sigma2=sigma2, correctors=chi, residuals=residuals)
 
 
 def corrector_csv(potential: np.ndarray, path: str) -> None:

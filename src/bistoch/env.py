@@ -367,22 +367,21 @@ def checkerboard_stream(torus: Torus, c: float = 1.0) -> StreamTensor:
 
 # -- random generation ------------------------------------------------------
 
-# parameter count of each distribution name accepted by random_environment
-DISTRIBUTIONS = {"uniform": 2, "two_point": 3, "lognormal": 2, "gaussian": 1}
-# each law as (its parameter domain beyond finiteness, that domain's test, its
+# each distribution name accepted by random_environment as (its parameter
+# count, its parameter domain beyond finiteness, that domain's test, its
 # sampler); numpy draws uniform as lo + (hi - lo) * u, so the width must be finite
 _LAWS = {
-    "uniform": ("lo <= hi with hi - lo finite",
+    "uniform": (2, "lo <= hi with hi - lo finite",
                 lambda lo, hi: lo <= hi and math.isfinite(hi - lo),
                 lambda rng, size, lo, hi: rng.uniform(lo, hi, size)),
-    "two_point": ("its probability in [0, 1]",
+    "two_point": (3, "its probability in [0, 1]",
                   lambda a, b, prob_a: 0.0 <= prob_a <= 1.0,
                   lambda rng, size, a, b, prob_a:
                   np.where(rng.random(size) < prob_a, a, b).astype(float)),
-    "lognormal": ("sigma >= 0",
+    "lognormal": (2, "sigma >= 0",
                   lambda mu, sigma: sigma >= 0.0,
                   lambda rng, size, mu, sigma: rng.lognormal(mu, sigma, size)),
-    "gaussian": ("scale >= 0",
+    "gaussian": (1, "scale >= 0",
                  lambda scale: scale >= 0.0,
                  lambda rng, size, scale: rng.normal(0.0, scale, size)),
 }
@@ -409,15 +408,15 @@ def check_dist(dist) -> None:
     if isinstance(dist, str) or not isinstance(dist, (list, tuple)) or not dist:
         raise ValueError("distribution must be a list [name, *parameters]")
     name, *params = dist
-    if not isinstance(name, str) or name not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {name!r}; known: {', '.join(DISTRIBUTIONS)}")
-    if len(params) != DISTRIBUTIONS[name] or not all(
+    if not isinstance(name, str) or name not in _LAWS:
+        raise ValueError(f"unknown distribution {name!r}; known: {', '.join(_LAWS)}")
+    arity, rule, holds, _ = _LAWS[name]
+    if len(params) != arity or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
-        raise ValueError(f"{name} takes {DISTRIBUTIONS[name]} numeric parameters")
+        raise ValueError(f"{name} takes {arity} numeric parameters")
     # false for NaN, and exact for an integer of any size
     if not all(-sys.float_info.max <= v <= sys.float_info.max for v in params):
         raise ValueError(f"{name} parameters must be finite floats, got {params}")
-    rule, holds, _ = _LAWS[name]
     if not holds(*map(float, params)):
         raise ValueError(f"{name} needs {rule}, got {params}")
 
@@ -426,7 +425,7 @@ def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     """Sample an array from a (name, *params) distribution spec."""
     check_dist(dist)
     name, *params = dist
-    return _LAWS[name][2](rng, size, *params)
+    return _LAWS[name][3](rng, size, *params)
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -482,7 +481,7 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
         env = make_totally_asymmetric_env(h)
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    env.meta.update({"seed": int(seed), "d": d, "L": L, "params": params})
+    env.meta.update({"seed": int(seed), "d": t.d, "L": t.L, "params": params})
     return env
 
 
@@ -539,8 +538,12 @@ def integrability_diagnostics(env: Environment) -> Diagnostics:
 # -- serialization -----------------------------------------------------------
 
 def canonical_json(obj) -> str:
-    """obj as JSON with sorted keys and no whitespace, the package's one byte form."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """obj as JSON with sorted keys and no whitespace, the package's one byte form.
+
+    Strict JSON: a NaN or infinite float raises ValueError rather than being
+    written as a token that JSON parsers other than Python's reject.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def env_to_dict(env: Environment) -> dict:

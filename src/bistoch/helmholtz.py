@@ -18,7 +18,6 @@ is asserted on the computed tensor, as its curl gap, rather than assumed.
 from __future__ import annotations
 
 import numpy as np
-import scipy
 
 from .env import FlowField, StreamTensor, _scale, curl_gap, require_mean_zero
 from .errors import NoConvergence, NonzeroFlux, NotDivergenceFree
@@ -39,71 +38,40 @@ def laplacian_apply(torus: Torus, f: np.ndarray) -> np.ndarray:
 class PoissonSolver:
     """Solve Lap u = f for mean-zero f with mean-zero u.
 
-    Parameters
-    ----------
-    torus : Torus
-    method : str
-        "spectral" diagonalizes the Laplacian in the discrete Fourier basis,
-        with eigenvalue lam(m) = 2 * sum_j (cos(2 pi m_j / L) - 1);
-        "cg" runs conjugate gradients on -Lap with a rank-one mean shift
-        that pins the constant mode.
-
-    Every solve checks its max-norm residual against STREAM_TOL; a right
-    side that is not mean-zero raises InconsistentRHS.
+    The Laplacian is diagonal in the discrete Fourier basis, with eigenvalue
+    lam(m) = 2 * sum_j (cos(2 pi m_j / L) - 1); the constant mode, the one
+    zero eigenvalue, is set to zero.  Every solve checks its max-norm
+    residual against STREAM_TOL; a right side that is not mean-zero raises
+    InconsistentRHS.
     """
 
-    def __init__(self, torus: Torus, method: str = "spectral"):
-        if method not in ("spectral", "cg"):
-            raise ValueError(f"unknown method {method!r}")
+    def __init__(self, torus: Torus):
         self.torus = torus
-        self.method = method
-        if method == "spectral":
-            L = torus.L
-            line = 2.0 * (np.cos(2.0 * np.pi * np.arange(L) / L) - 1.0)
-            lam = np.zeros(torus.shape)
-            for axis in range(torus.d):
-                shape = [1] * torus.d
-                shape[axis] = L
-                lam = lam + line.reshape(shape)
-            self._eigenvalues = lam
+        L = torus.L
+        line = 2.0 * (np.cos(2.0 * np.pi * np.arange(L) / L) - 1.0)
+        lam = np.zeros(torus.shape)
+        for axis in range(torus.d):
+            shape = [1] * torus.d
+            shape[axis] = L
+            lam = lam + line.reshape(shape)
+        # the constant mode is divided by 1 and then zeroed
+        self._zero = lam == 0.0
+        lam[self._zero] = 1.0
+        self._eigenvalues = lam
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         f = require_mean_zero(f)
         t = self.torus
         scale = _scale(f)
-        mean = float(f.mean())
-        if self.method == "spectral":
-            u = self._solve_spectral(f - mean)
-        else:
-            u = self._solve_cg(f - mean)
+        f = f - float(f.mean())
+        fhat = np.fft.fftn(f.reshape(t.shape))
+        uhat = fhat / self._eigenvalues
+        uhat[self._zero] = 0.0
+        u = np.real(np.fft.ifftn(uhat)).ravel()
         u = u - u.mean()
-        res = float(np.max(np.abs(laplacian_apply(t, u) - (f - mean))))
+        res = float(np.max(np.abs(laplacian_apply(t, u) - f)))
         if not res <= STREAM_TOL * scale:
             raise NoConvergence(0, res)
-        return u
-
-    def _solve_spectral(self, f: np.ndarray) -> np.ndarray:
-        t = self.torus
-        fhat = np.fft.fftn(f.reshape(t.shape))
-        lam = self._eigenvalues.copy()
-        zero = (lam == 0.0)
-        lam[zero] = 1.0
-        uhat = fhat / lam
-        uhat[zero] = 0.0
-        return np.real(np.fft.ifftn(uhat)).ravel()
-
-    def _solve_cg(self, f: np.ndarray) -> np.ndarray:
-        t = self.torus
-        # -Lap is symmetric PSD with kernel = constants; the mean shift makes
-        # the operator positive definite without moving mean-zero solutions
-        def matvec(v):
-            return -laplacian_apply(t, v) + v.mean()
-
-        op = scipy.sparse.linalg.LinearOperator((t.n, t.n), matvec=matvec, dtype=float)
-        u, info = scipy.sparse.linalg.cg(op, -f, rtol=1e-12, atol=0.0, maxiter=40 * t.n)
-        if info != 0:
-            raise NoConvergence(info if info > 0 else 0,
-                                float(np.max(np.abs(laplacian_apply(t, u) + f))))
         return u
 
 

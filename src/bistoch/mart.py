@@ -67,33 +67,17 @@ def harmonic_mean_conductance(env: Environment) -> np.ndarray:
     return np.where(np.isfinite(means), 1.0 / np.where(means > 0, means, 1.0), 0.0)
 
 
-def drift_fields(env: Environment, method: str = "moment") -> DriftFields:
+def drift_fields(env: Environment) -> DriftFields:
     """Compute the local drifts and compensators of an environment.
 
-    The "moment" method contracts the rate arrays against the direction
-    vectors; "shift" reads the same numbers off the canonical edge arrays.
-    Both agree to rounding and exist as a cross-check on the storage
-    conventions.
+    phi and psi contract the rate arrays against the direction vectors.
     """
-    t_ = env.torus
-    d = t_.d
+    d = env.torus.d
     s_full = env.s.full
     b_full = env.b.full
-    if method == "moment":
-        D = t_.directions.astype(float)
-        phi = s_full @ D
-        psi = b_full @ D
-    elif method == "shift":
-        s_can = env.s.canonical
-        b_can = env.b.canonical
-        phi = np.empty((t_.n, d))
-        psi = np.empty((t_.n, d))
-        for i in range(d):
-            back = t_.nbr[:, d + i]  # site x - e_i
-            phi[:, i] = s_can[:, i] - s_can[back, i]
-            psi[:, i] = b_can[:, i] + b_can[back, i]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    D = env.torus.directions.astype(float)
+    phi = s_full @ D
+    psi = b_full @ D
 
     s_bar = harmonic_mean_conductance(env)
     ratio = np.divide(b_full, s_full, out=np.zeros_like(b_full), where=s_full > 0)

@@ -209,15 +209,20 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     return draw_environment(spec["d"], spec["L"], spec["seed"], "env", **laws)[0]
 
 
-def _pyify(obj):
+def _pyify(obj, strict: bool = False):
+    """obj with numpy arrays and scalars as Python lists and scalars.
+
+    strict also writes each non-finite float as None, JSON's null, so that
+    the result serializes as strict JSON.
+    """
     if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
+        return {k: _pyify(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
+        return [_pyify(v, strict) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist())
-    if isinstance(obj, np.floating):
-        return float(obj)
+        return _pyify(obj.tolist(), strict)
+    if isinstance(obj, (float, np.floating)):
+        return None if strict and not math.isfinite(obj) else float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -473,9 +478,13 @@ def run_config(cfg: ExperimentConfig) -> tuple:
 
 
 def write_report(report: dict, path: str) -> None:
-    """Canonical serialization: sorted keys, no whitespace, one newline."""
+    """Canonical serialization: sorted keys, no whitespace, one newline.
+
+    A non-finite float (a NaN slope, an infinite residual) is written as
+    null, so the file is strict JSON.
+    """
     with open(path, "w") as f:
-        f.write(canonical_json(report) + "\n")
+        f.write(canonical_json(_pyify(report, strict=True)) + "\n")
 
 
 def write_timings(timings: dict, path: str) -> None:

@@ -11,16 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def _size(value, what: str, least: int) -> int:
+    """value as a Python int; ValueError unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return int(value)
+
+
 class Torus:
     """Finite periodic lattice {0,...,L-1}^d with wrap-around neighbors."""
 
     def __init__(self, d: int, L: int):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        if L < 2:
-            raise ValueError("side length must be >= 2")
-        self.d = int(d)
-        self.L = int(L)
+        self.d = _size(d, "dimension", 1)
+        self.L = _size(L, "side length", 2)
         self.n = self.L ** self.d
         self.shape = (self.L,) * self.d
         self.ndir = 2 * self.d

@@ -192,6 +192,21 @@ def test_check_all_names_a_walk_without_jumps(tmp_path, capsys):
         "passed": False, "error": "ValueError: no holding-time samples: no replica jumped before T"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_check_all_writes_strict_json(tmp_path):
+    # so few jumps before T that the clt slope fit is NaN in every attempt
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 0, "env": {"d": 2, "L": 4, "seed": 3}, "T": 0.01,
+                                "replicas": 100, "checks": ["clt"]}))
+    out = tmp_path / "report.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 1
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert [a["slope"] for a in doc["checks"]["clt"]["attempts"]] == [None] * 3
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"bogus": 1}, id="unknown-field"),
     pytest.param({"T": 8.0, "grid": ["a", 8.0]}, id="grid-string"),

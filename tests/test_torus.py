@@ -84,3 +84,18 @@ def test_rejects_bad_sizes():
         Torus(0, 4)
     with pytest.raises(ValueError):
         Torus(2, 1)
+
+
+@pytest.mark.parametrize("d, L", [(2.5, 4), (2, 4.0), (True, 4), (2, np.float64(4.0)),
+                                  ("2", 4), (2, np.bool_(True))],
+                         ids=["d-fraction", "L-float", "d-bool", "L-numpy-float",
+                              "d-string", "L-numpy-bool"])
+def test_rejects_a_size_that_is_not_an_integer(d, L):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Torus(d, L)
+
+
+def test_accepts_numpy_integer_sizes():
+    t = Torus(np.int64(2), np.int32(4))
+    assert (type(t.d), type(t.L), t.n) == (int, int, 16)
+    assert t == Torus(2, 4)
