@@ -16,14 +16,14 @@ averages reduce to exact cancellations over +/- direction pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
 from .env import Environment
 from .errors import InsufficientReplicas, ZeroConductanceCrossing
-from .walker import Trajectory, check_grid, run_ensemble
+from .walker import EnsembleResult, Trajectory, check_grid, run_ensemble
 
 # two-sided 99% normal quantile, frozen for reproducibility
 Z_99 = 2.5758293035489004
@@ -214,7 +214,7 @@ _SITE_COLUMNS = ("phipsi", "phi", "psi", "alpha", "beta")
 _JUMP_COLUMNS = ("z", "y")
 
 
-def _field_tables(env: Environment) -> tuple:
+def field_tables(env: Environment) -> tuple:
     """Stacked observer tables: (n, 5d) site integrands, (n, 2d, 2) jump weights."""
     f = drift_fields(env)
     site = {"phipsi": f.phi + f.psi, "phi": f.phi, "psi": f.psi,
@@ -225,7 +225,7 @@ def _field_tables(env: Environment) -> tuple:
 
 
 def _components(X: np.ndarray, integrals: np.ndarray, jump_sums: np.ndarray) -> dict:
-    """X, M, I, J, Z, Y from the displacement and the _field_tables observers.
+    """X, M, I, J, Z, Y from the displacement and the field_tables observers.
 
     integrals has the site-table columns on its last axis and jump_sums
     the jump-table columns; leading axes (replica, grid time) pass through.
@@ -272,7 +272,7 @@ def decompose(env: Environment, traj: Trajectory, grid=None) -> DecompositionPat
     lands after the snapshot.
     """
     grid = check_grid(dyadic_grid(traj.T) if grid is None else grid, traj.T)
-    site_table, jump_table = _field_tables(env)
+    site_table, jump_table = field_tables(env)
     t_ = env.torus
     m = traj.n_jumps
     start = np.concatenate([[0.0], traj.times])  # start of each holding interval
@@ -304,47 +304,31 @@ class MartingaleEnsemble(DecompositionPath):
 
     n_jumps: np.ndarray
     final_site: np.ndarray
-    holding: np.ndarray | None
-    master_seed: int
-    T: float
 
     @property
     def n_replicas(self) -> int:
         return self.X.shape[0]
 
-    def at_times(self, times) -> MartingaleEnsemble:
-        """The same replicas sampled at a subset of the grid times.
 
-        Bit for bit the ensemble that the same run sampled on `times` alone
-        would give: the engine snapshots each (replica, grid time) from the
-        path up to that time only, and _components works elementwise.
+def decomposition(res: EnsembleResult) -> MartingaleEnsemble:
+    """The decomposition of a walk run with the field_tables observers.
 
-        Raises
-        ------
-        ValueError
-            if a requested time is not on this ensemble's grid.
-        """
-        times = np.asarray(times, dtype=float)
-        idx = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
-        if not np.array_equal(self.times[idx], times):
-            raise ValueError("requested times are not on the ensemble's grid")
-        parts = {name: getattr(self, name)[:, idx] for name in ("X", "M", "I", "J", "Z", "Y")}
-        return replace(self, times=self.times[idx], **parts)
+    _components works elementwise, so the decomposition of res.at_times(g)
+    is bit for bit that of a walk sampled on g alone.
+    """
+    return MartingaleEnsemble(
+        times=res.times, **_components(res.displacement, res.integrals, res.jump_sums),
+        n_jumps=res.n_jumps, final_site=res.final_site)
 
 
 def run_decomposition_ensemble(env: Environment, T: float, n_replicas: int,
-                               master_seed: int, grid=None, x0: int | None = None,
-                               collect_holding: bool = False) -> MartingaleEnsemble:
-    site_table, jump_table = _field_tables(env)
-    res = run_ensemble(env, T, n_replicas, master_seed,
-                       grid=dyadic_grid(T) if grid is None else grid,
-                       site_fields=site_table, jump_weights=jump_table, x0=x0,
-                       collect_holding=collect_holding)
-    return MartingaleEnsemble(
-        times=res.times, **_components(res.displacement, res.integrals, res.jump_sums),
-        n_jumps=res.n_jumps, final_site=res.final_site, holding=res.holding,
-        master_seed=master_seed, T=T,
-    )
+                               master_seed: int, grid=None,
+                               x0: int | None = None) -> MartingaleEnsemble:
+    site_table, jump_table = field_tables(env)
+    return decomposition(run_ensemble(env, T, n_replicas, master_seed,
+                                      grid=dyadic_grid(T) if grid is None else grid,
+                                      site_fields=site_table, jump_weights=jump_table,
+                                      x0=x0))
 
 
 def decomposition_csv(ens: MartingaleEnsemble, path: str) -> None:
@@ -408,15 +392,20 @@ def variance_rate(ens: MartingaleEnsemble) -> MeanInterval:
     return batch_mean_interval((ens.X[:, -1, :] ** 2).sum(axis=1) / t)
 
 
-def second_moment_curve(ens) -> tuple:
-    """E|X(t)|^2 at every grid time of ens.X (R, G, d), with per-time standard errors."""
-    m2 = (ens.X ** 2).sum(axis=2)  # (R, G)
+def second_moment_curve(X: np.ndarray) -> tuple:
+    """E|X(t)|^2 at every grid time of X (R, G, d), with per-time standard errors."""
+    m2 = (X ** 2).sum(axis=2)  # (R, G)
     ivs = [batch_mean_interval(m2[:, g]) for g in range(m2.shape[1])]
     return np.array([iv.mean for iv in ivs]), np.array([iv.se for iv in ivs])
 
 
 def growth_slope(times, second_moments) -> float:
-    """Least-squares slope of log E|X|^2 against log t; NaN if a moment is 0."""
+    """Least-squares slope of log E|X|^2 against log t; NaN if a moment is 0.
+
+    ValueError for fewer than two times, through which no line is fixed.
+    """
+    if len(times) < 2:
+        raise ValueError("a growth slope needs at least two times")
     lt = np.log(np.asarray(times, dtype=float))
     with np.errstate(divide="ignore"):  # no replica moved by that time: log 0 = -inf
         lm = np.log(np.asarray(second_moments, dtype=float))

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +161,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                          for v in grid),
                  "grid", "must be a non-empty list of times")
         checked("grid", check_grid, grid, float(T))
+        _require(len(grid) >= 2 or "clt" not in checks, "grid",
+                 "clt fits a growth slope, which needs at least two times")
 
     return ExperimentConfig(seed=seed, env=env, checks=tuple(checks),
                             T=float(T), replicas=replicas,
@@ -245,28 +246,19 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 DECOMPOSITION_CHECKS = frozenset({"decompose", "orthogonality"})
 
 
-def _walk_grid(cfg: ExperimentConfig, levels: int = 8):
+def _walk_grid(cfg: ExperimentConfig, levels: int):
     """Sample times of a walk check: the config grid, or the dyadic grid."""
     return cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
-
-
-class _CltSample(NamedTuple):
-    """What clt reads of a walk: X on its grid, the holding times, the final sites."""
-
-    times: np.ndarray
-    X: np.ndarray
-    holding: np.ndarray
-    final_site: np.ndarray
 
 
 class _Walks:
     """The walk of one seed, simulated on first use with what its due checks read.
 
     due names the checks still to run under this seed.  While decompose or
-    orthogonality is due, the walk is the decomposition ensemble on the
-    config grid or on the 8-level dyadic grid, which contains the 4- and
-    5-level grids that orthogonality and clt read.  Otherwise it is the
-    plain ensemble on clt's grid.  Holding times are collected only while
+    orthogonality is due, the walk carries the field_tables observers and
+    runs on the config grid or on the 8-level dyadic grid, which contains
+    the 4- and 5-level grids that orthogonality and clt read.  Otherwise it
+    is a plain walk on clt's grid.  Holding times are collected only while
     clt is due.  A replica's path depends neither on the observers nor on
     the grid it is sampled on, so every check reads the numbers that a walk
     of its own would give, bit for bit, and each seed is walked once.
@@ -280,28 +272,18 @@ class _Walks:
         self.collect_holding = "clt" in due
         self._walk = None
 
-    def _run(self):
+    def walk(self, levels: int) -> walker.EnsembleResult:
+        """The walk on the config grid, or on the levels-level dyadic grid."""
+        cfg = self.cfg
         if self._walk is None:
-            cfg = self.cfg
-            if self.decomposition:
-                run, grid = mart.run_decomposition_ensemble, _walk_grid(cfg)
-            else:
-                run, grid = walker.run_ensemble, _walk_grid(cfg, 5)
-            self._walk = run(self.env, cfg.T, cfg.replicas, self.seed, grid=grid,
-                             x0=cfg.x0, collect_holding=self.collect_holding)
-        return self._walk
-
-    def ensemble(self, levels: int = 8) -> mart.MartingaleEnsemble:
-        """The decomposition ensemble on the config grid, or on the levels-level dyadic grid."""
-        return self._run().at_times(_walk_grid(self.cfg, levels))
-
-    def clt_sample(self) -> _CltSample:
-        """X on the config grid or the 5-level dyadic grid, with the holding times."""
-        if self.decomposition:
-            ens = self.ensemble(5)
-            return _CltSample(ens.times, ens.X, ens.holding, ens.final_site)
-        res = self._run()
-        return _CltSample(res.times, res.displacement, res.holding, res.final_site)
+            site_fields, jump_weights = (mart.field_tables(self.env) if self.decomposition
+                                         else (None, None))
+            self._walk = walker.run_ensemble(
+                self.env, cfg.T, cfg.replicas, self.seed,
+                grid=_walk_grid(cfg, 8 if self.decomposition else 5),
+                site_fields=site_fields, jump_weights=jump_weights, x0=cfg.x0,
+                collect_holding=self.collect_holding)
+        return self._walk.at_times(_walk_grid(cfg, levels))
 
 
 def _check_validate(env, cfg, walks):
@@ -334,7 +316,7 @@ def decompose_verdict(ens: mart.MartingaleEnsemble) -> dict:
 
 
 def _check_orthogonality(env, cfg, walks):
-    ens = walks.ensemble(4)
+    ens = mart.decomposition(walks.walk(4))
     rep = mart.orthogonality_report(ens)
     est, se = mart.zz_matrix(ens)
     target = mart.bounds(env).lower
@@ -391,14 +373,14 @@ def _check_helmholtz(env, cfg, walks):
 
 
 def _check_clt(env, cfg, walks):
-    walk = walks.clt_sample()
+    walk = walks.walk(5)
     # an empty sample, a walk in which no replica jumped, raises here
     ks_hold = mart.ks_exponential(walk.holding)
     ks_hold_crit = KS_99_COEFF / np.sqrt(len(walk.holding))
-    m2, _ = mart.second_moment_curve(walk)
+    X = walk.displacement
+    m2, _ = mart.second_moment_curve(X)
     slope = mart.growth_slope(walk.times, m2)
-    ks_components = [mart.ks_gaussian(walk.X[:, -1, i])
-                     for i in range(walk.X.shape[2])]
+    ks_components = [mart.ks_gaussian(X[:, -1, i]) for i in range(X.shape[2])]
     chi_p = mart.final_site_chisquare(walk.final_site, env.torus.n)
     passed = (0.95 <= slope <= 1.05
               and max(ks_components) < 0.02
@@ -414,7 +396,7 @@ def _check_clt(env, cfg, walks):
 CHECK_REGISTRY = {
     "validate": _check_validate,
     "bounds": lambda env, cfg, walks: bounds_verdict(env),
-    "decompose": lambda env, cfg, walks: decompose_verdict(walks.ensemble()),
+    "decompose": lambda env, cfg, walks: decompose_verdict(mart.decomposition(walks.walk(8))),
     "orthogonality": _check_orthogonality,
     "corrector": _check_corrector,
     "spectral": _check_spectral,

@@ -14,12 +14,13 @@ lockstep engine below bit-compatible with the single-trajectory simulator.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .env import Environment, _generator, canonical_json
 from .errors import AbsorbingState
+from .torus import _size
 
 
 # master seeds and replica indices are the two 64-bit words of a replica key
@@ -202,6 +203,26 @@ class EnsembleResult:
     def n_replicas(self) -> int:
         return self.displacement.shape[0]
 
+    def at_times(self, times) -> EnsembleResult:
+        """The same replicas sampled at a subset of the grid times.
+
+        Bit for bit the result that the same run sampled on `times` alone
+        would give: the engine snapshots each (replica, grid time) from the
+        path up to that time only.  The per-replica arrays and the holding
+        times are kept as they are.
+
+        Raises
+        ------
+        ValueError
+            if a requested time is not on this ensemble's grid.
+        """
+        times = np.asarray(times, dtype=float)
+        idx = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
+        if not np.array_equal(self.times[idx], times):
+            raise ValueError("requested times are not on the ensemble's grid")
+        return replace(self, times=self.times[idx], displacement=self.displacement[:, idx],
+                       integrals=self.integrals[:, idx], jump_sums=self.jump_sums[:, idx])
+
 
 def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                  grid=None, site_fields: np.ndarray | None = None,
@@ -228,8 +249,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     """
     if not 0 < T < np.inf:
         raise ValueError("horizon T must be positive and finite")
-    if n_replicas < 1:
-        raise ValueError("need at least one replica")
+    R = _size(n_replicas, "n_replicas", 1)
     grid = check_grid([T] if grid is None else grid, T)
     t_ = env.torus
     n, ndir, d = t_.n, t_.ndir, t_.d
@@ -265,7 +285,6 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     grid_pad = np.append(grid, np.inf)
     check_absorbing = bool((total <= 0.0).any())
 
-    R = n_replicas
     gens = [_generator(replica_key(master_seed, r)) for r in range(R)]
     if x0 is None:
         # one uniform from each stream selects the start site

@@ -192,6 +192,21 @@ def test_check_all_names_a_walk_without_jumps(tmp_path, capsys):
         "passed": False, "error": "ValueError: no holding-time samples: no replica jumped before T"}
 
 
+def test_check_all_rejects_a_one_time_grid_for_clt(tmp_path, capsys):
+    # one grid time leaves the clt growth slope a line through one point
+    path = tmp_path / "config.json"
+    cfg = {"seed": 0, "env": {"d": 2, "L": 4, "seed": 3}, "T": 8.0, "replicas": 200,
+           "grid": [8.0], "checks": ["clt"]}
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid: clt fits a growth slope, which needs at least two times\n")
+    assert not out.exists()
+    path.write_text(json.dumps({**cfg, "checks": ["decompose"]}))
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 

@@ -55,7 +55,8 @@ FIELDS = {
     "config": ([None], [DIRECTORY, UNDECODABLE]),  # the config file itself
     "grid": (None, BAD_GRIDS),  # good grids follow T
     "x0": (None, [-1, 99, 1.5, True, "0"]),  # good sites follow the torus
-    "checks": ([None, ["validate", "decompose", "clt"], list(CHECK_NAMES)],
+    "checks": ([None, ["validate", "decompose"], ["validate", "decompose", "clt"],
+                list(CHECK_NAMES)],
                [[], ["bogus"]]),
     # command-line forms: argparse turns a non-integer --x0 into a usage error
     "--x0": ([None, 0, 15], [-1, 16, 99]),
@@ -155,10 +156,13 @@ def test_check_all_config_exit_codes(tmp_path, capsys, env_file, broken, data):
     T = pick("T", FIELDS["T"][0])
     cfg = {"seed": pick("seed", FIELDS["seed"][0]), "env": env, "T": T,
            "replicas": pick("replicas", FIELDS["replicas"][0])}
-    # a broken T gets no grid, so the config fails on T alone
-    grids = [None, [T], [T / 4, T]] if 0 < T < math.inf else [None]
+    checks = pick("checks", FIELDS["checks"][0])
+    # a broken T gets no grid, so the config fails on T alone; clt fits a
+    # growth slope, so a one-time grid is good only without it
+    one_time = [] if "clt" in (checks or CHECK_NAMES) else [[T]]
+    grids = [None, *one_time, [T / 4, T]] if 0 < T < math.inf else [None]
     optional = {"grid": pick("grid", grids), "x0": pick("x0", [None, 0, n - 1]),
-                "checks": pick("checks", FIELDS["checks"][0])}
+                "checks": checks}
     cfg.update({k: v for k, v in optional.items() if v is not None})
     path = tmp_path / "config.json"
     stand_in = pick("config", FIELDS["config"][0])

@@ -12,14 +12,22 @@ from bistoch.env import (ConductanceField, Environment, FlowField,
                          make_conductance_stream_env, random_environment)
 from bistoch.errors import InsufficientReplicas, ZeroConductanceCrossing
 from bistoch.torus import Torus
-from bistoch.walker import replica_key, simulate
+from bistoch.walker import replica_key, run_ensemble, simulate
 
 
 @pytest.fixture(scope="module")
-def ens_homog():
+def walk_homog():
+    """A walk with the decomposition observers and its holding times."""
     env = homogeneous_environment(2, 8)
-    return mart.run_decomposition_ensemble(env, 30.0, 1280, 3,
-                                           collect_holding=True)
+    site_table, jump_table = mart.field_tables(env)
+    return run_ensemble(env, 30.0, 1280, 3, grid=mart.dyadic_grid(30.0),
+                        site_fields=site_table, jump_weights=jump_table,
+                        collect_holding=True)
+
+
+@pytest.fixture(scope="module")
+def ens_homog(walk_homog):
+    return mart.decomposition(walk_homog)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +213,7 @@ def test_adjoint_flips_antisymmetric_part(env_rand):
 
 def _replay_by_loop(env, traj, grid):
     """Per-event replay of one path: the reference for mart.decompose."""
-    site_table, jump_table = mart._field_tables(env)
+    site_table, jump_table = mart.field_tables(env)
     t_ = env.torus
     G = len(grid)
     acc = np.zeros(site_table.shape[1])
@@ -330,20 +338,27 @@ def test_growth_slope_exact_power_law():
     assert abs(mart.growth_slope(times, times ** 2) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("times", [[], [8.0]])
+def test_growth_slope_needs_two_times(times):
+    # a line through one point has no slope; numpy would warn and fit one
+    with pytest.raises(ValueError, match="at least two times"):
+        mart.growth_slope(times, [1.0] * len(times))
+
+
 def test_growth_slope_of_a_zero_moment_is_nan_without_a_warning():
     # no replica has moved by the first time; a RuntimeWarning fails the test
     assert np.isnan(mart.growth_slope([1.0, 2.0, 4.0], [0.0, 1.0, 2.0]))
 
 
 def test_second_moment_curve_shapes(ens_homog):
-    m2, se = mart.second_moment_curve(ens_homog)
+    m2, se = mart.second_moment_curve(ens_homog.X)
     assert m2.shape == se.shape == ens_homog.times.shape
     assert np.all(np.diff(m2) > 0)
 
 
-def test_ks_exponential_on_holding(ens_homog):
-    ks = mart.ks_exponential(ens_homog.holding)
-    assert ks < 3 * 1.36 / np.sqrt(len(ens_homog.holding))
+def test_ks_exponential_on_holding(walk_homog):
+    ks = mart.ks_exponential(walk_homog.holding)
+    assert ks < 3 * 1.36 / np.sqrt(len(walk_homog.holding))
     with pytest.raises(ValueError, match="collect_holding=True"):
         mart.ks_exponential(None)
     with pytest.raises(ValueError, match="no replica jumped before T"):
@@ -361,12 +376,12 @@ def _scipy_ks(x, dist, *args) -> float:
     return float(scipy.stats.kstest(x, dist, args=args).statistic)
 
 
-def test_ks_statistics_are_scipys_to_the_bit(ens_homog):
+def test_ks_statistics_are_scipys_to_the_bit(walk_homog):
     rng = np.random.default_rng(8)
-    holding = ens_homog.holding
+    holding = walk_homog.holding
     assert mart.ks_exponential(holding).hex() == _scipy_ks(holding, "expon").hex()
     samples = {
-        "lattice X, heavy ties": ens_homog.X[:, -1, 0],
+        "lattice X, heavy ties": walk_homog.displacement[:, -1, 0],
         "signed zeros": np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 2.0]),
         "n=1": np.array([0.7]),
         "n=2": np.array([-0.3, 1.1]),
@@ -428,22 +443,20 @@ def test_ks_sweep_holds_the_sorted_copy_and_a_few_strips():
 
 
 def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
-    fine = mart.run_decomposition_ensemble(env_rand, 8.0, 40, 6, x0=3,
-                                           collect_holding=True)
-    for levels in (1, 4, 5):
+    # the decomposition of a selection is that of a walk sampled on it alone
+    site_table, jump_table = mart.field_tables(env_rand)
+    fine = run_ensemble(env_rand, 8.0, 40, 6, grid=mart.dyadic_grid(8.0), x0=3,
+                        site_fields=site_table, jump_weights=jump_table)
+    for levels in (1, 4, 5, 8):
         grid = mart.dyadic_grid(8.0, levels)
         coarse = mart.run_decomposition_ensemble(env_rand, 8.0, 40, 6, grid=grid, x0=3)
-        got = fine.at_times(grid)
+        got = mart.decomposition(fine.at_times(grid))
         assert got.times.tobytes() == coarse.times.tobytes()
         for name in ("X", "M", "I", "J", "Z", "Y"):
             assert getattr(got, name).tobytes() == getattr(coarse, name).tobytes(), name
             assert getattr(got, name).shape == getattr(coarse, name).shape
-        assert got.holding is fine.holding
         assert np.array_equal(got.n_jumps, coarse.n_jumps)
         assert np.array_equal(got.final_site, coarse.final_site)
-    for off_grid in ([3.0, 8.0], [8.0, 16.0], [0.0625, 8.0 + 1e-12]):
-        with pytest.raises(ValueError, match="not on the ensemble's grid"):
-            fine.at_times(off_grid)
 
 
 def test_final_site_chisquare(ens_homog):

@@ -161,20 +161,19 @@ WALK_CHECKS = ["decompose", "orthogonality", "clt"]
 
 
 class _FreshWalks:
-    """The old path: every request simulates a new decomposition ensemble on exactly its grid."""
+    """The old path: every request simulates a new walk on exactly its grid,
+    with the decomposition observers and the holding times."""
 
     def __init__(self, env, cfg, seed):
         self.env, self.cfg, self.seed = env, cfg, seed
 
-    def ensemble(self, levels=8):
+    def walk(self, levels):
         cfg = self.cfg
         grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
-        return mart.run_decomposition_ensemble(self.env, cfg.T, cfg.replicas, self.seed,
-                                               grid=grid, x0=cfg.x0, collect_holding=True)
-
-    def clt_sample(self):
-        ens = self.ensemble(5)
-        return report._CltSample(ens.times, ens.X, ens.holding, ens.final_site)
+        site_table, jump_table = mart.field_tables(self.env)
+        return walker.run_ensemble(self.env, cfg.T, cfg.replicas, self.seed, grid=grid,
+                                   site_fields=site_table, jump_weights=jump_table,
+                                   x0=cfg.x0, collect_holding=True)
 
 
 def _reference_report(cfg) -> dict:
@@ -204,19 +203,19 @@ def _reference_report(cfg) -> dict:
 
 
 def _spy_walks(monkeypatch):
-    """Record each ensemble walked as (engine, master seed, collects holding times).
+    """Record each walk as (observers, master seed, collects holding times).
 
-    run_decomposition_ensemble calls the engine through mart's own name for
-    it, so a decomposition ensemble is recorded once, as "decomposition".
+    A walk with site fields is labelled "decomposition", one without "plain".
     """
     calls = []
-    for module, name, engine in ((mart, "run_decomposition_ensemble", "decomposition"),
-                                 (walker, "run_ensemble", "plain")):
-        def spy(*args, _real=getattr(module, name), _engine=engine, **kwargs):
-            calls.append((_engine, args[3], kwargs.get("collect_holding", False)))
-            return _real(*args, **kwargs)
+    real = walker.run_ensemble
 
-        monkeypatch.setattr(module, name, spy)
+    def spy(*args, **kwargs):
+        observers = "plain" if kwargs.get("site_fields") is None else "decomposition"
+        calls.append((observers, args[3], kwargs.get("collect_holding", False)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(walker, "run_ensemble", spy)
     return calls
 
 

@@ -240,6 +240,27 @@ def test_grid_validation(env_rand, bad_grid):
         run_ensemble(env_rand, 10.0, 2, MASTER, grid=bad_grid)
 
 
+@pytest.mark.parametrize("n_replicas", [0, -3, 1.0, 2.5, True, np.float64(2.0), "2"])
+def test_replica_count_must_be_a_positive_integer(env_rand, n_replicas):
+    with pytest.raises(ValueError, match="n_replicas must be"):
+        run_ensemble(env_rand, 1.0, n_replicas, MASTER)
+
+
+def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+    fine = run_ensemble(env_rand, 8.0, 40, 6, grid=grid, collect_holding=True)
+    for coarse_grid in ([8.0], [1.0, 8.0], grid):
+        coarse = run_ensemble(env_rand, 8.0, 40, 6, grid=coarse_grid)
+        got = fine.at_times(coarse_grid)
+        for name in ("times", "displacement", "n_jumps", "start_site", "final_site"):
+            a, b = getattr(got, name), getattr(coarse, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.holding is fine.holding
+    for off_grid in ([3.0, 8.0], [8.0, 16.0], [0.5, 8.0 + 1e-12]):
+        with pytest.raises(ValueError, match="not on the ensemble's grid"):
+            fine.at_times(off_grid)
+
+
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
 def test_horizon_must_be_positive_and_finite(env_rand, T):
     # an infinite horizon with the grid [inf] would never finish
