@@ -23,6 +23,7 @@ from . import mart, report
 from .env import (DEFAULT_LAWS, GENERATORS, Environment, check_dist, check_generator,
                   curl, curl_gap, load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
+from .torus import check_integer, check_positive
 from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
                      simulate)
 
@@ -48,9 +49,9 @@ def _check_numbers(args) -> None:
     for name, (least, limit) in _RANGES.items():
         value = getattr(args, name, None)
         if value is not None:
-            report.require_integer(value, f"--{name}", least, limit)
+            report.checked(f"--{name}", check_integer, value, name, least, limit)
     if getattr(args, "T", None) is not None:
-        report.require_positive(args.T, "--T")
+        report.checked("--T", check_positive, args.T, "horizon T")
 
 
 def _parse_dist(text: str) -> tuple:
@@ -127,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrector", help="solve harmonic coordinates")
     _add_common_env(p)
-    p.add_argument("--method", default="krylov", choices=["krylov", "spectral"])
     p.add_argument("--axis", type=int, default=1, help="1-based axis to export")
     p.add_argument("--coo", default=None,
                    help="prefix for S/A/L operator dumps in row,col,value text")
@@ -215,8 +215,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_corrector(args) -> int:
     env = load_env(args.env)
-    report.require_integer(args.axis, "--axis", 1, env.torus.d + 1)
-    dv = cor.effective_diffusivity(env, method=args.method)
+    report.checked("--axis", check_integer, args.axis, "axis", 1, env.torus.d + 1)
+    dv = cor.effective_diffusivity(env)
     print(f"sigma2 = {_fmt_matrix(dv.sigma2)} "
           f"(max harmonic residual {dv.residuals.max():.3e})")
     if args.output:

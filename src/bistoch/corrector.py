@@ -369,7 +369,7 @@ class DiffusivityResult:
     residuals: np.ndarray         # (d,) harmonic equation residuals
 
 
-def effective_diffusivity(env: Environment, method: str = "krylov") -> DiffusivityResult:
+def effective_diffusivity(env: Environment) -> DiffusivityResult:
     """Corrector-based diffusivity of the corrected coordinates.
 
     chi_i solves L chi_i = -(phi_i + psi_i); with u = e_i + grad chi_i the
@@ -384,24 +384,12 @@ def effective_diffusivity(env: Environment, method: str = "krylov") -> Diffusivi
     d = t_.d
     f = drift_fields(env)
     rhs_all = -(f.phi + f.psi)
-    if method == "krylov":
-        L = assemble(env).L
-
-        def solve(rhs):
-            return _solve_krylov(env, L, require_mean_zero(rhs))
-    elif method == "spectral":
-        spec = build_spectral_operator(env)
-
-        def solve(rhs):
-            return solve_harmonic_spectral(env, rhs, spec=spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    L = assemble(env).L
     chi = np.empty((t_.n, d))
     grads = np.empty((t_.n, t_.ndir, d))
     residuals = np.empty(d)
     for i in range(d):
-        sol = solve(rhs_all[:, i])
+        sol = _solve_krylov(env, L, require_mean_zero(rhs_all[:, i]))
         chi[:, i] = sol.potential
         grads[:, :, i] = sol.gradient
         residuals[i] = sol.residual

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment
-from .torus import Torus
+from .torus import Torus, check_integer
 
 DEFAULT_TOL = 1e-12
 
@@ -448,7 +448,7 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 
 def _generator(seed: int) -> np.random.Generator:
     """The Philox stream keyed by seed in [0, 2**128), the package's one keyed stream."""
-    key = int(seed)
+    key = check_integer(seed, "key", -math.inf)
     if not 0 <= key < 1 << 128:
         # Philox(key=...)'s own message, which a report may record
         raise ValueError("key must be positive and less than 2**128.")
@@ -471,6 +471,7 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
                        h_dist=DEFAULT_LAWS["h_dist"]) -> Environment:
     """Convenience builder used by the CLI and the test batteries."""
     t = Torus(d, L)
+    seed = check_integer(seed, "seed", 0)
     rng = _generator(seed)
     h = random_stream(t, rng, h_dist)
     params = {"s_dist": list(s_dist), "h_dist": list(h_dist)}
@@ -481,7 +482,7 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
         env = make_totally_asymmetric_env(h)
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    env.meta.update({"seed": int(seed), "d": t.d, "L": t.L, "params": params})
+    env.meta.update({"seed": seed, "d": t.d, "L": t.L, "params": params})
     return env
 
 
@@ -597,13 +598,12 @@ def env_from_dict(doc: dict) -> Environment:
         raise InvalidEnvironment(f"unsupported version {doc.get('version')!r}")
     if "h" in doc and "b" in doc:
         raise InvalidEnvironment("document carries both a stream tensor and an explicit flow")
-    for key, least in (("d", 1), ("L", 2)):
-        value = doc.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise InvalidEnvironment(f"field {key!r} must be an integer >= {least}")
     if "s" not in doc:
         raise InvalidEnvironment("missing conductance array 's'")
-    t = Torus(doc["d"], doc["L"])
+    try:
+        t = Torus(doc.get("d"), doc.get("L"))
+    except ValueError as e:
+        raise InvalidEnvironment(str(e)) from e
     s_arr = _doc_array(doc, "s")
     if s_arr.size != t.n * t.d:
         raise InvalidEnvironment(f"conductance array has {s_arr.size} values, expected {t.n * t.d}")

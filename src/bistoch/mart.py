@@ -315,7 +315,16 @@ def decomposition(res: EnsembleResult) -> MartingaleEnsemble:
 
     _components works elementwise, so the decomposition of res.at_times(g)
     is bit for bit that of a walk sampled on g alone.
+
+    Raises
+    ------
+    ValueError
+        if res does not carry the field_tables observer columns.
     """
+    columns = (len(_SITE_COLUMNS) * res.displacement.shape[2], len(_JUMP_COLUMNS))
+    if (res.integrals.shape[2], res.jump_sums.shape[3]) != columns:
+        raise ValueError("the walk carries no field_tables observers: run it with "
+                         "mart.field_tables(env) as site_fields and jump_weights")
     return MartingaleEnsemble(
         times=res.times, **_components(res.displacement, res.integrals, res.jump_sums),
         n_jumps=res.n_jumps, final_site=res.final_site)

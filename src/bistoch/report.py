@@ -26,6 +26,7 @@ from .corrector import RESIDUAL_CAP
 from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
                   check_generator, curl_gap, load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
+from .torus import check_integer, check_positive
 from .walker import SEED_LIMIT, check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
@@ -50,8 +51,8 @@ KS_99_COEFF = 1.6276236115189504
 def reseed(master_seed: int, attempt: int) -> int:
     """Deterministic per-attempt seed; attempt 0 is the master seed."""
     if attempt == 0:
-        return int(master_seed)
-    return (int(master_seed) ^ (attempt * RESEED_STEP)) & ((1 << 63) - 1)
+        return master_seed
+    return (master_seed ^ (attempt * RESEED_STEP)) & ((1 << 63) - 1)
 
 
 @dataclass
@@ -78,20 +79,6 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def require_integer(value, path: str, least: int, limit=math.inf) -> None:
-    """Raise ConfigError unless value is an integer in [least, limit)."""
-    rule = f"an integer >= {least}" if limit == math.inf else (
-        f"an integer in [{least}, {limit})")
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and least <= value < limit, path, f"must be {rule}")
-
-
-def require_positive(value, path: str) -> None:
-    """Raise ConfigError unless value is a positive finite number (not a bool)."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and 0 < value < math.inf, path, "must be a positive finite number")
-
-
 def checked(path: str, rule, *args):
     """rule(*args), with the ValueError it raises re-raised as ConfigError(path, ...).
 
@@ -115,8 +102,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key in data:
         _require(key in known, key, "unknown field")
 
-    seed = data.get("seed", 0)
-    require_integer(seed, "seed", *ENV_RANGES["seed"])
+    seed = checked("seed", check_integer, data.get("seed", 0), "seed", *ENV_RANGES["seed"])
 
     env = data.get("env")
     _require(isinstance(env, dict), "env", "must be an object")
@@ -129,7 +115,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         for key in env:
             _require(key in env_known, f"env.{key}", "unknown field")
         for key, (least, limit) in ENV_RANGES.items():
-            require_integer(env.get(key), f"env.{key}", least, limit)
+            checked(f"env.{key}", check_integer, env.get(key), key, least, limit)
         checked("env.generator", check_generator, env.get("generator", GENERATORS[0]),
                 env["d"])
         for key in ("s_dist", "h_dist"):
@@ -143,12 +129,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _require(name in CHECK_NAMES, f"checks[{i}]",
                  f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
-    T = data.get("T", 100.0)
-    require_positive(T, "T")
-    replicas = data.get("replicas", 2000)
-    require_integer(replicas, "replicas", 1)
-    tolerance = data.get("tolerance", 1e-12)
-    require_positive(tolerance, "tolerance")
+    T = checked("T", check_positive, data.get("T", 100.0), "horizon T")
+    replicas = checked("replicas", check_integer, data.get("replicas", 2000), "replicas", 1)
+    tolerance = checked("tolerance", check_positive, data.get("tolerance", 1e-12), "tolerance")
     x0 = data.get("x0")
     _require(x0 is None or isinstance(x0, int), "x0",
              "must be an integer site index or null")
@@ -160,13 +143,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in grid),
                  "grid", "must be a non-empty list of times")
-        checked("grid", check_grid, grid, float(T))
+        checked("grid", check_grid, grid, T)
         _require(len(grid) >= 2 or "clt" not in checks, "grid",
                  "clt fits a growth slope, which needs at least two times")
 
     return ExperimentConfig(seed=seed, env=env, checks=tuple(checks),
-                            T=float(T), replicas=replicas,
-                            tolerance=float(tolerance), x0=x0, grid=grid,
+                            T=T, replicas=replicas, tolerance=tolerance, x0=x0, grid=grid,
                             raw=data)
 
 

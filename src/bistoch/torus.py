@@ -8,24 +8,42 @@ The 2d unit steps are indexed 0..2d-1: index i is +e_i for i < d and
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 
-def _size(value, what: str, least: int) -> int:
-    """value as a Python int; ValueError unless it is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}")
+def check_integer(value, what: str, least: int, limit=math.inf) -> int:
+    """value as a Python int; ValueError unless it is an integer (not a bool) in [least, limit).
+
+    numpy integers pass.  A float or a bool never stands for an integer, so
+    1.5 or True cannot silently name the index 1.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and least <= value < limit):
+        rule = (f" in [{least}, {limit})" if limit < math.inf
+                else f" >= {least}" if least > -math.inf else "")
+        raise ValueError(f"{what} must be an integer{rule}, got {value!r}")
     return int(value)
+
+
+def check_positive(value, what: str) -> float:
+    """value as a float; ValueError unless it is a positive finite number (not a bool)."""
+    number = (isinstance(value, (int, float, np.integer, np.floating))
+              and not isinstance(value, bool))
+    # false for NaN, and exact for an integer of any size
+    if not (number and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{what} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 class Torus:
     """Finite periodic lattice {0,...,L-1}^d with wrap-around neighbors."""
 
     def __init__(self, d: int, L: int):
-        self.d = _size(d, "dimension", 1)
-        self.L = _size(L, "side length", 2)
+        self.d = check_integer(d, "dimension d", 1)
+        self.L = check_integer(L, "side length L", 2)
         self.n = self.L ** self.d
         self.shape = (self.L,) * self.d
         self.ndir = 2 * self.d

@@ -20,7 +20,7 @@ import numpy as np
 
 from .env import Environment, _generator, canonical_json
 from .errors import AbsorbingState
-from .torus import _size
+from .torus import check_integer, check_positive
 
 
 # master seeds and replica indices are the two 64-bit words of a replica key
@@ -29,9 +29,8 @@ SEED_LIMIT = 1 << 64
 
 def replica_key(master_seed: int, replica: int) -> int:
     """128-bit Philox key for one replica of a seeded run."""
-    if not (0 <= master_seed < SEED_LIMIT and 0 <= replica < SEED_LIMIT):
-        raise ValueError("seeds and replica indices must be in [0, 2**64)")
-    return (int(master_seed) << 64) | int(replica)
+    return ((check_integer(master_seed, "master seed", 0, SEED_LIMIT) << 64)
+            | check_integer(replica, "replica index", 0, SEED_LIMIT))
 
 
 @dataclass
@@ -67,17 +66,8 @@ class Trajectory:
 
 
 def check_site(x0, n: int) -> int:
-    """A start site as a Python int.
-
-    Raises
-    ------
-    ValueError
-        unless x0 is an integer (not a bool) in [0, n).
-    """
-    if (isinstance(x0, (bool, np.bool_)) or not isinstance(x0, (int, np.integer))
-            or not 0 <= x0 < n):
-        raise ValueError(f"start site x0 must be an integer in [0, {n}), got {x0!r}")
-    return int(x0)
+    """A start site as a Python int; ValueError unless x0 is an integer (not a bool) in [0, n)."""
+    return check_integer(x0, "start site x0", 0, n)
 
 
 def check_rates(env: Environment) -> None:
@@ -105,16 +95,17 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     Raises
     ------
     ValueError
-        if T is not positive and finite, x0 is not a site of the torus or
-        a jump rate is not finite.
+        if T is not a positive finite number, x0 is not a site of the
+        torus, seed is not an integer key in [0, 2**128) or a jump rate is
+        not finite.
     AbsorbingState
         if the walk reaches a site whose total rate is not positive.
     """
-    if not 0 < T < np.inf:
-        raise ValueError("horizon T must be positive and finite")
+    T = check_positive(T, "horizon T")
     t_ = env.torus
     x0 = check_site(x0, t_.n)
     check_rates(env)
+    seed = check_integer(seed, "seed", 0)
     rng = _generator(seed)
     block = 1024  # uniforms per refill; consumption order matches the batch engine
     buf = rng.random(block)
@@ -152,7 +143,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         site = int(nbr[site, k])
         sites.append(site)
     return Trajectory(
-        d=t_.d, L=t_.L, x0=x0, T=float(T), seed=int(seed),
+        d=t_.d, L=t_.L, x0=x0, T=T, seed=seed,
         times=np.asarray(times, dtype=float),
         dirs=np.asarray(dirs, dtype=np.int64),
         sites=np.asarray(sites, dtype=np.int64),
@@ -162,8 +153,10 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
 
 # -- batch engine -------------------------------------------------------------
 
-def check_grid(grid, T: float) -> np.ndarray:
+def check_grid(grid, T: float | None) -> np.ndarray:
     """Sample times as floats: strictly increasing, positive, ending exactly at T.
+
+    T None leaves the last time free.
 
     Raises
     ------
@@ -173,7 +166,7 @@ def check_grid(grid, T: float) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or not (np.all(np.diff(grid) > 0) and grid[0] > 0):
         raise ValueError("grid must be strictly increasing and positive")
-    if grid[-1] != T:
+    if T is not None and grid[-1] != T:
         raise ValueError("grid must end exactly at T")
     return grid
 
@@ -214,9 +207,10 @@ class EnsembleResult:
         Raises
         ------
         ValueError
-            if a requested time is not on this ensemble's grid.
+            if the times are not strictly increasing and positive, or one
+            is not on this ensemble's grid.
         """
-        times = np.asarray(times, dtype=float)
+        times = check_grid(times, None)
         idx = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
         if not np.array_equal(self.times[idx], times):
             raise ValueError("requested times are not on the ensemble's grid")
@@ -247,9 +241,8 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     block : int
         Uniforms drawn per replica per refill; a positive even number.
     """
-    if not 0 < T < np.inf:
-        raise ValueError("horizon T must be positive and finite")
-    R = _size(n_replicas, "n_replicas", 1)
+    T = check_positive(T, "horizon T")
+    R = check_integer(n_replicas, "n_replicas", 1)
     grid = check_grid([T] if grid is None else grid, T)
     t_ = env.torus
     n, ndir, d = t_.n, t_.ndir, t_.d

@@ -138,6 +138,14 @@ def test_corrector_axis_range(tmp_path, env_file, capsys):
         _usage_error(capsys, "--axis")
 
 
+def test_corrector_has_no_method_flag(env_file, capsys):
+    # the Krylov route is the only one; the dense route is a test oracle
+    with pytest.raises(SystemExit) as done:
+        main(["corrector", "--env", env_file, "--method", "krylov"])
+    assert done.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
 def test_helmholtz_round_trip(tmp_path, env_file):
     out = tmp_path / "recon.json"
     rc = main(["helmholtz", "--env", env_file, "-o", str(out)])

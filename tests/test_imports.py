@@ -13,7 +13,8 @@ syntax trees check that a usage error reaches exit 2 by one path only: a
 rule's ValueError becomes a ConfigError in report.checked (or, for bad
 JSON, report.load_config), and only cli.main returns 2.  They also check
 that the env module alone keys a Philox stream and alone writes canonical
-(separators=) JSON.
+(separators=) JSON, and that no int() call truncates a seed, a key or a
+replica index, which torus.check_integer checks instead.
 """
 
 import ast
@@ -283,3 +284,32 @@ def test_convention_detector_sees_what_it_should():
 def test_env_alone_keys_philox_and_writes_canonical_json(module):
     kinds = sorted(kind for kind, _ in convention_sites((PACKAGE / module).read_text()))
     assert kinds == (["philox", "separators"] if module == "env.py" else [])
+
+
+# names of the integers that select a walk or an environment
+SEED_NAMES = frozenset({"seed", "key", "master_seed", "replica"})
+
+
+def seed_truncations(source: str) -> list:
+    """Lines of `source` with an int(...) call on a name in SEED_NAMES.
+
+    int() turns 1.5 and True into 1 without a word, so such a call would
+    let a float or a bool seed name another seed's walk.
+    """
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int"
+            and any(isinstance(a, ast.Name) and a.id in SEED_NAMES for a in node.args)]
+
+
+def test_seed_truncation_detector_sees_what_it_should():
+    source = ("def f(seed, key, master_seed, replica, n):\n"
+              "    a = int(seed)\n    b = int(n) + int(key)\n"
+              "    c = (int(master_seed) << 64) | int(replica)\n"
+              "    return int(seed.bit_length()), a, b, c\n")
+    assert seed_truncations(source) == [2, 3, 4, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_seed_is_truncated_by_int(module):
+    assert seed_truncations((PACKAGE / module).read_text()) == []

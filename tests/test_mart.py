@@ -284,6 +284,12 @@ def test_ensemble_replica_matches_standalone(env_rand):
         assert np.allclose(a, b, atol=1e-9), (name, np.abs(a - b).max())
 
 
+def test_decomposition_names_the_missing_observers(env_rand):
+    # a walk without the observers has no columns to split into M, I, J, Z, Y
+    with pytest.raises(ValueError, match="no field_tables observers"):
+        mart.decomposition(run_ensemble(env_rand, 2.0, 3, 1))
+
+
 def test_homogeneous_degeneracies(ens_homog):
     # no gradients anywhere: I = J = Y = 0 and Z = M exactly
     assert np.abs(ens_homog.I).max() == 0.0

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ def test_replica_key_disjoint():
 @pytest.mark.parametrize("master,replica", [(2**64, 0), (0, 2**64), (-1, 0)])
 def test_replica_key_rejects_words_outside_64_bits(master, replica):
     assert replica_key(2**64 - 1, 2**64 - 1) == 2**128 - 1
-    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=re.escape(f"in [0, {2**64})")):
         replica_key(master, replica)
 
 
@@ -259,12 +260,47 @@ def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
     for off_grid in ([3.0, 8.0], [8.0, 16.0], [0.5, 8.0 + 1e-12]):
         with pytest.raises(ValueError, match="not on the ensemble's grid"):
             fine.at_times(off_grid)
+    for unordered in ([2.0, 2.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fine.at_times(unordered)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf, True, np.bool_(True)], ids=repr)
 def test_horizon_must_be_positive_and_finite(env_rand, T):
-    # an infinite horizon with the grid [inf] would never finish
+    # an infinite horizon with the grid [inf] would never finish, and a bool
+    # one would run to T = 1.0 and be recorded as True
     with pytest.raises(ValueError, match="horizon"):
         run_ensemble(env_rand, T, 2, MASTER, grid=[T])
     with pytest.raises(ValueError, match="horizon"):
         simulate(env_rand, 0, T, seed=1)
+
+
+# -- input rules ------------------------------------------------------------------
+
+# the public entry points that take a seed or a replica index
+SEED_ENTRY_POINTS = {
+    "random_environment": lambda env, seed: random_environment(2, 4, seed),
+    "run_ensemble": lambda env, seed: run_ensemble(env, 2.0, 3, seed),
+    "simulate": lambda env, seed: simulate(env, 0, 2.0, seed),
+    "replica_key-master_seed": lambda env, seed: replica_key(seed, 0),
+    "replica_key-replica": lambda env, seed: replica_key(0, seed),
+}
+
+
+# int() would make each of these seed 1, so it would walk seed 1's replicas
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(1.0), np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_a_seed_that_is_not_an_integer_is_rejected(env_rand, entry, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SEED_ENTRY_POINTS[entry](env_rand, seed)
+
+
+def test_numpy_integer_seeds_name_the_walks_of_python_ints(env_rand):
+    env = random_environment(2, 4, np.uint64(3))
+    assert env.meta["seed"] == 3 and type(env.meta["seed"]) is int
+    assert np.array_equal(env.p_full, random_environment(2, 4, 3).p_full)
+    traj = simulate(env_rand, 0, 2.0, np.int64(5))
+    assert type(traj.seed) is int and type(traj.T) is float
+    assert np.array_equal(traj.times, simulate(env_rand, 0, 2.0, 5).times)
+    res = run_ensemble(env_rand, 2.0, 3, np.int64(7))
+    assert np.array_equal(res.displacement, run_ensemble(env_rand, 2.0, 3, 7).displacement)
