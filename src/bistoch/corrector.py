@@ -172,10 +172,6 @@ class SpectralOperator:
     min_singular: float          # smallest singular value of I + B
     assembly: OperatorAssembly   # the sparse operators B was built from
 
-    def certificate(self) -> dict:
-        return {"skewness": self.skewness, "min_singular": self.min_singular,
-                "zero_modes": int(np.sum(self.s_eigenvalues <= 0.0))}
-
 
 def build_spectral_operator(env: Environment) -> SpectralOperator:
     """Diagonalize S and conjugate A into the skew operator B.

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment
-from .torus import Torus, check_integer
+from .torus import Torus, check_integer, is_finite, is_number
 
 DEFAULT_TOL = 1e-12
 
@@ -411,11 +410,9 @@ def check_dist(dist) -> None:
     if not isinstance(name, str) or name not in _LAWS:
         raise ValueError(f"unknown distribution {name!r}; known: {', '.join(_LAWS)}")
     arity, rule, holds, _ = _LAWS[name]
-    if len(params) != arity or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in params):
+    if len(params) != arity or not all(map(is_number, params)):
         raise ValueError(f"{name} takes {arity} numeric parameters")
-    # false for NaN, and exact for an integer of any size
-    if not all(-sys.float_info.max <= v <= sys.float_info.max for v in params):
+    if not all(map(is_finite, params)):
         raise ValueError(f"{name} parameters must be finite floats, got {params}")
     if not holds(*map(float, params)):
         raise ValueError(f"{name} needs {rule}, got {params}")
@@ -425,7 +422,8 @@ def _draw(rng: np.random.Generator, dist, size) -> np.ndarray:
     """Sample an array from a (name, *params) distribution spec."""
     check_dist(dist)
     name, *params = dist
-    return _LAWS[name][3](rng, size, *params)
+    # as floats: an np.float32 parameter would narrow a two_point draw to float32
+    return _LAWS[name][3](rng, size, *map(float, params))
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -474,7 +472,9 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
     seed = check_integer(seed, "seed", 0)
     rng = _generator(seed)
     h = random_stream(t, rng, h_dist)
-    params = {"s_dist": list(s_dist), "h_dist": list(h_dist)}
+    # a numpy parameter as the Python number it holds, so the meta is JSON
+    params = {key: [v.item() if isinstance(v, np.generic) else v for v in dist]
+              for key, dist in (("s_dist", s_dist), ("h_dist", h_dist))}
     if generator == "conductance-stream":
         s_tilde = random_conductances(t, rng, s_dist)
         env = make_conductance_stream_env(s_tilde, h)

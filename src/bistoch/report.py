@@ -26,7 +26,7 @@ from .corrector import RESIDUAL_CAP
 from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
                   check_generator, curl_gap, load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
-from .torus import check_integer, check_positive
+from .torus import check_integer, check_positive, is_number
 from .walker import SEED_LIMIT, check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
@@ -67,7 +67,7 @@ class ExperimentConfig:
     tolerance: float
     x0: int | None
     grid: list | None
-    raw: dict
+    raw: dict           # the config as given, numpy numbers as Python ones
 
     @property
     def config_hash(self) -> str:
@@ -139,9 +139,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         require_site(x0, env["L"] ** env["d"])
     grid = data.get("grid")
     if grid is not None:
-        _require(isinstance(grid, list) and len(grid) > 0
-                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         for v in grid),
+        _require(isinstance(grid, list) and len(grid) > 0 and all(map(is_number, grid)),
                  "grid", "must be a non-empty list of times")
         checked("grid", check_grid, grid, T)
         _require(len(grid) >= 2 or "clt" not in checks, "grid",
@@ -149,7 +147,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(seed=seed, env=env, checks=tuple(checks),
                             T=T, replicas=replicas, tolerance=tolerance, x0=x0, grid=grid,
-                            raw=data)
+                            raw=_pyify(data))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -336,7 +334,7 @@ def _check_spectral(env, cfg, walks):
     # at import, so a solver run with a lifted cap is still held to it.
     route_bound = math.sqrt(env.torus.n) * (sk.residual + ss.residual) / spec.s_eigenvalues[1]
     out = {"skewness": spec.skewness, "min_singular": spec.min_singular,
-           "zero_modes": spec.certificate()["zero_modes"],
+           "zero_modes": int(np.sum(spec.s_eigenvalues <= 0.0)),
            "route_gap": gap, "harmonic_equation_residual": heq}
     ok = (spec.skewness <= 1e-11 and spec.min_singular >= 1.0 - 1e-11
           and gap <= route_bound and heq <= RESIDUAL_CAP * _scale(rhs))

@@ -28,12 +28,30 @@ def check_integer(value, what: str, least: int, limit=math.inf) -> int:
     return int(value)
 
 
+def is_number(value) -> bool:
+    """True for an int, a float, or a numpy integer or float; never for a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def is_finite(value) -> bool:
+    """True for a number (see is_number) that a float holds finite.
+
+    Exact for an int of any size, and false for NaN.  A numpy float is
+    compared as a Python float: against an np.float32, numpy would cast the
+    bound down to float32 and overflow.
+    """
+    if not is_number(value):
+        return False
+    if not isinstance(value, int):
+        value = float(value)
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
 def check_positive(value, what: str) -> float:
     """value as a float; ValueError unless it is a positive finite number (not a bool)."""
-    number = (isinstance(value, (int, float, np.integer, np.floating))
-              and not isinstance(value, bool))
-    # false for NaN, and exact for an integer of any size
-    if not (number and 0 < value <= sys.float_info.max):
+    # float(value) > 0, not value > 0: a long double can be too small for a float
+    if not (is_finite(value) and float(value) > 0):
         raise ValueError(f"{what} must be a positive finite number, got {value!r}")
     return float(value)
 

@@ -257,3 +257,14 @@ def test_homogeneous_bracket_scale():
     env = homogeneous_environment(3, 4, s=2.0)
     assert np.array_equal(env.p_full, np.full((64, 6), 2.0))
     assert validate(env).passed
+
+
+def test_a_numpy_law_parameter_draws_as_its_python_number(tmp_path):
+    # the "a number, not a bool" rule is the one check_positive applies
+    got = random_environment(2, 4, 1, s_dist=("uniform", np.float32(0.5), np.int64(2)))
+    want = random_environment(2, 4, 1, s_dist=("uniform", 0.5, 2))
+    assert np.array_equal(got.p_full, want.p_full)
+    assert got.meta["params"] == want.meta["params"]
+    save_env(got, str(tmp_path / "env.json"))  # the meta holds JSON numbers
+    with pytest.raises(ValueError, match="finite"):
+        random_environment(2, 4, 1, s_dist=("uniform", 0.5, np.float32(np.inf)))

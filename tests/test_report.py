@@ -23,6 +23,15 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
     assert rep["passed"] is False
 
 
+@pytest.mark.parametrize("time", [np.int64(16), np.float32(16.0)], ids=repr)
+def test_a_numpy_grid_time_is_a_time(time):
+    # the "a number, not a bool" rule is the one check_positive applies
+    base = {"env": {"d": 2, "L": 4, "seed": 1}, "T": 16.0, "checks": ["decompose"]}
+    got = report.config_from_dict({**base, "grid": [2.0, time]})
+    want = report.config_from_dict({**base, "grid": [2.0, time.item()]})
+    assert got.config_hash == want.config_hash
+
+
 # environments whose file holds neither a stream nor a flow array
 ZERO_STREAM_ENVS = [{"d": 1, "L": 8, "seed": 3},
                     {"d": 2, "L": 4, "seed": 1, "h_dist": ["gaussian", 0.0]}]

@@ -1,10 +1,12 @@
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bistoch import walker
 from bistoch.env import ConductanceField, Environment, FlowField, random_environment
 from bistoch.errors import AbsorbingState
 from bistoch.mart import ks_exponential
@@ -52,17 +54,26 @@ def test_batch_matches_single_replica_bitwise(env_rand):
         assert np.array_equal(res.displacement[r, -1], traj.final_displacement)
 
 
-@pytest.mark.parametrize("env, T, grid", [
-    pytest.param(random_environment(1, 8, 2), 12.0, [0.5, 3.0, 7.25, 12.0], id="d1"),
+# replicas finish between 105 and 296 jumps, so the default-width buffer is
+# refilled twice after the first replicas leave the loop
+SPREAD_ENV = random_environment(2, 6, 4, s_dist=("lognormal", 0.0, 2.0))
+SPREAD_GRID = [0.25, 1.0, 3.5, 6.0]
+
+
+@pytest.mark.parametrize("env, T, grid, block", [
+    pytest.param(random_environment(1, 8, 2), 12.0, [0.5, 3.0, 7.25, 12.0], None, id="d1"),
     pytest.param(random_environment(2, 4, 5, generator="totally-asymmetric"),
-                 10.0, [1.0, 2.5, 6.0, 10.0], id="d2-totally-asymmetric"),
-    pytest.param(random_environment(2, 6, 4, s_dist=("lognormal", 0.0, 2.0)),
-                 6.0, [0.25, 1.0, 3.5, 6.0], id="d2-spread-finish"),
-    pytest.param(random_environment(3, 3, 1), 5.0, [0.75, 2.0, 4.5, 5.0], id="d3"),
+                 10.0, [1.0, 2.5, 6.0, 10.0], None, id="d2-totally-asymmetric"),
+    pytest.param(SPREAD_ENV, 6.0, SPREAD_GRID, None, id="d2-spread-finish"),
+    # a path does not depend on the buffer width: refilled on every step or once
+    pytest.param(SPREAD_ENV, 6.0, SPREAD_GRID, 2, id="d2-spread-finish-block2"),
+    pytest.param(SPREAD_ENV, 6.0, SPREAD_GRID, 512, id="d2-spread-finish-block512"),
+    pytest.param(random_environment(3, 3, 1), 5.0, [0.75, 2.0, 4.5, 5.0], None, id="d3"),
 ])
-def test_engine_matches_reference_walker_on_grid(env, T, grid):
+def test_engine_matches_reference_walker_on_grid(env, T, grid, block):
     R, x0 = 7, 4
-    res = run_ensemble(env, T, R, MASTER, grid=grid, x0=x0)
+    width = {} if block is None else {"block": block}
+    res = run_ensemble(env, T, R, MASTER, grid=grid, x0=x0, **width)
     for r in range(R):
         traj = simulate(env, x0, T, replica_key(MASTER, r))
         # a zero-rate direction ties its cumulative rate with the one before;
@@ -189,6 +200,54 @@ def test_storing_holding_times_costs_at_most_a_quarter_over_the_sample(env_homog
     assert peaks[True] - peaks[False] <= 1.25 * res.holding.nbytes
 
 
+class CountingGenerator:
+    """Forwards to a numpy Generator and logs each buffer refill."""
+
+    def __init__(self, gen, log):
+        self._gen = gen
+        self._log = log
+
+    def random(self, *args, **kwargs):
+        if "out" in kwargs:
+            self._log.append(1)
+        return self._gen.random(*args, **kwargs)
+
+
+def test_default_width_refills_every_128_steps(monkeypatch):
+    log = []
+    real = walker._generator
+    monkeypatch.setattr(walker, "_generator", lambda key: CountingGenerator(real(key), log))
+    res = run_ensemble(SPREAD_ENV, 6.0, 7, MASTER, x0=4)
+    # each replica is live for its jumps plus the step that ends it
+    steps = int(res.n_jumps.max()) + 1
+    assert steps > 256
+    assert len(log) == 7 * math.ceil(steps / 128)  # each refill fills every row
+
+
+@pytest.mark.skipif(not hasattr(walker.mmap, "MAP_PRIVATE"),
+                    reason="the buffer is a mapping of its own only where mmap has MAP_PRIVATE")
+def test_default_buffer_maps_256_uniforms_per_replica(monkeypatch, env_homog):
+    mapped = []
+    real = walker.mmap.mmap
+    monkeypatch.setattr(walker.mmap, "mmap", lambda fileno, length, **flags:
+                        mapped.append(length) or real(fileno, length, **flags))
+    tracemalloc.start()
+    try:
+        run_ensemble(env_homog, 1.0, 2000, MASTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the uniform buffer is the largest of the walk's mappings, and no malloc
+    # block of its size is taken besides it
+    assert max(mapped) == 2000 * 256 * 8
+    assert peak < 2000 * 256 * 8
+    # small arrays take no mapping, so many small walks kept alive hold no
+    # more mappings than the system allows
+    del mapped[:]
+    run_ensemble(env_homog, 1.0, 2, MASTER)
+    assert mapped == []
+
+
 def test_a_walk_without_jumps_has_an_empty_holding_sample(env_homog):
     res = run_ensemble(env_homog, 1e-9, 20, MASTER, collect_holding=True)
     assert not res.n_jumps.any()
@@ -265,7 +324,8 @@ def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
             fine.at_times(unordered)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf, True, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf, True, np.bool_(True),
+                               np.longdouble("1e-4000")], ids=repr)
 def test_horizon_must_be_positive_and_finite(env_rand, T):
     # an infinite horizon with the grid [inf] would never finish, and a bool
     # one would run to T = 1.0 and be recorded as True
@@ -276,6 +336,14 @@ def test_horizon_must_be_positive_and_finite(env_rand, T):
 
 
 # -- input rules ------------------------------------------------------------------
+
+def test_a_float32_horizon_walks_as_its_value(env_rand):
+    # compared in float32, the float64 bound of the rule overflowed with a RuntimeWarning
+    got = run_ensemble(env_rand, np.float32(8.0), 3, MASTER)
+    want = run_ensemble(env_rand, 8.0, 3, MASTER)
+    assert type(got.T) is float and got.T == 8.0
+    assert np.array_equal(got.displacement, want.displacement)
+
 
 # the public entry points that take a seed or a replica index
 SEED_ENTRY_POINTS = {
