@@ -30,10 +30,8 @@ DENSE_CAP = 4096
 KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
-# rows per block of the edge-space idempotency residual
+# rows per strip of the edge-space symmetry and idempotency residuals
 RIESZ_BLOCK = 512
-# tile side of the edge-space symmetry residual
-SYMMETRY_TILE = 64
 
 
 def edge_conductances(env: Environment) -> np.ndarray:
@@ -222,8 +220,8 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
 
     numpy forms Lambda Lambda^T as a symmetric rank-k update, so Pi is
     symmetric to the bit; the symmetry residual certifies this in the same
-    call, and the idempotency residual then reads only the tiles of Pi Pi
-    on and above the diagonal (see _projector_residuals).
+    call, and the idempotency residual then reads Pi Pi only on and above
+    the diagonal (see _projector_residuals).
     """
     Lam = spec.assembly.G @ spec.S_invhalf
     Lam *= np.sqrt(edge_conductances(env))[:, None]
@@ -242,26 +240,26 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
 def _projector_residuals(pi: np.ndarray) -> tuple:
     """max |Pi Pi - Pi| and max |Pi - Pi^T|, bit for bit.
 
-    The symmetry residual is read first, over the SYMMETRY_TILE tiles on
-    and above the diagonal, since |x - y| == |y - x| exactly.  When it is
-    0, Pi is symmetric to the bit, and so is Pi Pi: its entries (i, j) and
-    (j, i) add the same products, Pi_ik Pi_kj == Pi_jk Pi_ki, and gemm adds
-    the products of every entry in the same order over k (the tests check
-    this against the full product).  Pi Pi - Pi is then symmetric too, so
-    the tiles below the diagonal add nothing to the max, and each
-    RIESZ_BLOCK row block forms only the columns from its own diagonal on.
-    Otherwise (a NaN, or a Pi that is not symmetric) every block forms all
-    columns.  Besides Pi only one block is alive at a time, and every entry
-    is formed exactly as in the full-matrix expressions.
+    Both are read in RIESZ_BLOCK row strips.  The symmetry residual is
+    read first, each strip from its own diagonal on, since |x - y| ==
+    |y - x| exactly.  When it is 0, Pi is symmetric to the bit, and so is
+    Pi Pi: its entries (i, j) and (j, i) add the same products, Pi_ik Pi_kj
+    == Pi_jk Pi_ki, and gemm adds the products of every entry in the same
+    order over k (the tests check this against the full product).  Pi Pi -
+    Pi is then symmetric too, so the entries below the diagonal add nothing
+    to the max, and each idempotency strip forms only the columns from its
+    own diagonal on.  Otherwise (a NaN, or a Pi that is not symmetric) every
+    idempotency strip forms all columns.  Besides Pi only one strip is alive
+    at a time, and every entry is formed exactly as in the full-matrix
+    expressions.
     """
     m = pi.shape[0]
-    tiles = [slice(a, a + SYMMETRY_TILE) for a in range(0, m, SYMMETRY_TILE)]
     symmetry = []
-    for i, rows in enumerate(tiles):
-        for cols in tiles[i:]:
-            tile = pi[rows, cols] - pi[cols, rows].T
-            symmetry.append(np.abs(tile, out=tile).max())
-    # np.max, unlike the builtin max, propagates a NaN from any block
+    for a in range(0, m, RIESZ_BLOCK):
+        rows = slice(a, a + RIESZ_BLOCK)
+        strip = pi[rows, a:] - pi[a:, rows].T
+        symmetry.append(np.abs(strip, out=strip).max())
+    # np.max, unlike the builtin max, propagates a NaN from any strip
     symmetry = float(np.max(symmetry))
     upper = symmetry == 0.0
     idempotency = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -490,50 +491,41 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
 
 @dataclass
 class Diagnostics:
-    """Site-averaged integrability functionals of the rate field.
+    """Site averages of the environment's integrability functionals.
 
-    r_l2[k]            mean of s_k  (= mean of r_k^2)
-    rinv_l2[k]         mean of 1/s_k, +inf if any edge in direction k is zero
-    h_weighted_l2[k,l] mean of h_{k,l}^2 / s_l
-    h_l1[k,l]          mean of |h_{k,l}|
-    zero_edges         (site, direction) pairs where s_k = 0
+    This is the one place they are formed; mart's bounds read mean_s and
+    mean_inv_s.  Each is formed on its first read, so a reader pays only
+    for what it reads.  An edge with s <= 0 is dead: it gives 1/s = +inf.
+
+    mean_s[i]            mean of s_{e_i}, per axis
+    mean_inv_s[i]        mean of 1/s_{e_i}, per axis; +inf if an edge of axis i is dead
+    mean_h2_over_s[k, l] mean of h_{k,l}^2 / s_l over all n sites, per direction
+                         pair; a term is 0 where h_{k,l} = 0 and +inf where
+                         h_{k,l} != 0 on a dead edge
     """
-    r_l2: np.ndarray
-    rinv_l2: np.ndarray
-    h_weighted_l2: np.ndarray
-    h_l1: np.ndarray
-    zero_edges: list
+    env: Environment
+
+    @cached_property
+    def mean_s(self) -> np.ndarray:
+        return self.env.s.canonical.mean(axis=0)
+
+    @cached_property
+    def mean_inv_s(self) -> np.ndarray:
+        s = self.env.s.canonical
+        return np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0).mean(axis=0)
+
+    @cached_property
+    def mean_h2_over_s(self) -> np.ndarray:
+        t = self.env.torus
+        h = self.env.h.full() if self.env.h is not None else np.zeros((t.n, t.ndir, t.ndir))
+        s = self.env.s.full[:, None, :]  # s_l on the last axis
+        dead = np.where(h != 0.0, np.inf, 0.0)
+        return np.divide(h ** 2, s, out=dead, where=s > 0).mean(axis=0)
 
 
 def integrability_diagnostics(env: Environment) -> Diagnostics:
-    t = env.torus
-    s = env.s.full
-    r_l2 = s.mean(axis=0)
-    zero_mask = s == 0.0
-    inv = np.where(zero_mask, np.inf, 1.0 / np.where(zero_mask, 1.0, s))
-    # a direction with any zero edge reports +inf, mirroring the failed moment
-    rinv_l2 = np.array([np.inf if zero_mask[:, k].any() else inv[:, k].mean()
-                        for k in range(t.ndir)])
-    h_full = env.h.full() if env.h is not None else np.zeros((t.n, t.ndir, t.ndir))
-    hw = np.empty((t.ndir, t.ndir))
-    h1 = np.abs(h_full).mean(axis=0)
-    for l in range(t.ndir):
-        col = s[:, l]
-        bad = col == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = h_full[:, :, l] ** 2 / col[:, None]
-        if bad.any():
-            nonzero_h = np.abs(h_full[:, :, l]) > 0
-            for k in range(t.ndir):
-                if (bad & nonzero_h[:, k]).any():
-                    hw[k, l] = np.inf
-                else:
-                    keep = ~bad
-                    hw[k, l] = vals[keep, k].mean() if keep.any() else 0.0
-        else:
-            hw[:, l] = vals.mean(axis=0)
-    zero_edges = [(int(x), int(k)) for x, k in np.argwhere(zero_mask)[:64]]
-    return Diagnostics(r_l2, rinv_l2, hw, h1, zero_edges)
+    """The environment's site moments, none formed until it is read."""
+    return Diagnostics(env)
 
 
 # -- serialization -----------------------------------------------------------

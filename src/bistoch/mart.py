@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .env import Environment
+from .env import Environment, integrability_diagnostics
 from .errors import InsufficientReplicas, ZeroConductanceCrossing
 from .walker import EnsembleResult, Trajectory, check_grid, run_ensemble
 
@@ -60,10 +60,8 @@ class DriftFields:
 
 
 def harmonic_mean_conductance(env: Environment) -> np.ndarray:
-    """Per-axis harmonic mean of the conductances, zero if any edge is dead."""
-    s_can = env.s.canonical
-    inv = np.divide(1.0, s_can, out=np.full_like(s_can, np.inf), where=s_can > 0)
-    means = inv.mean(axis=0)
+    """Per-axis harmonic mean of the conductances, zero on an axis with a dead edge (s <= 0)."""
+    means = integrability_diagnostics(env).mean_inv_s
     return np.where(np.isfinite(means), 1.0 / np.where(means > 0, means, 1.0), 0.0)
 
 
@@ -136,10 +134,9 @@ class DiffusivityBounds:
 
 
 def bounds(env: Environment) -> DiffusivityBounds:
-    s_can = env.s.canonical
-    s_bar = harmonic_mean_conductance(env)
-    return DiffusivityBounds(lower=np.diag(2.0 * s_bar),
-                             upper_trace=float(2.0 * s_can.mean(axis=0).sum()))
+    mean_s = integrability_diagnostics(env).mean_s
+    return DiffusivityBounds(lower=np.diag(2.0 * harmonic_mean_conductance(env)),
+                             upper_trace=float(2.0 * mean_s.sum()))
 
 
 # -- bracket fields ------------------------------------------------------------
@@ -181,13 +178,12 @@ def bracket_fields(env: Environment) -> BracketFields:
     D = t_.directions.astype(float)
     p = env.p_full
     w = jump_weight_tables(env)
-    s_can = env.s.canonical
     s_bar = harmonic_mean_conductance(env)
+    mean_s = integrability_diagnostics(env).mean_s
 
     def density(wa, wb):
         return np.einsum("xk,ki,kj->xij", p * wa * wb, D, D)
 
-    mean_s = s_can.mean(axis=0)
     return BracketFields(
         zz=density(w["z"], w["z"]),
         zy=density(w["z"], w["y"]),

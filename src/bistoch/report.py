@@ -133,8 +133,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     replicas = checked("replicas", check_integer, data.get("replicas", 2000), "replicas", 1)
     tolerance = checked("tolerance", check_positive, data.get("tolerance", 1e-12), "tolerance")
     x0 = data.get("x0")
-    _require(x0 is None or isinstance(x0, int), "x0",
-             "must be an integer site index or null")
+    if x0 is not None:
+        x0 = checked("x0", check_integer, x0, "start site x0", 0)
     if "path" not in env:  # an environment file is checked once it is loaded
         require_site(x0, env["L"] ** env["d"])
     grid = data.get("grid")

@@ -240,17 +240,46 @@ def test_adjoint_environment(env_rand):
 def test_diagnostics_two_point_oracle(env_two_point):
     diag = integrability_diagnostics(env_two_point)
     # mean s = 2.5, mean 1/s = (1 + 0.25)/2 = 0.625
-    assert np.allclose(diag.r_l2, [2.5, 2.5])
-    assert np.allclose(diag.rinv_l2, [0.625, 0.625])
-    assert diag.zero_edges == []
+    assert np.allclose(diag.mean_s, [2.5])
+    assert np.allclose(diag.mean_inv_s, [0.625])
+    # no stream tensor, no stream functional
+    assert np.array_equal(diag.mean_h2_over_s, np.zeros((2, 2)))
 
 
 def test_diagnostics_flags_dead_edges():
     t = Torus(1, 4)
-    s = ConductanceField.from_canonical(t, np.array([[1.0], [0.0], [1.0], [1.0]]))
-    diag = integrability_diagnostics(Environment(t, s, weak_ellipticity=False))
-    assert np.isinf(diag.rinv_l2).all()
-    assert (1, 0) in diag.zero_edges
+    for dead in (0.0, -0.5):  # an edge with s <= 0 is dead
+        s = ConductanceField.from_canonical(t, np.array([[1.0], [dead], [1.0], [1.0]]))
+        diag = integrability_diagnostics(Environment(t, s, weak_ellipticity=False))
+        assert np.isinf(diag.mean_inv_s).all()
+
+
+def test_stream_functional_closed_form():
+    # h_{e1,e2} = +-0.5 on s = 2: each term pairing axes 1 and 2 is 0.25 / 2
+    t = Torus(3, 4)
+    s = ConductanceField.from_canonical(t, np.full((t.n, t.d), 2.0))
+    got = integrability_diagnostics(
+        Environment(t, s, h=checkerboard_stream(t, 0.5))).mean_h2_over_s
+    in_plane = np.isin(t.axis_of, [0, 1])
+    cross = in_plane[:, None] & in_plane & (t.axis_of[:, None] != t.axis_of)
+    assert np.array_equal(got, np.where(cross, 0.125, 0.0))
+
+
+def test_stream_functional_averages_over_every_site():
+    t = Torus(2, 4)
+    s_can = np.full((t.n, t.d), 2.0)
+    s_can[0, 0] = 0.0  # the edge from site 0 along e_1 is dead
+    v = checkerboard_stream(t, 0.5).canonical
+    v[t.all_coords()[:, 1] == 0] = 0.0  # no stream on row x_2 = 0, site 0's plaquette included
+    env = Environment(t, ConductanceField.from_canonical(t, s_can), h=StreamTensor(t, v),
+                      weak_ellipticity=False)
+    hw = integrability_diagnostics(env).mean_h2_over_s
+    # h_{e2,e1}(x) = -v(x) and h_{e2,-e1}(x) = v(x - e1) are 0 on the dead
+    # edge and +-0.5 on 12 of the 16 sites: 12 * 0.125 / 16, site 0 included
+    assert hw[1, 0] == hw[1, 2] == 0.09375
+    # h_{-e2,e1}(0) and h_{-e2,-e1}(e1) are the stream of the plaquette at
+    # -e2, which crosses the dead edge
+    assert np.isinf(hw[3, 0]) and np.isinf(hw[3, 2])
 
 
 def test_homogeneous_bracket_scale():

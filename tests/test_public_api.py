@@ -28,9 +28,9 @@ ALLOWED = {
     "homogeneous_environment": "oracle: the environment whose diffusivity is known exactly",
     "adjoint_environment": "oracle: the time-reversed walk, which flips J and keeps I",
     "checkerboard_stream": "oracle: a stream tensor with a closed-form curl",
-    "integrability_diagnostics": "the stream functional <h^2/s> that the H-1 upper "
-                                 "bound and the integrability check of ROADMAP "
-                                 "items 1 and 6 read",
+    "Diagnostics.mean_h2_over_s": "the stream functional <h^2/s> that the H-1 upper "
+                                  "bound and the integrability check of ROADMAP "
+                                  "items 1 and 6 read",
 }
 
 

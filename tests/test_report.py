@@ -32,6 +32,15 @@ def test_a_numpy_grid_time_is_a_time(time):
     assert got.config_hash == want.config_hash
 
 
+def test_a_numpy_start_site_is_a_site():
+    # x0 passes the one integer rule that seed and replicas pass
+    base = {"env": {"d": 2, "L": 4, "seed": 1}}
+    got = report.config_from_dict({**base, "x0": np.int64(3)})
+    want = report.config_from_dict({**base, "x0": 3})
+    assert type(got.x0) is int and got.x0 == 3
+    assert got.config_hash == want.config_hash
+
+
 # environments whose file holds neither a stream nor a flow array
 ZERO_STREAM_ENVS = [{"d": 1, "L": 8, "seed": 3},
                     {"d": 2, "L": 4, "seed": 1, "h_dist": ["gaussian", 0.0]}]
