@@ -30,7 +30,8 @@ DENSE_CAP = 4096
 KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
-# rows per strip of the edge-space symmetry and idempotency residuals
+# rows per strip of the Riesz certificate: its orientation pairing check and
+# its symmetry and idempotency residuals, all read on Pi
 RIESZ_BLOCK = 512
 
 
@@ -222,6 +223,22 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     symmetric to the bit; the symmetry residual certifies this in the same
     call, and the idempotency residual then reads Pi Pi only on and above
     the diagonal (see _projector_residuals).
+
+    Every unoriented edge appears twice in edge space.  Direction k + d is
+    -e_k, so row (k + d, x + e_k) of Lambda is row (k, x) negated: G's row is
+    the same difference taken the other way round, which IEEE subtraction
+    negates exactly, and s is stored symmetrically.  Pi's rows and columns
+    of the reverse orientations are then the forward ones negated, up to the
+    rounding of the rank-k update, which need not form a negated dot product
+    as it forms its partner (OpenBLAS 0.3.31 does not at d=1 L=17); so
+    _orientations_pair checks the pairing on Pi itself, to the bit.  When it
+    holds, Pi Pi pairs too, since gemm adds the products of every entry in
+    the same order over k (the tests hold the result to the full-matrix
+    expressions): every value of |Pi Pi - Pi| and |Pi - Pi^T| recurs in the
+    leading m/2 x m/2 block, m = 2dn, and both residuals read only that
+    block, a quarter of the Pi Pi products.  Otherwise (a NaN, conductances
+    not symmetric to the bit, or rounding that breaks the pairing) they read
+    all of Pi.
     """
     Lam = spec.assembly.G @ spec.S_invhalf
     Lam *= np.sqrt(edge_conductances(env))[:, None]
@@ -229,7 +246,9 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     gram = Lam.T @ Lam
     pi = Lam @ Lam.T
     del Lam
-    idempotency, symmetry = _projector_residuals(pi)
+    m = pi.shape[0]
+    h = m // 2 if _orientations_pair(env.torus, pi) else m
+    idempotency, symmetry = _projector_residuals(pi, h)
     return {
         "gram_vs_projector": float(np.max(np.abs(gram - spec.projector))),
         "idempotency": idempotency,
@@ -237,8 +256,37 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     }
 
 
-def _projector_residuals(pi: np.ndarray) -> tuple:
-    """max |Pi Pi - Pi| and max |Pi - Pi^T|, bit for bit.
+def _orientations_pair(torus: Torus, pi: np.ndarray) -> bool:
+    """True if Pi's reverse-orientation rows and columns are the forward ones negated.
+
+    Row and column (k + d) n + (x + e_k) pair with k n + x, for k < d.  The
+    reverse rows are compared over all columns and, within the forward
+    rows, the reverse columns; the rest of Pi follows from these.  Compared
+    as floats, so +0 pairs with -0 (either gives the same |Pi Pi - Pi|) and
+    a NaN pairs with nothing.  Read in RIESZ_BLOCK row strips.
+    """
+    n, d = torus.n, torus.d
+    h = d * n
+    reverse = ((np.arange(d)[:, None] + d) * n + torus.nbr[:, :d].T).ravel()
+    for a in range(0, h, RIESZ_BLOCK):
+        rows = slice(a, min(a + RIESZ_BLOCK, h))
+        partner = pi[reverse[rows]]
+        if not np.array_equal(pi[rows], np.negative(partner, out=partner)):
+            return False
+        del partner
+        partner = pi[rows][:, reverse]
+        if not np.array_equal(pi[rows, :h], np.negative(partner, out=partner)):
+            return False
+    return True
+
+
+def _projector_residuals(pi: np.ndarray, h: int) -> tuple:
+    """max |Pi Pi - Pi| and max |Pi - Pi^T| over rows and columns [0, h).
+
+    h = m/2 when Pi's rows and columns pair by orientation (see
+    riesz_certificate): the leading block then holds every value of both
+    residuals.  Otherwise h = m and they cover all of Pi.  A Pi Pi entry of
+    the block still sums over all m columns of its row.
 
     Both are read in RIESZ_BLOCK row strips.  The symmetry residual is
     read first, each strip from its own diagonal on, since |x - y| ==
@@ -250,21 +298,27 @@ def _projector_residuals(pi: np.ndarray) -> tuple:
     to the max, and each idempotency strip forms only the columns from its
     own diagonal on.  Otherwise (a NaN, or a Pi that is not symmetric) every
     idempotency strip forms all columns.  Besides Pi only one strip is alive
-    at a time, and every entry is formed exactly as in the full-matrix
-    expressions.
+    at a time.
+
+    A strip is a gemm call of its own shape, which BLAS may block and split
+    over its threads unlike the full product, so a strip's entry can differ
+    from the full-matrix one in its last bits: at m = 750 (d=3 L=5) 65
+    entries differ with one OpenBLAS thread and 269 with two.  The max
+    matched the full-matrix expressions on all 110 environments of a sweep
+    (d = 1 to 4, L = 2 to 64) at both thread counts, and the tests check it
+    on their cases, but no BLAS promises it.
     """
-    m = pi.shape[0]
     symmetry = []
-    for a in range(0, m, RIESZ_BLOCK):
-        rows = slice(a, a + RIESZ_BLOCK)
-        strip = pi[rows, a:] - pi[a:, rows].T
+    for a in range(0, h, RIESZ_BLOCK):
+        rows = slice(a, min(a + RIESZ_BLOCK, h))
+        strip = pi[rows, a:h] - pi[a:h, rows].T
         symmetry.append(np.abs(strip, out=strip).max())
     # np.max, unlike the builtin max, propagates a NaN from any strip
     symmetry = float(np.max(symmetry))
     upper = symmetry == 0.0
     idempotency = []
-    for a in range(0, m, RIESZ_BLOCK):
-        rows, cols = slice(a, a + RIESZ_BLOCK), slice(a if upper else 0, m)
+    for a in range(0, h, RIESZ_BLOCK):
+        rows, cols = slice(a, min(a + RIESZ_BLOCK, h)), slice(a if upper else 0, h)
         blk = pi[rows] @ pi[:, cols]
         blk -= pi[rows, cols]
         idempotency.append(np.abs(blk, out=blk).max())

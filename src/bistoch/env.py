@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment
+from .errors import (DegenerateEdge, InconsistentRHS, InvalidEnvironment, NonzeroFlux,
+                     NotDivergenceFree)
 from .torus import Torus, check_integer, is_finite, is_number
 
 DEFAULT_TOL = 1e-12
@@ -501,7 +502,11 @@ class Diagnostics:
     mean_inv_s[i]        mean of 1/s_{e_i}, per axis; +inf if an edge of axis i is dead
     mean_h2_over_s[k, l] mean of h_{k,l}^2 / s_l over all n sites, per direction
                          pair; a term is 0 where h_{k,l} = 0 and +inf where
-                         h_{k,l} != 0 on a dead edge
+                         h_{k,l} != 0 on a dead edge.  Without a stream
+                         tensor h is helmholtz.stream_from_flow(b), one
+                         gauge of the flow's streams, and every entry is
+                         +inf when no periodic stream has curl b (nonzero
+                         flux or divergence)
     """
     env: Environment
 
@@ -516,9 +521,17 @@ class Diagnostics:
 
     @cached_property
     def mean_h2_over_s(self) -> np.ndarray:
-        t = self.env.torus
-        h = self.env.h.full() if self.env.h is not None else np.zeros((t.n, t.ndir, t.ndir))
-        s = self.env.s.full[:, None, :]  # s_l on the last axis
+        env = self.env
+        t = env.torus
+        stream = env.h
+        if stream is None and np.any(env.b.full):
+            from .helmholtz import stream_from_flow  # helmholtz imports this module
+            try:
+                stream = stream_from_flow(env.b)
+            except (NonzeroFlux, NotDivergenceFree):
+                return np.full((t.ndir, t.ndir), np.inf)
+        h = stream.full() if stream is not None else np.zeros((t.n, t.ndir, t.ndir))
+        s = env.s.full[:, None, :]  # s_l on the last axis
         dead = np.where(h != 0.0, np.inf, 0.0)
         return np.divide(h ** 2, s, out=dead, where=s > 0).mean(axis=0)
 

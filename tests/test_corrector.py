@@ -123,14 +123,86 @@ def _full_riesz(env, spec):
             "symmetry": float(np.max(np.abs(pi - pi.T)))}
 
 
-@pytest.mark.parametrize("d,L,seed", [(2, 16, 4), (3, 6, 10), (3, 8, 2)])
-def test_riesz_blocks_match_full_matrices(d, L, seed):
-    env = random_environment(d, L, seed=seed)
-    assert env.torus.ndir * env.torus.n > cor.RIESZ_BLOCK  # two blocks or more
+def _riesz_hex(rc):
+    return {k: v.hex() for k, v in rc.items()}
+
+
+# (d, L, seed, random_environment keywords); ids name the case as d-L-seed
+RIESZ_CASES = [
+    pytest.param(2, 16, 4, {}, id="2-16-4"),  # m/2 is one block
+    pytest.param(3, 6, 10, {}, id="3-6-10"),
+    pytest.param(3, 8, 2, {}, id="3-8-2"),
+    pytest.param(1, 64, 0, {}, id="1-64-0"),
+    # Lambda's rows pair but Pi's need not (with OpenBLAS 0.3.31 they do not
+    # here); a certificate that trusted Lambda read 0x1.9p-50, not 0x1.94p-50
+    pytest.param(1, 17, 5, {}, id="1-17-5"),
+    pytest.param(2, 2, 1, {}, id="2-2-1"),  # x + e_k and x - e_k are one site
+    pytest.param(3, 2, 1, {}, id="3-2-1"),
+    pytest.param(2, 8, 3, {"generator": "totally-asymmetric", "h_dist": ("gaussian", 3.0)},
+                 id="2-8-3-totally-asymmetric"),
+    pytest.param(2, 8, 7, {}, id="2-8-7"),  # the README environment
+    pytest.param(2, 12, 3, {}, id="2-12-3"),  # m/2 = 288, not a multiple of RIESZ_BLOCK
+]
+
+
+@pytest.mark.parametrize("d,L,seed,laws", RIESZ_CASES)
+def test_riesz_blocks_match_full_matrices(d, L, seed, laws):
+    env = random_environment(d, L, seed=seed, **laws)
     spec = cor.build_spectral_operator(env)
     got = cor.riesz_certificate(env, spec)
-    want = _full_riesz(env, spec)
-    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    assert _riesz_hex(got) == _riesz_hex(_full_riesz(env, spec))
+
+
+def _spy_on_h(monkeypatch):
+    seen = []
+    residuals = cor._projector_residuals
+
+    def spy(pi, h):
+        seen.append((pi.shape[0], h))
+        return residuals(pi, h)
+
+    monkeypatch.setattr(cor, "_projector_residuals", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d,L,seed", [(2, 8, 7), (3, 6, 10)])  # d n = 128 and 648 rows
+def test_riesz_reads_the_leading_block_when_orientations_pair(monkeypatch, d, L, seed):
+    seen = _spy_on_h(monkeypatch)
+    env = random_environment(d, L, seed=seed)
+    cor.riesz_certificate(env, cor.build_spectral_operator(env))
+    m = env.torus.ndir * env.torus.n
+    assert seen == [(m, m // 2)]
+
+
+def test_riesz_reads_every_row_when_orientations_do_not_pair(monkeypatch):
+    # one reverse-orientation conductance differs from its forward partner,
+    # so its row of Lambda is no longer the forward row negated
+    env = random_environment(2, 8, seed=7)
+    spec = cor.build_spectral_operator(env)
+    full = env.s.full.copy()
+    full[5, env.torus.d] *= 1.5
+    skewed = Environment(env.torus, ConductanceField(env.torus, full), b=env.b, h=env.h)
+    seen = _spy_on_h(monkeypatch)
+    got = cor.riesz_certificate(skewed, spec)
+    assert seen == [(256, 256)]
+    assert _riesz_hex(got) == _riesz_hex(_full_riesz(skewed, spec))
+
+
+def test_orientations_pair_reads_the_reverse_columns():
+    # rows that still pair while one reverse column of a forward row does not
+    env = random_environment(2, 8, seed=7)
+    spec = cor.build_spectral_operator(env)
+    Lam = spec.assembly.G @ spec.S_invhalf * np.sqrt(cor.edge_conductances(env))[:, None]
+    pi = Lam @ Lam.T
+    assert cor._orientations_pair(env.torus, pi)
+    t, n = env.torus, env.torus.n
+    # forward edges i = (e_1, site 3) and j = (e_2, site 6), and their reverses
+    i, j = 3, n + 6
+    ir, jr = t.d * n + t.nbr[3, 0], (t.d + 1) * n + t.nbr[6, 1]
+    pi[i, jr] += 1.0
+    pi[ir, jr] -= 1.0
+    assert np.array_equal(pi[ir], -pi[i])
+    assert not cor._orientations_pair(t, pi)
 
 
 def _full_residuals(pi):
@@ -143,14 +215,14 @@ def test_projector_residual_blocks_match_full_matrix():
     m = 2 * cor.RIESZ_BLOCK + 37
     x = np.random.default_rng(3).normal(size=(m, m // 2))
     pi = x @ x.T
-    got = cor._projector_residuals(pi)
+    got = cor._projector_residuals(pi, m)
     assert [v.hex() for v in got] == [v.hex() for v in _full_residuals(pi)]
     assert got[1] == 0.0
     for site in [(-1, -2),  # in the last tile only
                  (-1, 0)]:  # in a tile strictly below the diagonal only
         bad = pi.copy()
         bad[site] = np.nan
-        assert np.isnan(cor._projector_residuals(bad)).all(), site
+        assert np.isnan(cor._projector_residuals(bad, m)).all(), site
 
 
 def test_projector_residuals_read_every_tile_of_an_asymmetric_matrix():
@@ -163,7 +235,7 @@ def test_projector_residuals_read_every_tile_of_an_asymmetric_matrix():
     full = np.abs(pi @ pi - pi)
     i, j = np.unravel_index(np.argmax(full), full.shape)
     assert j < i // cor.RIESZ_BLOCK * cor.RIESZ_BLOCK
-    got = cor._projector_residuals(pi)
+    got = cor._projector_residuals(pi, m)
     assert [v.hex() for v in got] == [v.hex() for v in _full_residuals(pi)]
     assert got[1] > 0.0
 

@@ -14,6 +14,7 @@ from bistoch.env import (ConductanceField, Environment, FlowField, StreamTensor,
                          make_totally_asymmetric_env, random_environment,
                          save_env, validate)
 from bistoch.errors import DegenerateEdge, InvalidEnvironment
+from bistoch.helmholtz import stream_from_flow
 from bistoch.torus import Torus
 
 
@@ -280,6 +281,30 @@ def test_stream_functional_averages_over_every_site():
     # h_{-e2,e1}(0) and h_{-e2,-e1}(e1) are the stream of the plaquette at
     # -e2, which crosses the dead edge
     assert np.isinf(hw[3, 0]) and np.isinf(hw[3, 2])
+
+
+def test_stream_functional_reconstructs_a_missing_stream():
+    # the flow alone, as an environment file without h would give it: the
+    # functional reads the stream helmholtz reconstructs, a gauge of its own
+    env = random_environment(2, 8, seed=7)
+    given = integrability_diagnostics(env).mean_h2_over_s.sum()
+    flow_only = integrability_diagnostics(Environment(env.torus, env.s, b=env.b))
+    rebuilt = Environment(env.torus, env.s, b=env.b, h=stream_from_flow(env.b))
+    assert np.array_equal(flow_only.mean_h2_over_s,
+                          integrability_diagnostics(rebuilt).mean_h2_over_s)
+    assert round(given, 4) == 0.4400
+    assert round(flow_only.mean_h2_over_s.sum(), 4) == 0.4401
+
+
+def test_stream_functional_is_infinite_without_a_periodic_stream():
+    # b = (1, -1) at every site is divergence-free with flux (1, -1), so no
+    # periodic stream has it as its curl
+    t = Torus(2, 4)
+    b = FlowField.from_canonical(t, np.tile([1.0, -1.0], (t.n, 1)))
+    env = Environment(t, ConductanceField.from_canonical(t, np.full((t.n, t.d), 3.0)), b=b)
+    assert validate(env).passed
+    hw = integrability_diagnostics(env).mean_h2_over_s
+    assert hw.shape == (t.ndir, t.ndir) and (hw == np.inf).all()
 
 
 def test_homogeneous_bracket_scale():
