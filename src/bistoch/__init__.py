@@ -7,10 +7,9 @@ harmonic coordinates and effective diffusivity, and certify the structural
 identities behind each construction.
 """
 
-from .env import (ConductanceField, Diagnostics, Environment, FlowField,
-                  StreamTensor, ValidationReport, adjoint_environment,
-                  checkerboard_stream, curl, env_from_dict, env_to_dict,
-                  homogeneous_environment, integrability_diagnostics,
+from .env import (ConductanceField, Environment, FlowField, StreamTensor,
+                  ValidationReport, adjoint_environment, checkerboard_stream,
+                  curl, env_from_dict, env_to_dict, homogeneous_environment,
                   load_env, make_conductance_stream_env,
                   make_totally_asymmetric_env, random_conductances,
                   random_environment, random_stream, save_env, validate)
@@ -20,10 +19,11 @@ from .errors import (AbsorbingState, BistochError, ConfigError,
                      NonzeroFlux, NotDivergenceFree, NotPositiveDefinite,
                      Reducible, ZeroConductanceCrossing)
 from .helmholtz import PoissonSolver, stream_from_flow
-from .mart import (BracketFields, DiffusivityBounds, DriftFields,
+from .mart import (BracketFields, Diagnostics, DiffusivityBounds, DriftFields,
                    MartingaleEnsemble, bounds, bracket_fields, decompose,
                    drift_fields, dyadic_grid, harmonic_mean_conductance,
-                   jump_weight_tables, run_decomposition_ensemble)
+                   integrability_diagnostics, jump_weight_tables,
+                   run_decomposition_ensemble)
 from .corrector import (HarmonicSolution, OperatorAssembly, SpectralOperator,
                         assemble, build_spectral_operator,
                         effective_diffusivity, gradient_matrix,

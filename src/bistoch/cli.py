@@ -2,6 +2,8 @@
 
 Subcommands: gen-env, simulate, decompose, bounds, corrector, helmholtz,
 check-all.  Relative output paths are resolved under $RWRE_OUT when set.
+The front end writes its own output files, every line ending in \n; the
+environment and report files are env's and report's canonical JSON.
 Ensembles run in one serial lockstep engine; `--threads N` is accepted by
 simulate, decompose and check-all for older scripts and ignored.  Exit
 codes: 0 on success, 1 when a computation or check fails, 2 for usage and
@@ -11,6 +13,7 @@ config errors, unreadable input files among them.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -20,12 +23,14 @@ import numpy as np
 from . import corrector as cor
 from . import helmholtz as hh
 from . import mart, report
-from .env import (DEFAULT_LAWS, GENERATORS, Environment, check_dist, check_generator,
-                  curl, curl_gap, load_env, save_env)
+from .env import (DEFAULT_LAWS, GENERATORS, Environment, canonical_json, check_dist,
+                  check_generator, curl, curl_gap, load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
 from .torus import check_integer, check_positive
-from .walker import (check_grid, ensemble_summary_csv, replica_key, run_ensemble,
-                     simulate)
+from .walker import check_grid, replica_key, run_ensemble, simulate
+
+# the path components of a decomposition, in the column order of its CSV
+_COMPONENTS = ("X", "M", "I", "J", "Z", "Y")
 
 
 def _outpath(path: str | None) -> str | None:
@@ -70,6 +75,30 @@ def _parse_grid(text: str, T: float) -> np.ndarray:
 def _fmt_matrix(m: np.ndarray) -> str:
     rows = ["[" + ", ".join(f"{v: .6f}" for v in row) + "]" for row in m]
     return "[" + ", ".join(rows) + "]"
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write the header and then each row as one line of comma-joined str() fields.
+
+    Every line ends in \\n on every platform.  No field is quoted, so only a
+    field that is a whole line, such as a JSON record, may hold a comma.
+    """
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _decomposition_rows(ens: mart.MartingaleEnsemble):
+    """One row per replica and grid time: replica, t, then each component's axes.
+
+    The rows are formed one replica at a time, so only one replica's values
+    are ever Python floats.
+    """
+    times = [repr(t) for t in ens.times.tolist()]
+    for r in range(ens.n_replicas):
+        table = np.concatenate([getattr(ens, c)[r] for c in _COMPONENTS], axis=1)
+        for t, values in zip(times, table.tolist()):
+            yield [r, t, *map(repr, values)]
 
 
 def _add_common_env(p: argparse.ArgumentParser) -> None:
@@ -172,7 +201,12 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--traj", "writes a single trajectory; use --replicas 1")
         traj = simulate(env, args.x0, args.T, replica_key(args.seed, 0))
         out = _outpath(args.traj)
-        traj.to_jsonl(out)
+        # a header record, then one {"t": time, "k": direction index} per jump
+        head = {"format": "bistoch-traj", "version": 1, "d": traj.d, "L": traj.L,
+                "x0": traj.x0, "T": traj.T, "seed": traj.seed}
+        _write_csv(out, [canonical_json(head)],
+                   ([canonical_json({"t": t, "k": k})]
+                    for t, k in zip(traj.times.tolist(), traj.dirs.tolist())))
         print(f"wrote {out} ({traj.n_jumps} jumps, final displacement "
               f"{traj.final_displacement.tolist()})")
         return 0
@@ -182,7 +216,11 @@ def _cmd_simulate(args) -> int:
           f"{mean2 / args.T:.6f}, mean jumps = {res.n_jumps.mean():.1f}")
     if args.output:
         out = _outpath(args.output)
-        ensemble_summary_csv(res, out)
+        axes = [f"X_{i + 1}" for i in range(env.torus.d)]
+        final = zip(res.displacement[:, -1].tolist(), res.n_jumps.tolist())
+        _write_csv(out, ["seed", "T", *axes, "n_jumps"],
+                   ([replica_key(res.master_seed, r), repr(res.T), *map(repr, x), jumps]
+                    for r, (x, jumps) in enumerate(final)))
         print(f"wrote {out}")
     return 0
 
@@ -195,7 +233,9 @@ def _cmd_decompose(args) -> int:
                                           args.seed, grid=grid, x0=args.x0)
     res = report.decompose_verdict(ens)
     out = _outpath(args.output)
-    mart.decomposition_csv(ens, out)
+    _write_csv(out, ["replica", "t", *(f"{c}_{i + 1}" for c in _COMPONENTS
+                                       for i in range(env.torus.d))],
+               _decomposition_rows(ens))
     print(f"wrote {out}; reconstruction residuals: "
           f"three-way {res['three_way']:.3e}, four-way {res['four_way']:.3e}")
     return 0 if res["passed"] else 1
@@ -221,13 +261,18 @@ def _cmd_corrector(args) -> int:
           f"(max harmonic residual {dv.residuals.max():.3e})")
     if args.output:
         out = _outpath(args.output)
-        cor.corrector_csv(dv.correctors[:, args.axis - 1], out)
+        _write_csv(out, ["site", "value"],
+                   enumerate(map(repr, dv.correctors[:, args.axis - 1].tolist())))
         print(f"wrote {out}")
     if args.coo:
         ops = cor.assemble(env)
         for name, m in (("S", ops.S), ("A", ops.A), ("L", ops.L)):
             path = _outpath(f"{args.coo}_{name}.txt")
-            cor.export_coo(m, path)
+            coo = m.tocoo()
+            order = np.lexsort((coo.col, coo.row))  # row-major
+            _write_csv(path, ["row", "col", "value"],
+                       zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                           map(repr, coo.data[order].tolist())))
             print(f"wrote {path}")
     return 0
 
@@ -264,7 +309,8 @@ def _cmd_check_all(args) -> int:
     timings_path = _outpath(args.timings) if args.timings else (
         out[:-5] + ".timings.json" if out.endswith(".json")
         else out + ".timings.json")
-    report.write_timings(timings, timings_path)
+    _write_csv(timings_path, [json.dumps({k: round(v, 6) for k, v in timings.items()},
+                                         sort_keys=True, indent=2)], ())
     print(f"wrote {out} and {timings_path}")
     print(f"config {cfg.config_hash[:12]}: "
           f"{'all checks passed' if rep['passed'] else 'FAILURES PRESENT'}")

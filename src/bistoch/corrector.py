@@ -142,17 +142,6 @@ def assemble(env: Environment) -> OperatorAssembly:
     )
 
 
-def export_coo(matrix, path: str) -> None:
-    """Write a sparse matrix as 'row,col,value' text, row-major order."""
-    coo = scipy.sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as f:
-        f.write("row,col,value\n")
-        for i in order:
-            f.write(f"{int(coo.row[i])},{int(coo.col[i])},"
-                    f"{float(coo.data[i])!r}\n")
-
-
 # -- spectral operator ---------------------------------------------------------
 
 @dataclass
@@ -446,11 +435,3 @@ def effective_diffusivity(env: Environment) -> DiffusivityResult:
     u = D[None, :, :] + grads
     sigma2 = np.einsum("xk,xki,xkj->ij", env.s.full, u, u) / t_.n
     return DiffusivityResult(sigma2=sigma2, correctors=chi, residuals=residuals)
-
-
-def corrector_csv(potential: np.ndarray, path: str) -> None:
-    """Write a site-indexed potential as 'site,value' rows."""
-    with open(path, "w") as f:
-        f.write("site,value\n")
-        for x, v in enumerate(np.asarray(potential, dtype=float)):
-            f.write(f"{x},{float(v)!r}\n")

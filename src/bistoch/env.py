@@ -20,12 +20,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateEdge, InconsistentRHS, InvalidEnvironment, NonzeroFlux,
-                     NotDivergenceFree)
+from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment
 from .torus import Torus, check_integer, is_finite, is_number
 
 DEFAULT_TOL = 1e-12
@@ -486,59 +484,6 @@ def random_environment(d: int, L: int, seed: int, generator: str = GENERATORS[0]
         raise ValueError(f"unknown generator {generator!r}")
     env.meta.update({"seed": seed, "d": t.d, "L": t.L, "params": params})
     return env
-
-
-# -- integrability diagnostics ----------------------------------------------
-
-@dataclass
-class Diagnostics:
-    """Site averages of the environment's integrability functionals.
-
-    This is the one place they are formed; mart's bounds read mean_s and
-    mean_inv_s.  Each is formed on its first read, so a reader pays only
-    for what it reads.  An edge with s <= 0 is dead: it gives 1/s = +inf.
-
-    mean_s[i]            mean of s_{e_i}, per axis
-    mean_inv_s[i]        mean of 1/s_{e_i}, per axis; +inf if an edge of axis i is dead
-    mean_h2_over_s[k, l] mean of h_{k,l}^2 / s_l over all n sites, per direction
-                         pair; a term is 0 where h_{k,l} = 0 and +inf where
-                         h_{k,l} != 0 on a dead edge.  Without a stream
-                         tensor h is helmholtz.stream_from_flow(b), one
-                         gauge of the flow's streams, and every entry is
-                         +inf when no periodic stream has curl b (nonzero
-                         flux or divergence)
-    """
-    env: Environment
-
-    @cached_property
-    def mean_s(self) -> np.ndarray:
-        return self.env.s.canonical.mean(axis=0)
-
-    @cached_property
-    def mean_inv_s(self) -> np.ndarray:
-        s = self.env.s.canonical
-        return np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0).mean(axis=0)
-
-    @cached_property
-    def mean_h2_over_s(self) -> np.ndarray:
-        env = self.env
-        t = env.torus
-        stream = env.h
-        if stream is None and np.any(env.b.full):
-            from .helmholtz import stream_from_flow  # helmholtz imports this module
-            try:
-                stream = stream_from_flow(env.b)
-            except (NonzeroFlux, NotDivergenceFree):
-                return np.full((t.ndir, t.ndir), np.inf)
-        h = stream.full() if stream is not None else np.zeros((t.n, t.ndir, t.ndir))
-        s = env.s.full[:, None, :]  # s_l on the last axis
-        dead = np.where(h != 0.0, np.inf, 0.0)
-        return np.divide(h ** 2, s, out=dead, where=s > 0).mean(axis=0)
-
-
-def integrability_diagnostics(env: Environment) -> Diagnostics:
-    """The environment's site moments, none formed until it is read."""
-    return Diagnostics(env)
 
 
 # -- serialization -----------------------------------------------------------

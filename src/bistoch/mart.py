@@ -17,12 +17,15 @@ averages reduce to exact cancellations over +/- direction pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy
 
-from .env import Environment, integrability_diagnostics
-from .errors import InsufficientReplicas, ZeroConductanceCrossing
+from .env import Environment
+from .errors import (InsufficientReplicas, NonzeroFlux, NotDivergenceFree,
+                     ZeroConductanceCrossing)
+from .helmholtz import stream_from_flow
 from .walker import EnsembleResult, Trajectory, check_grid, run_ensemble
 
 # two-sided 99% normal quantile, frozen for reproducibility
@@ -37,6 +40,59 @@ MIN_REPLICAS = 1000
 
 # sorted values per strip of the KS sweep, 512 KiB of float64
 KS_BLOCK = 2**16
+
+
+# -- environment moments -------------------------------------------------------
+
+@dataclass
+class Diagnostics:
+    """Site averages of the environment's integrability functionals.
+
+    This is the one place they are formed; the harmonic mean s_bar, bounds
+    and the bracket targets read mean_s and mean_inv_s.  Each is formed on
+    its first read, so a reader pays only for what it reads.  An edge with
+    s <= 0 is dead: it gives 1/s = +inf.
+
+    mean_s[i]            mean of s_{e_i}, per axis
+    mean_inv_s[i]        mean of 1/s_{e_i}, per axis; +inf if an edge of axis i is dead
+    mean_h2_over_s[k, l] mean of h_{k,l}^2 / s_l over all n sites, per direction
+                         pair; a term is 0 where h_{k,l} = 0 and +inf where
+                         h_{k,l} != 0 on a dead edge.  Without a stream
+                         tensor h is helmholtz.stream_from_flow(b), one
+                         gauge of the flow's streams, and every entry is
+                         +inf when no periodic stream has curl b (nonzero
+                         flux or divergence)
+    """
+    env: Environment
+
+    @cached_property
+    def mean_s(self) -> np.ndarray:
+        return self.env.s.canonical.mean(axis=0)
+
+    @cached_property
+    def mean_inv_s(self) -> np.ndarray:
+        s = self.env.s.canonical
+        return np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0).mean(axis=0)
+
+    @cached_property
+    def mean_h2_over_s(self) -> np.ndarray:
+        env = self.env
+        t = env.torus
+        stream = env.h
+        if stream is None and np.any(env.b.full):
+            try:
+                stream = stream_from_flow(env.b)
+            except (NonzeroFlux, NotDivergenceFree):
+                return np.full((t.ndir, t.ndir), np.inf)
+        h = stream.full() if stream is not None else np.zeros((t.n, t.ndir, t.ndir))
+        s = env.s.full[:, None, :]  # s_l on the last axis
+        dead = np.where(h != 0.0, np.inf, 0.0)
+        return np.divide(h ** 2, s, out=dead, where=s > 0).mean(axis=0)
+
+
+def integrability_diagnostics(env: Environment) -> Diagnostics:
+    """The environment's site moments, none formed until it is read."""
+    return Diagnostics(env)
 
 
 # -- local drift fields --------------------------------------------------------
@@ -334,27 +390,6 @@ def run_decomposition_ensemble(env: Environment, T: float, n_replicas: int,
                                       grid=dyadic_grid(T) if grid is None else grid,
                                       site_fields=site_table, jump_weights=jump_table,
                                       x0=x0))
-
-
-def decomposition_csv(ens: MartingaleEnsemble, path: str) -> None:
-    """Per-replica component values at every grid time, one row each."""
-    import csv
-
-    d = ens.X.shape[2]
-    parts = [("X", ens.X), ("M", ens.M), ("I", ens.I),
-             ("J", ens.J), ("Z", ens.Z), ("Y", ens.Y)]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        header = ["replica", "t"]
-        for name, _ in parts:
-            header += [f"{name}_{i + 1}" for i in range(d)]
-        w.writerow(header)
-        for r in range(ens.n_replicas):
-            for g, t in enumerate(ens.times):
-                row = [r, repr(float(t))]
-                for _, arr in parts:
-                    row += [repr(float(v)) for v in arr[r, g]]
-                w.writerow(row)
 
 
 # -- ensemble statistics -------------------------------------------------------

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class ExperimentConfig:
 
     seed: int
     env: dict
-    checks: tuple
+    checks: tuple       # distinct names, in first-seen order
     T: float
     replicas: int
     tolerance: float
@@ -145,7 +146,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _require(len(grid) >= 2 or "clt" not in checks, "grid",
                  "clt fits a growth slope, which needs at least two times")
 
-    return ExperimentConfig(seed=seed, env=env, checks=tuple(checks),
+    return ExperimentConfig(seed=seed, env=env, checks=tuple(dict.fromkeys(checks)),
                             T=T, replicas=replicas, tolerance=tolerance, x0=x0, grid=grid,
                             raw=_pyify(data))
 
@@ -401,16 +402,13 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     simulation to the first check that uses it.  Each walk carries only
     what the checks due under its seed read (see _Walks).
     """
-    from time import perf_counter
-
     env = build_environment(cfg)
     require_site(cfg.x0, env.torus.n)
-    names = list(dict.fromkeys(cfg.checks))  # a repeated check runs once
     results = {}
-    attempts = {name: [] for name in names}
-    timings = dict.fromkeys(names, 0.0)
+    attempts = {name: [] for name in cfg.checks}
+    timings = dict.fromkeys(cfg.checks, 0.0)
     for attempt in range(MAX_ATTEMPTS):
-        due = [name for name in names if name not in results]
+        due = [name for name in cfg.checks if name not in results]
         walks = _Walks(env, cfg, reseed(cfg.seed, attempt), due)
         for name in due:
             t0 = perf_counter()
@@ -427,7 +425,7 @@ def run_config(cfg: ExperimentConfig) -> tuple:
                 results[name] = {"passed": False, "error": f"{type(e).__name__}: {e}"}
             timings[name] += perf_counter() - t0
 
-    checks = {name: _pyify(results[name]) for name in names}
+    checks = {name: _pyify(results[name]) for name in cfg.checks}
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -447,9 +445,3 @@ def write_report(report: dict, path: str) -> None:
     """
     with open(path, "w") as f:
         f.write(canonical_json(_pyify(report, strict=True)) + "\n")
-
-
-def write_timings(timings: dict, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps({k: round(v, 6) for k, v in timings.items()},
-                           sort_keys=True, indent=2) + "\n")

@@ -13,13 +13,12 @@ lockstep engine below bit-compatible with the single-trajectory simulator.
 
 from __future__ import annotations
 
-import csv
 import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import Environment, _generator, canonical_json
+from .env import Environment, _generator
 from .errors import AbsorbingState
 from .torus import check_integer, check_positive
 
@@ -56,14 +55,6 @@ class Trajectory:
     def final_displacement(self) -> np.ndarray:
         return self.displacement[-1]
 
-    def to_jsonl(self, path: str) -> None:
-        """One JSON record per jump: {"t": time, "k": direction index}."""
-        with open(path, "w") as f:
-            header = {"format": "bistoch-traj", "version": 1, "d": self.d, "L": self.L,
-                      "x0": self.x0, "T": self.T, "seed": self.seed}
-            f.write(canonical_json(header) + "\n")
-            for t, k in zip(self.times, self.dirs):
-                f.write(canonical_json({"t": float(t), "k": int(k)}) + "\n")
 
 
 def check_site(x0, n: int) -> int:
@@ -440,17 +431,3 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         master_seed=master_seed,
         T=T,
     )
-
-
-def ensemble_summary_csv(result: EnsembleResult, path: str) -> None:
-    """Per-replica summary rows: seed, T, final displacement, jump count."""
-    d = result.displacement.shape[2]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["seed", "T"] + [f"X_{i + 1}" for i in range(d)] + ["n_jumps"])
-        for r in range(result.n_replicas):
-            seed = replica_key(result.master_seed, r)
-            row = [seed, repr(result.T)]
-            row += [repr(float(x)) for x in result.displacement[r, -1]]
-            row.append(int(result.n_jumps[r]))
-            w.writerow(row)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bistoch.env import (ConductanceField, Environment, homogeneous_environment,
-                         random_environment)
+                         random_environment, save_env)
 from bistoch.torus import Torus
 
 
@@ -10,6 +10,14 @@ from bistoch.torus import Torus
 def env_rand():
     """One frozen random stream environment shared across modules."""
     return random_environment(2, 8, seed=7)
+
+
+@pytest.fixture(scope="session")
+def env_rand_file(env_rand, tmp_path_factory):
+    """env_rand saved as an environment file, for tests that go through the CLI."""
+    path = tmp_path_factory.mktemp("env") / "env_rand.json"
+    save_env(env_rand, str(path))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 
 from bistoch import report
 from bistoch.cli import main
-from bistoch.env import homogeneous_environment, load_env, save_env, validate
+from bistoch.env import (canonical_json, homogeneous_environment, load_env, save_env,
+                         validate)
 from bistoch.errors import ConfigError
 from bistoch.walker import replica_key
 
@@ -186,6 +188,22 @@ def test_check_all_passes_and_is_deterministic(tmp_path, env_file, capsys):
     assert (tmp_path / "rep1.timings.json").exists()
     doc = json.loads(out1.read_text())
     assert doc["format"] == "bistoch-report" and doc["passed"] is True
+
+
+def test_check_all_runs_prints_and_reports_a_repeated_check_once(tmp_path, env_file, capsys):
+    config = {"env": {"path": env_file}, "checks": ["validate", "validate", "bounds"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "rep.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "PASS validate", "PASS bounds", f"wrote {out} and {tmp_path / 'rep.timings.json'}"]
+    doc = json.loads(out.read_text())
+    assert sorted(doc["checks"]) == ["bounds", "validate"]
+    # the config is kept and hashed as given
+    assert doc["config"] == config
+    assert doc["config_hash"] == hashlib.sha256(canonical_json(config).encode()).hexdigest()
+    assert report.load_config(str(path)).checks == ("validate", "bounds")
 
 
 def test_check_all_names_a_walk_without_jumps(tmp_path, capsys):

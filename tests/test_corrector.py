@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse
 
 from bistoch import corrector as cor
+from bistoch.cli import main
 from bistoch.env import (ConductanceField, Environment,
                          homogeneous_environment, random_environment)
 from bistoch.errors import (DenseCapExceeded, InconsistentRHS, NoConvergence,
@@ -64,11 +65,10 @@ def test_assembly_residuals_stay_sparse():
     assert peak < 8 * n * n  # less than one dense n x n float64 array
 
 
-def test_export_coo_round_trip(tmp_path, env_rand):
+def test_export_coo_round_trip(tmp_path, env_rand, env_rand_file):
+    assert main(["corrector", "--env", env_rand_file, "--coo", str(tmp_path / "ops")]) == 0
     ops = cor.assemble(env_rand)
-    path = tmp_path / "S.txt"
-    cor.export_coo(ops.S, str(path))
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "ops_S.txt").read_text().splitlines()
     assert lines[0] == "row,col,value"
     rows, cols, vals = [], [], []
     for line in lines[1:]:
@@ -405,7 +405,9 @@ def test_diffusivity_between_bounds(seed):
     assert chk["upper_ok"]
 
 
-def test_corrector_csv(tmp_path):
+def test_corrector_csv(tmp_path, env_rand, env_rand_file):
     path = tmp_path / "chi.csv"
-    cor.corrector_csv(np.array([0.5, -1.25]), str(path))
-    assert path.read_text() == "site,value\n0,0.5\n1,-1.25\n"
+    assert main(["corrector", "--env", env_rand_file, "--axis", "2", "-o", str(path)]) == 0
+    chi = cor.effective_diffusivity(env_rand).correctors[:, 1]
+    rows = "".join(f"{x},{v!r}\n" for x, v in enumerate(chi.tolist()))
+    assert path.read_bytes() == ("site,value\n" + rows).encode()

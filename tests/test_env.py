@@ -9,12 +9,13 @@ from bistoch.env import (ConductanceField, Environment, FlowField, StreamTensor,
                          adjoint_environment, checkerboard_stream, curl,
                          edge_symmetry_residual,
                          env_from_dict, env_to_dict, homogeneous_environment,
-                         integrability_diagnostics, load_env,
+                         load_env,
                          make_conductance_stream_env,
                          make_totally_asymmetric_env, random_environment,
                          save_env, validate)
 from bistoch.errors import DegenerateEdge, InvalidEnvironment
 from bistoch.helmholtz import stream_from_flow
+from bistoch.mart import integrability_diagnostics
 from bistoch.torus import Torus
 
 

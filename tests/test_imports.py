@@ -14,7 +14,9 @@ rule's ValueError becomes a ConfigError in report.checked (or, for bad
 JSON, report.load_config), and only cli.main returns 2.  They also check
 that the env module alone keys a Philox stream and alone writes canonical
 (separators=) JSON, and that no int() call truncates a seed, a key or a
-replica index, which torus.check_integer checks instead.
+replica index, which torus.check_integer checks instead.  Last, imports
+run one way, from each module to earlier layers of LAYERS only, none inside
+a function, and only env, report and cli open files.
 """
 
 import ast
@@ -313,3 +315,73 @@ def test_seed_truncation_detector_sees_what_it_should():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_seed_is_truncated_by_int(module):
     assert seed_truncations((PACKAGE / module).read_text()) == []
+
+
+# the package's layers, lowest first: a module imports only from earlier layers
+LAYERS = (("errors", "torus"), ("env",), ("walker", "helmholtz"), ("mart",),
+          ("corrector",), ("report",), ("cli",))
+# the modules that open files: env's environment files, report's configs and
+# reports, and the command line's own outputs
+OPENERS = frozenset({"env", "report", "cli"})
+
+
+def _package_modules(node) -> list:
+    """The package modules that an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("bistoch.")]
+    module = node.module or ""
+    if node.level == 0:  # absolute: bistoch, bistoch.<module> or another package
+        package, _, module = module.partition(".")
+        if package != "bistoch":
+            return []
+    return [module.split(".")[0]] if module else [alias.name for alias in node.names]
+
+
+def layering_faults(module: str, source: str) -> list:
+    """(kind, line) of each import in a function body, each import of a module
+    not in an earlier layer than `module`, and each call of open outside OPENERS.
+
+    __init__ re-exports the package, so it may import any module.
+    """
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    own = len(LAYERS) if module == "__init__" else rank.get(module, -1)
+    found = []
+    for func, node in _enclosed(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if func is not None:
+                found.append(("nested", node.lineno))
+            if any(rank.get(name, len(LAYERS)) >= own for name in _package_modules(node)):
+                found.append(("upward", node.lineno))
+        elif (isinstance(node, ast.Call) and module not in OPENERS
+              and (_dotted(node.func) or "").rsplit(".", 1)[-1] == "open"):
+            found.append(("open", node.lineno))
+    return found
+
+
+def test_layering_detector_sees_what_it_should():
+    source = ("import json\nimport bistoch.report\n"
+              "from . import corrector as cor, torus\n"
+              "from .env import Environment\nfrom .mart import bounds\n"
+              "from bistoch.walker import simulate\nfrom bistoch import cli\n"
+              "def f(path):\n"
+              "    from .helmholtz import stream_from_flow\n"
+              "    import csv\n"
+              "    with open(path) as fh:\n        return io.open(fh)\n")
+    assert layering_faults("walker", source) == [
+        ("upward", 2), ("upward", 3), ("upward", 5), ("upward", 6), ("upward", 7),
+        ("nested", 9), ("upward", 9), ("nested", 10), ("open", 11), ("open", 12)]
+    assert layering_faults("cli", source) == [
+        ("upward", 7), ("nested", 9), ("nested", 10)]
+    assert layering_faults("fresh", "x = 1\n") == []
+    assert layering_faults("fresh", "from .errors import BistochError\n") == [("upward", 1)]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_imports_run_one_way_and_only_three_modules_open_files(module):
+    assert layering_faults(module, (PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == {name for layer in LAYERS for name in layer}

@@ -6,6 +6,7 @@ import scipy.special
 import scipy.stats
 
 from bistoch import mart
+from bistoch.cli import main
 from bistoch.env import (ConductanceField, Environment, FlowField,
                          StreamTensor, adjoint_environment,
                          homogeneous_environment,
@@ -298,12 +299,15 @@ def test_homogeneous_degeneracies(ens_homog):
     assert np.array_equal(ens_homog.Z, ens_homog.M)
 
 
-def test_decomposition_csv(tmp_path, env_rand):
+def test_decomposition_csv(tmp_path, env_rand, env_rand_file):
+    path = tmp_path / "mart.csv"
+    assert main(["decompose", "--env", env_rand_file, "--T", "8.0", "--replicas", "3",
+                 "--seed", "5", "--grid", "4.0,8.0", "--x0", "0", "-o", str(path)]) == 0
     ens = mart.run_decomposition_ensemble(env_rand, 8.0, 3, 5,
                                           grid=[4.0, 8.0], x0=0)
-    path = tmp_path / "mart.csv"
-    mart.decomposition_csv(ens, str(path))
-    lines = path.read_text().splitlines()
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")  # every line ends in \n alone
+    lines = data.decode().splitlines()
     assert lines[0] == ("replica,t," + ",".join(
         f"{nm}_{i}" for nm in ("X", "M", "I", "J", "Z", "Y") for i in (1, 2)))
     assert len(lines) == 1 + 3 * 2

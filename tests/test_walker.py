@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from bistoch import walker
+from bistoch.cli import main
 from bistoch.env import ConductanceField, Environment, FlowField, random_environment
 from bistoch.errors import AbsorbingState
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
-from bistoch.walker import (_generator, ensemble_summary_csv, replica_key, run_ensemble,
-                            simulate)
+from bistoch.walker import _generator, replica_key, run_ensemble, simulate
 
 MASTER = 20240901
 
@@ -263,10 +263,11 @@ def test_homogeneous_jump_count_mean(env_homog):
     assert abs(res.n_jumps.mean() - lam) < 4 * se
 
 
-def test_trajectory_jsonl_round_trip(tmp_path, env_rand):
-    traj = simulate(env_rand, 0, 8.0, seed=11)
+def test_trajectory_jsonl_round_trip(tmp_path, env_rand, env_rand_file):
     path = tmp_path / "walk.jsonl"
-    traj.to_jsonl(str(path))
+    assert main(["simulate", "--env", env_rand_file, "--T", "8.0", "--seed", "11",
+                 "--x0", "0", "--traj", str(path)]) == 0
+    traj = simulate(env_rand, 0, 8.0, replica_key(11, 0))
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["format"] == "bistoch-traj" and header["version"] == 1
@@ -274,14 +275,18 @@ def test_trajectory_jsonl_round_trip(tmp_path, env_rand):
     records = [json.loads(l) for l in lines[1:]]
     assert len(records) == traj.n_jumps
     assert [r["k"] for r in records] == list(traj.dirs)
-    assert np.allclose([r["t"] for r in records], traj.times)
+    # the times are written as repr text, which reads back to the same floats
+    assert [r["t"] for r in records] == traj.times.tolist()
 
 
-def test_ensemble_summary_csv(tmp_path, env_rand):
-    res = run_ensemble(env_rand, 5.0, 4, MASTER, x0=0)
+def test_ensemble_summary_csv(tmp_path, env_rand, env_rand_file):
     path = tmp_path / "summary.csv"
-    ensemble_summary_csv(res, str(path))
-    lines = path.read_text().splitlines()
+    assert main(["simulate", "--env", env_rand_file, "--T", "5.0", "--replicas", "4",
+                 "--seed", str(MASTER), "--x0", "0", "-o", str(path)]) == 0
+    res = run_ensemble(env_rand, 5.0, 4, MASTER, x0=0)
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")  # every line ends in \n alone
+    lines = data.decode().splitlines()
     assert lines[0] == "seed,T,X_1,X_2,n_jumps"
     assert len(lines) == 5
     row0 = lines[1].split(",")
