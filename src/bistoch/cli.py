@@ -256,7 +256,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_corrector(args) -> int:
     env = load_env(args.env)
     report.checked("--axis", check_integer, args.axis, "axis", 1, env.torus.d + 1)
-    dv = cor.effective_diffusivity(env)
+    ops = cor.assemble(env)
+    dv = ops.diffusivity()
     print(f"sigma2 = {_fmt_matrix(dv.sigma2)} "
           f"(max harmonic residual {dv.residuals.max():.3e})")
     if args.output:
@@ -265,7 +266,6 @@ def _cmd_corrector(args) -> int:
                    enumerate(map(repr, dv.correctors[:, args.axis - 1].tolist())))
         print(f"wrote {out}")
     if args.coo:
-        ops = cor.assemble(env)
         for name, m in (("S", ops.S), ("A", ops.A), ("L", ops.L)):
             path = _outpath(f"{args.coo}_{name}.txt")
             coo = m.tocoo()

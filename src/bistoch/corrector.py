@@ -6,7 +6,8 @@ the edge space: S = (1/2) G^T D(s) G for the discrete gradient G, and
 A = (1/2) G^T H G where H contracts edge fields against the stream tensor.
 Conjugating by S^(-1/2) turns A into a skew operator B whose resolvent
 gives harmonic coordinates; the same system is solved matrix-free by a
-Krylov iteration so the two routes certify each other.
+Krylov iteration so the two routes certify each other.  OperatorAssembly.solve
+is the one Krylov entry: solve_harmonic and effective_diffusivity call it.
 
 Harmonic coordinates fix the walk's drift: chi_i solves L chi_i =
 -(phi_i + psi_i), and the corrected coordinate x_i + chi_i(x) turns X_i
@@ -16,6 +17,7 @@ into a martingale whose bracket yields the effective diffusivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -30,6 +32,9 @@ DENSE_CAP = 4096
 KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
 RESIDUAL_CAP = 1e-8
+# the spectral check's bound on max |B + B^T|, on 1 - the min singular value
+# of I + B and on each Riesz residual
+SPECTRAL_TOL = 1e-11
 # rows per strip of the Riesz certificate: its orientation pairing check and
 # its symmetry and idempotency residuals, all read on Pi
 RIESZ_BLOCK = 512
@@ -81,34 +86,118 @@ def stream_edge_operator(env: Environment) -> scipy.sparse.csr_matrix:
         shape=(ndir * n, ndir * n)).tocsr()
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorAssembly:
-    """Sparse S, A, L with the residuals of their dual constructions.
+    """Sparse S, A, L of one environment, and the Krylov solve of L g = rhs.
 
-    s_factorization   max |S - (1/2) G^T D(s) G|
-    a_factorization   max |A - (1/2) G^T H G|, None without a stream tensor
     a_antisymmetry    max |A + A^T|
     row_sums, col_sums  max |L 1| and max |1^T L|
+
+    The dual-route certificate forms on first read, once:
+    G                 the discrete gradient
+    s_factorization   max |S - (1/2) G^T D(s) G|
+    a_factorization   max |A - (1/2) G^T H G|, None without a stream tensor
     """
 
+    env: Environment
     S: scipy.sparse.csr_matrix
     A: scipy.sparse.csr_matrix
     L: scipy.sparse.csr_matrix
-    G: scipy.sparse.csr_matrix
-    s_factorization: float
-    a_factorization: float | None
     a_antisymmetry: float
     row_sums: float
     col_sums: float
 
+    @cached_property
+    def G(self) -> scipy.sparse.csr_matrix:
+        return gradient_matrix(self.env.torus)
+
+    # the residuals stay sparse: a dense n x n difference would dominate memory
+    @cached_property
+    def s_factorization(self) -> float:
+        D = scipy.sparse.diags(edge_conductances(self.env))
+        return float(abs(self.S - 0.5 * (self.G.T @ D @ self.G)).max())
+
+    @cached_property
+    def a_factorization(self) -> float | None:
+        if self.env.h is None:
+            return None
+        H = stream_edge_operator(self.env)
+        return float(abs(self.A - 0.5 * (self.G.T @ H @ self.G)).max())
+
+    def solve(self, rhs) -> HarmonicSolution:
+        """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
+
+        The rank-one augmented map v -> L v + c mean(v) with c the mean total
+        rate is nonsingular, and for mean-zero rhs its solution is exactly the
+        mean-zero solution of L g = rhs.  Jacobi preconditioned.
+
+        Raises
+        ------
+        InconsistentRHS
+            if rhs has nonzero site mean.
+        NoConvergence
+            if the final residual exceeds RESIDUAL_CAP times the rhs scale.
+        """
+        rhs = require_mean_zero(rhs)
+        L, rate, n = self.L, self.env.total_rate, self.env.torus.n
+        c = float(rate.mean())
+        diag = np.where(rate > 0, rate, 1.0)
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: L @ v + c * v.mean())
+        M = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda v: -v / diag)
+        count = [0]
+
+        def cb(xk):
+            count[0] += 1
+
+        g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=KRYLOV_TOL,
+                                             atol=0.0, maxiter=max(200, n),
+                                             callback=cb)
+        return self.certify(g, rhs, count[0])
+
+    def certify(self, g: np.ndarray, rhs: np.ndarray, iterations: int) -> HarmonicSolution:
+        """g made mean-zero, with its residual; NoConvergence above RESIDUAL_CAP."""
+        g = g - g.mean()
+        res = float(np.max(np.abs(self.L @ g - rhs)))
+        if not res <= RESIDUAL_CAP * _scale(rhs):
+            raise NoConvergence(iterations, res)
+        return HarmonicSolution(potential=g, gradient=g[self.env.torus.nbr] - g[:, None],
+                                residual=res, iterations=iterations)
+
+    def diffusivity(self) -> DiffusivityResult:
+        """Corrector-based diffusivity of the corrected coordinates.
+
+        chi_i solves L chi_i = -(phi_i + psi_i); with u = e_i + grad chi_i the
+        diffusivity is the conductance-weighted average of u u^T over edges:
+
+            sigma2_ij = avg_x sum_k s_k(x) u_i(x,k) u_j(x,k).
+
+        The flow part drops out of the average by the +/- pairing, so weighting
+        by p instead of s gives the same matrix; tests check this.
+        """
+        env = self.env
+        t_ = env.torus
+        f = drift_fields(env)
+        rhs_all = -(f.phi + f.psi)
+        chi = np.empty((t_.n, t_.d))
+        grads = np.empty((t_.n, t_.ndir, t_.d))
+        residuals = np.empty(t_.d)
+        for i in range(t_.d):
+            sol = self.solve(rhs_all[:, i])
+            chi[:, i] = sol.potential
+            grads[:, :, i] = sol.gradient
+            residuals[i] = sol.residual
+
+        u = t_.directions.astype(float)[None, :, :] + grads
+        sigma2 = np.einsum("xk,xki,xkj->ij", env.s.full, u, u) / t_.n
+        return DiffusivityResult(sigma2=sigma2, correctors=chi, residuals=residuals)
+
 
 def assemble(env: Environment) -> OperatorAssembly:
-    """Build S, A, L and verify each against its edge-space factorization."""
+    """Build S, A, L; the factorization residuals form when first read."""
     t_ = env.torus
     n, ndir = t_.n, t_.ndir
     idx = np.arange(n)
     s_full = env.s.full
-    b_full = env.b.full
 
     rows = np.concatenate([np.tile(idx, ndir), idx])
     cols = np.concatenate([t_.nbr.T.ravel(), idx])
@@ -116,26 +205,12 @@ def assemble(env: Environment) -> OperatorAssembly:
     S = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
     A = scipy.sparse.coo_matrix(
-        (b_full.T.ravel(), (np.tile(idx, ndir), t_.nbr.T.ravel())),
+        (env.b.full.T.ravel(), (np.tile(idx, ndir), t_.nbr.T.ravel())),
         shape=(n, n)).tocsr()
-
-    G = gradient_matrix(t_)
-    D = scipy.sparse.diags(edge_conductances(env))
-    S_alt = 0.5 * (G.T @ D @ G)
-    # residuals stay sparse: a dense n x n difference would dominate memory
-    s_fact = float(abs(S - S_alt).max())
-
-    a_fact = None
-    if env.h is not None:
-        H = stream_edge_operator(env)
-        A_alt = 0.5 * (G.T @ H @ G)
-        a_fact = float(abs(A - A_alt).max())
 
     L = (A - S).tocsr()
     return OperatorAssembly(
-        S=S, A=A, L=L, G=G,
-        s_factorization=s_fact,
-        a_factorization=a_fact,
+        env=env, S=S, A=A, L=L,
         a_antisymmetry=float(abs(A + A.T).max()),
         row_sums=float(np.max(np.abs(L @ np.ones(n)))),
         col_sums=float(np.max(np.abs(L.T @ np.ones(n)))),
@@ -181,8 +256,7 @@ def build_spectral_operator(env: Environment) -> SpectralOperator:
     S = ops.S.toarray()
     A = ops.A.toarray()
     w, V = scipy.linalg.eigh(S)
-    wmax = float(w[-1]) if n else 0.0
-    cut = 1e-10 * max(wmax, 1.0)
+    cut = 1e-10 * max(float(w[-1]), 1.0)
     if w[0] < -cut:
         raise NotPositiveDefinite(float(w[0]))
     zero = w < cut
@@ -326,59 +400,9 @@ class HarmonicSolution:
     iterations: int
 
 
-def _certified(torus: Torus, L, g: np.ndarray, rhs: np.ndarray,
-               iterations: int) -> HarmonicSolution:
-    """g made mean-zero, with its residual; NoConvergence above RESIDUAL_CAP."""
-    g = g - g.mean()
-    res = float(np.max(np.abs(L @ g - rhs)))
-    if not res <= RESIDUAL_CAP * _scale(rhs):
-        raise NoConvergence(iterations, res)
-    return HarmonicSolution(potential=g, gradient=g[torus.nbr] - g[:, None],
-                            residual=res, iterations=iterations)
-
-
 def solve_harmonic(env: Environment, rhs) -> HarmonicSolution:
-    """Matrix-free Krylov solve of L g = rhs on the mean-zero subspace.
-
-    The rank-one augmented map v -> L v + c mean(v) with c the mean total
-    rate is nonsingular, and for mean-zero rhs its solution is exactly the
-    mean-zero solution of L g = rhs.
-
-    Raises
-    ------
-    InconsistentRHS
-        if rhs has nonzero site mean.
-    NoConvergence
-        if the final residual exceeds RESIDUAL_CAP times the rhs scale.
-    """
-    return _solve_krylov(env, assemble(env).L, require_mean_zero(rhs))
-
-
-def _solve_krylov(env: Environment, L: scipy.sparse.csr_matrix,
-                  rhs: np.ndarray) -> HarmonicSolution:
-    """The Krylov solve of solve_harmonic on an assembled L and a checked rhs."""
-    t_ = env.torus
-    n = t_.n
-    c = float(env.total_rate.mean())
-    diag = np.where(env.total_rate > 0, env.total_rate, 1.0)
-
-    def apply(v):
-        return L @ v + c * v.mean()
-
-    def precondition(v):
-        return -v / diag
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply)
-    M = scipy.sparse.linalg.LinearOperator((n, n), matvec=precondition)
-    count = [0]
-
-    def cb(xk):
-        count[0] += 1
-
-    g, info = scipy.sparse.linalg.lgmres(op, rhs, M=M, rtol=KRYLOV_TOL,
-                                         atol=0.0, maxiter=max(200, n),
-                                         callback=cb)
-    return _certified(t_, L, g, rhs, count[0])
+    """OperatorAssembly.solve on a fresh assembly of env."""
+    return assemble(env).solve(rhs)
 
 
 def solve_harmonic_spectral(env: Environment, rhs,
@@ -387,7 +411,7 @@ def solve_harmonic_spectral(env: Environment, rhs,
     rhs = require_mean_zero(rhs)
     u = spec.S_invhalf @ rhs
     v = scipy.linalg.solve(np.eye(env.torus.n) - spec.B, u)
-    return _certified(env.torus, spec.assembly.L, -(spec.S_invhalf @ v), rhs, 0)
+    return spec.assembly.certify(-(spec.S_invhalf @ v), rhs, 0)
 
 
 def harmonic_equation_residual(env: Environment, solution: HarmonicSolution,
@@ -407,31 +431,5 @@ class DiffusivityResult:
 
 
 def effective_diffusivity(env: Environment) -> DiffusivityResult:
-    """Corrector-based diffusivity of the corrected coordinates.
-
-    chi_i solves L chi_i = -(phi_i + psi_i); with u = e_i + grad chi_i the
-    diffusivity is the conductance-weighted average of u u^T over edges:
-
-        sigma2_ij = avg_x sum_k s_k(x) u_i(x,k) u_j(x,k).
-
-    The flow part drops out of the average by the +/- pairing, so weighting
-    by p instead of s gives the same matrix; tests check this.
-    """
-    t_ = env.torus
-    d = t_.d
-    f = drift_fields(env)
-    rhs_all = -(f.phi + f.psi)
-    L = assemble(env).L
-    chi = np.empty((t_.n, d))
-    grads = np.empty((t_.n, t_.ndir, d))
-    residuals = np.empty(d)
-    for i in range(d):
-        sol = _solve_krylov(env, L, require_mean_zero(rhs_all[:, i]))
-        chi[:, i] = sol.potential
-        grads[:, :, i] = sol.gradient
-        residuals[i] = sol.residual
-
-    D = t_.directions.astype(float)
-    u = D[None, :, :] + grads
-    sigma2 = np.einsum("xk,xki,xkj->ij", env.s.full, u, u) / t_.n
-    return DiffusivityResult(sigma2=sigma2, correctors=chi, residuals=residuals)
+    """OperatorAssembly.diffusivity on a fresh assembly of env."""
+    return assemble(env).diffusivity()

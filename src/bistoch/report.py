@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from . import corrector, helmholtz, mart, walker
-from .corrector import RESIDUAL_CAP
+from .corrector import RESIDUAL_CAP, SPECTRAL_TOL
 from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
                   check_generator, curl_gap, load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
@@ -337,12 +337,12 @@ def _check_spectral(env, cfg, walks):
     out = {"skewness": spec.skewness, "min_singular": spec.min_singular,
            "zero_modes": int(np.sum(spec.s_eigenvalues <= 0.0)),
            "route_gap": gap, "harmonic_equation_residual": heq}
-    ok = (spec.skewness <= 1e-11 and spec.min_singular >= 1.0 - 1e-11
+    ok = (spec.skewness <= SPECTRAL_TOL and spec.min_singular >= 1.0 - SPECTRAL_TOL
           and gap <= route_bound and heq <= RESIDUAL_CAP * _scale(rhs))
     if env.torus.n <= 1024:
         rc = corrector.riesz_certificate(env, spec)
         out.update({f"riesz_{k}": v for k, v in rc.items()})
-        ok = ok and all(v <= 1e-11 for v in rc.values())  # a NaN fails
+        ok = ok and all(v <= SPECTRAL_TOL for v in rc.values())  # a NaN fails
     out["passed"] = bool(ok)
     return out
 

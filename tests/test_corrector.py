@@ -84,6 +84,50 @@ def test_export_coo_round_trip(tmp_path, env_rand, env_rand_file):
     assert keys == sorted(keys)
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of each call to corrector.<name>, which still runs."""
+    calls, real = [], getattr(cor, name)
+    monkeypatch.setattr(cor, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+# the assembly cases above; the two-point chain has no stream tensor
+@pytest.mark.parametrize("case", ["env_homog", "env_two_point", "2-8-0", "2-8-4", "3-4-3"])
+def test_solves_form_no_certificate(case, request, monkeypatch):
+    if case.startswith("env_"):
+        env = request.getfixturevalue(case)
+    else:
+        d, L, seed = map(int, case.split("-"))
+        env = random_environment(d, L, seed=seed)
+    f = drift_fields(env)
+    grads = _spy(monkeypatch, "gradient_matrix")
+    streams = _spy(monkeypatch, "stream_edge_operator")
+    cor.effective_diffusivity(env)
+    cor.solve_harmonic(env, -(f.phi[:, 0] + f.psi[:, 0]))
+    ops = cor.assemble(env)
+    assert grads == [] and streams == []
+    s_fact = [ops.s_factorization for _ in range(2)]
+    assert len(grads) == 1 and streams == []
+    a_fact = [ops.a_factorization for _ in range(2)]
+    assert len(grads) == 1 and len(streams) == (env.h is not None)
+    # the values of the eager construction, to the bit
+    G = cor.gradient_matrix(env.torus)
+    D = scipy.sparse.diags(cor.edge_conductances(env))
+    assert s_fact == 2 * [float(abs(ops.S - 0.5 * (G.T @ D @ G)).max())]
+    if env.h is None:
+        assert a_fact == [None, None]
+    else:
+        H = cor.stream_edge_operator(env)
+        assert a_fact == 2 * [float(abs(ops.A - 0.5 * (G.T @ H @ G)).max())]
+
+
+def test_corrector_coo_assembles_once(tmp_path, env_rand_file, monkeypatch):
+    calls = _spy(monkeypatch, "assemble")
+    assert main(["corrector", "--env", env_rand_file, "-o", str(tmp_path / "chi.csv"),
+                 "--coo", str(tmp_path / "ops")]) == 0
+    assert len(calls) == 1
+
+
 # -- spectral operator ------------------------------------------------------------
 
 
@@ -359,9 +403,7 @@ def test_spectral_operator_keeps_its_assembly(env_rand, monkeypatch):
     spec = cor.build_spectral_operator(env_rand)
     f = drift_fields(env_rand)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
-    calls = []
-    real = cor.assemble
-    monkeypatch.setattr(cor, "assemble", lambda env: calls.append(env) or real(env))
+    calls = _spy(monkeypatch, "assemble")
     cor.solve_harmonic_spectral(env_rand, rhs, spec=spec)
     assert calls == []
     cor.effective_diffusivity(env_rand)

@@ -23,6 +23,21 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
     assert rep["passed"] is False
 
 
+def test_a_battery_forms_the_gradient_once_and_no_stream_operator(monkeypatch):
+    # only the Riesz certificate reads G; no check reads a factorization residual
+    calls = {"gradient_matrix": [], "stream_edge_operator": []}
+    for name, seen in calls.items():
+        real = getattr(corrector, name)
+        monkeypatch.setattr(corrector, name,
+                            lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    # the README environment, on which all three checks pass
+    cfg = report.config_from_dict({"env": {"d": 2, "L": 8, "seed": 7},
+                                   "checks": ["bounds", "corrector", "spectral"]})
+    rep, _ = report.run_config(cfg)
+    assert rep["passed"]
+    assert [len(v) for v in calls.values()] == [1, 0]
+
+
 @pytest.mark.parametrize("time", [np.int64(16), np.float32(16.0)], ids=repr)
 def test_a_numpy_grid_time_is_a_time(time):
     # the "a number, not a bool" rule is the one check_positive applies
