@@ -242,7 +242,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    res = report.bounds_verdict(load_env(args.env))
+    res = report.bounds_verdict(cor.assemble(load_env(args.env)))
     print(f"lower trace {np.trace(res['lower']):.6f} <= trace sigma2 "
           f"{res['trace']:.6f} <= upper {res['upper_trace']:.6f}")
     print(f"sigma2 = {_fmt_matrix(res['sigma2'])}")
@@ -257,13 +257,13 @@ def _cmd_corrector(args) -> int:
     env = load_env(args.env)
     report.checked("--axis", check_integer, args.axis, "axis", 1, env.torus.d + 1)
     ops = cor.assemble(env)
-    dv = ops.diffusivity()
+    dv = ops.diffusivity
     print(f"sigma2 = {_fmt_matrix(dv.sigma2)} "
-          f"(max harmonic residual {dv.residuals.max():.3e})")
+          f"(max harmonic residual {max(sol.residual for sol in dv.solutions):.3e})")
     if args.output:
         out = _outpath(args.output)
         _write_csv(out, ["site", "value"],
-                   enumerate(map(repr, dv.correctors[:, args.axis - 1].tolist())))
+                   enumerate(map(repr, dv.solutions[args.axis - 1].potential.tolist())))
         print(f"wrote {out}")
     if args.coo:
         for name, m in (("S", ops.S), ("A", ops.A), ("L", ops.L)):

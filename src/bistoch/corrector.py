@@ -6,8 +6,8 @@ the edge space: S = (1/2) G^T D(s) G for the discrete gradient G, and
 A = (1/2) G^T H G where H contracts edge fields against the stream tensor.
 Conjugating by S^(-1/2) turns A into a skew operator B whose resolvent
 gives harmonic coordinates; the same system is solved matrix-free by a
-Krylov iteration so the two routes certify each other.  OperatorAssembly.solve
-is the one Krylov entry: solve_harmonic and effective_diffusivity call it.
+Krylov iteration so the two routes certify each other.  OperatorAssembly is
+the one operator object per environment; its solve is the one Krylov entry.
 
 Harmonic coordinates fix the walk's drift: chi_i solves L chi_i =
 -(phi_i + psi_i), and the corrected coordinate x_i + chi_i(x) turns X_i
@@ -93,7 +93,7 @@ class OperatorAssembly:
     a_antisymmetry    max |A + A^T|
     row_sums, col_sums  max |L 1| and max |1^T L|
 
-    The dual-route certificate forms on first read, once:
+    sigma2 (diffusivity) and the dual-route certificate form on first read, once:
     G                 the discrete gradient
     s_factorization   max |S - (1/2) G^T D(s) G|
     a_factorization   max |A - (1/2) G^T H G|, None without a stream tensor
@@ -163,6 +163,7 @@ class OperatorAssembly:
         return HarmonicSolution(potential=g, gradient=g[self.env.torus.nbr] - g[:, None],
                                 residual=res, iterations=iterations)
 
+    @cached_property
     def diffusivity(self) -> DiffusivityResult:
         """Corrector-based diffusivity of the corrected coordinates.
 
@@ -178,18 +179,48 @@ class OperatorAssembly:
         t_ = env.torus
         f = drift_fields(env)
         rhs_all = -(f.phi + f.psi)
-        chi = np.empty((t_.n, t_.d))
-        grads = np.empty((t_.n, t_.ndir, t_.d))
-        residuals = np.empty(t_.d)
-        for i in range(t_.d):
-            sol = self.solve(rhs_all[:, i])
-            chi[:, i] = sol.potential
-            grads[:, :, i] = sol.gradient
-            residuals[i] = sol.residual
-
+        solutions = tuple(self.solve(rhs_all[:, i]) for i in range(t_.d))
+        grads = np.stack([sol.gradient for sol in solutions], axis=2)
         u = t_.directions.astype(float)[None, :, :] + grads
         sigma2 = np.einsum("xk,xki,xkj->ij", env.s.full, u, u) / t_.n
-        return DiffusivityResult(sigma2=sigma2, correctors=chi, residuals=residuals)
+        return DiffusivityResult(sigma2=sigma2, solutions=solutions)
+
+    def spectral_operator(self) -> SpectralOperator:
+        """Diagonalize S and conjugate A into the skew operator B.
+
+        Raises
+        ------
+        DenseCapExceeded
+            if the site count exceeds DENSE_CAP.
+        NotPositiveDefinite
+            if S has a genuinely negative eigenvalue.
+        Reducible
+            if the zero eigenvalue of S is not simple (disconnected
+            conductance graph).
+        """
+        n = self.env.torus.n
+        if n > DENSE_CAP:
+            raise DenseCapExceeded(n, DENSE_CAP)
+        S = self.S.toarray()
+        A = self.A.toarray()
+        w, V = scipy.linalg.eigh(S)
+        cut = 1e-10 * max(float(w[-1]), 1.0)
+        if w[0] < -cut:
+            raise NotPositiveDefinite(float(w[0]))
+        zero = w < cut
+        if int(zero.sum()) != 1:
+            raise Reducible(f"S has {int(zero.sum())} near-zero eigenvalues")
+        w = np.where(zero, 0.0, w)
+        inv_root = np.where(zero, 0.0, 1.0 / np.sqrt(np.where(zero, 1.0, w)))
+        S_invhalf = (V * inv_root[None, :]) @ V.T
+        projector = (V * (~zero).astype(float)[None, :]) @ V.T
+        B = S_invhalf @ A @ S_invhalf
+        svals = scipy.linalg.svdvals(np.eye(n) + B)
+        return SpectralOperator(
+            B=B, S_invhalf=S_invhalf, projector=projector, s_eigenvalues=w,
+            skewness=float(np.max(np.abs(B + B.T))),
+            min_singular=float(svals[-1]), assembly=self,
+        )
 
 
 def assemble(env: Environment) -> OperatorAssembly:
@@ -237,42 +268,8 @@ class SpectralOperator:
 
 
 def build_spectral_operator(env: Environment) -> SpectralOperator:
-    """Diagonalize S and conjugate A into the skew operator B.
-
-    Raises
-    ------
-    DenseCapExceeded
-        if the site count exceeds DENSE_CAP.
-    NotPositiveDefinite
-        if S has a genuinely negative eigenvalue.
-    Reducible
-        if the zero eigenvalue of S is not simple (disconnected
-        conductance graph).
-    """
-    n = env.torus.n
-    if n > DENSE_CAP:
-        raise DenseCapExceeded(n, DENSE_CAP)
-    ops = assemble(env)
-    S = ops.S.toarray()
-    A = ops.A.toarray()
-    w, V = scipy.linalg.eigh(S)
-    cut = 1e-10 * max(float(w[-1]), 1.0)
-    if w[0] < -cut:
-        raise NotPositiveDefinite(float(w[0]))
-    zero = w < cut
-    if int(zero.sum()) != 1:
-        raise Reducible(f"S has {int(zero.sum())} near-zero eigenvalues")
-    w = np.where(zero, 0.0, w)
-    inv_root = np.where(zero, 0.0, 1.0 / np.sqrt(np.where(zero, 1.0, w)))
-    S_invhalf = (V * inv_root[None, :]) @ V.T
-    projector = (V * (~zero).astype(float)[None, :]) @ V.T
-    B = S_invhalf @ A @ S_invhalf
-    svals = scipy.linalg.svdvals(np.eye(n) + B)
-    return SpectralOperator(
-        B=B, S_invhalf=S_invhalf, projector=projector, s_eigenvalues=w,
-        skewness=float(np.max(np.abs(B + B.T))),
-        min_singular=float(svals[-1]), assembly=ops,
-    )
+    """OperatorAssembly.spectral_operator on a fresh assembly of env."""
+    return assemble(env).spectral_operator()
 
 
 def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
@@ -426,10 +423,9 @@ def harmonic_equation_residual(env: Environment, solution: HarmonicSolution,
 @dataclass
 class DiffusivityResult:
     sigma2: np.ndarray            # (d, d)
-    correctors: np.ndarray        # (n, d)
-    residuals: np.ndarray         # (d,) harmonic equation residuals
+    solutions: tuple              # the HarmonicSolution of each axis
 
 
 def effective_diffusivity(env: Environment) -> DiffusivityResult:
     """OperatorAssembly.diffusivity on a fresh assembly of env."""
-    return assemble(env).diffusivity()
+    return assemble(env).diffusivity

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -219,8 +220,8 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 
 # -- individual checks ---------------------------------------------------------
 #
-# Every check is called as fn(env, cfg, walks), where walks holds the seed of
-# the attempt and the walk of that seed.
+# Every check is called as fn(ops, cfg, walks): ops holds the environment and its
+# operators, and walks holds the seed of the attempt and the walk of that seed.
 
 # the checks that read the decomposition observers; clt reads only X, the
 # holding times and the final sites
@@ -267,20 +268,31 @@ class _Walks:
         return self._walk.at_times(_walk_grid(cfg, levels))
 
 
-def _check_validate(env, cfg, walks):
-    rep = validate(env, cfg.tolerance)
+@dataclass(eq=False)
+class _Operators:
+    """A run's environment and its one assembly, formed on first read; no dense operator."""
+
+    env: Environment
+
+    @cached_property
+    def assembly(self) -> corrector.OperatorAssembly:
+        return corrector.assemble(self.env)
+
+
+def _check_validate(ops, cfg, walks):
+    rep = validate(ops.env, cfg.tolerance)
     return {"passed": rep.passed,
             "max_residual": rep.max_residual,
             "residuals": rep.residuals}
 
 
-def bounds_verdict(env: Environment) -> dict:
-    """The corrector's sigma2 against mart.bounds, to within 1e-9.
+def bounds_verdict(assembly: corrector.OperatorAssembly) -> dict:
+    """The assembly's sigma2 against mart.bounds, to within 1e-9.
 
     This is a battery's `bounds` entry and the document `bistoch bounds` writes.
     """
-    bd = mart.bounds(env)
-    dv = corrector.effective_diffusivity(env)
+    bd = mart.bounds(assembly.env)
+    dv = assembly.diffusivity
     chk = bd.check(dv.sigma2, atol=1e-9)
     return {"passed": chk["lower_ok"] and chk["upper_ok"],
             "sigma2": dv.sigma2, "lower": bd.lower,
@@ -296,11 +308,11 @@ def decompose_verdict(ens: mart.MartingaleEnsemble) -> dict:
     return {"passed": all(v <= mart.IDENTITY_TOL for v in res.values()), **res}
 
 
-def _check_orthogonality(env, cfg, walks):
+def _check_orthogonality(ops, cfg, walks):
     ens = mart.decomposition(walks.walk(4))
     rep = mart.orthogonality_report(ens)
     est, se = mart.zz_matrix(ens)
-    target = mart.bounds(env).lower
+    target = mart.bounds(ops.env).lower
     zz_ok = bool(np.all(np.abs(est - target) <= 3.0 * se + 1e-12))
     both_zero = all(iv.contains(0.0) for iv in rep.values())
     return {"passed": zz_ok and both_zero,
@@ -309,17 +321,17 @@ def _check_orthogonality(env, cfg, walks):
             **{name: _interval_dict(iv) for name, iv in rep.items()}}
 
 
-def _check_corrector(env, cfg, walks):
-    dv = corrector.effective_diffusivity(env)
+def _check_corrector(ops, cfg, walks):
+    dv = ops.assembly.diffusivity
     return {"passed": True, "sigma2": dv.sigma2,
-            "harmonic_residuals": dv.residuals}
+            "harmonic_residuals": [sol.residual for sol in dv.solutions]}
 
 
-def _check_spectral(env, cfg, walks):
-    spec = corrector.build_spectral_operator(env)
+def _check_spectral(ops, cfg, walks):
+    env, spec = ops.env, ops.assembly.spectral_operator()
     f = mart.drift_fields(env)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
-    sk = corrector.solve_harmonic(env, rhs)
+    sk = ops.assembly.diffusivity.solutions[0]  # sigma2's axis 0: the bits of a solve of rhs
     ss = corrector.solve_harmonic_spectral(env, rhs, spec=spec)
     gap = float(np.max(np.abs(sk.potential - ss.potential)))
     heq = corrector.harmonic_equation_residual(env, sk, rhs)
@@ -347,13 +359,13 @@ def _check_spectral(env, cfg, walks):
     return out
 
 
-def _check_helmholtz(env, cfg, walks):
+def _check_helmholtz(ops, cfg, walks):
     # stream_from_flow raises unless the curl gap is within STREAM_TOL of |b|
-    recon = helmholtz.stream_from_flow(env.b)
-    return {"passed": True, "curl_gap": curl_gap(recon, env.b)}
+    recon = helmholtz.stream_from_flow(ops.env.b)
+    return {"passed": True, "curl_gap": curl_gap(recon, ops.env.b)}
 
 
-def _check_clt(env, cfg, walks):
+def _check_clt(ops, cfg, walks):
     walk = walks.walk(5)
     # an empty sample, a walk in which no replica jumped, raises here
     ks_hold = mart.ks_exponential(walk.holding)
@@ -362,7 +374,7 @@ def _check_clt(env, cfg, walks):
     m2, _ = mart.second_moment_curve(X)
     slope = mart.growth_slope(walk.times, m2)
     ks_components = [mart.ks_gaussian(X[:, -1, i]) for i in range(X.shape[2])]
-    chi_p = mart.final_site_chisquare(walk.final_site, env.torus.n)
+    chi_p = mart.final_site_chisquare(walk.final_site, ops.env.torus.n)
     passed = (0.95 <= slope <= 1.05
               and max(ks_components) < 0.02
               and ks_hold < ks_hold_crit
@@ -376,8 +388,8 @@ def _check_clt(env, cfg, walks):
 
 CHECK_REGISTRY = {
     "validate": _check_validate,
-    "bounds": lambda env, cfg, walks: bounds_verdict(env),
-    "decompose": lambda env, cfg, walks: decompose_verdict(mart.decomposition(walks.walk(8))),
+    "bounds": lambda ops, cfg, walks: bounds_verdict(ops.assembly),
+    "decompose": lambda ops, cfg, walks: decompose_verdict(mart.decomposition(walks.walk(8))),
     "orthogonality": _check_orthogonality,
     "corrector": _check_corrector,
     "spectral": _check_spectral,
@@ -404,6 +416,7 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     """
     env = build_environment(cfg)
     require_site(cfg.x0, env.torus.n)
+    ops = _Operators(env)
     results = {}
     attempts = {name: [] for name in cfg.checks}
     timings = dict.fromkeys(cfg.checks, 0.0)
@@ -413,7 +426,7 @@ def run_config(cfg: ExperimentConfig) -> tuple:
         for name in due:
             t0 = perf_counter()
             try:
-                out = CHECK_REGISTRY[name](env, cfg, walks)
+                out = CHECK_REGISTRY[name](ops, cfg, walks)
                 if name not in STATISTICAL_CHECKS:
                     results[name] = out
                 else:

@@ -15,7 +15,9 @@ as a changed digest.
 import copy
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +69,22 @@ def test_stored_report_hashes_to_the_pinned_digest():
 
 def test_readme_report_matches_the_stored_one_field_by_field(reference):
     assert json_diff(reference[1], json.loads(STORED_REPORT.read_bytes())) == []
+
+
+def test_readme_report_is_the_stored_one_at_one_blas_thread(tmp_path):
+    # the reference above runs in this process, at the default thread count
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(workloads.README_CONFIG))
+    out = tmp_path / "report.json"
+    path = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "bistoch.cli", "check-all",
+                           "--config", str(config), "-o", str(out)],
+                          env=env, capture_output=True, text=True)
+    stored = STORED_REPORT.read_bytes()
+    assert done.returncode == (0 if json.loads(stored)["passed"] else 1), done.stderr
+    assert out.read_bytes() == stored
 
 
 def test_a_moved_field_is_named_by_its_path():

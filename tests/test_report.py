@@ -24,18 +24,28 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
 
 
 def test_a_battery_forms_the_gradient_once_and_no_stream_operator(monkeypatch):
-    # only the Riesz certificate reads G; no check reads a factorization residual
-    calls = {"gradient_matrix": [], "stream_edge_operator": []}
+    # only the Riesz certificate reads G; no check reads a factorization residual.
+    # The checks share one assembly and one sigma2, whose axis-0 solve is the
+    # spectral check's Krylov route: one solve per axis in all
+    calls = {"gradient_matrix": [], "stream_edge_operator": [], "assemble": [], "solve": []}
     for name, seen in calls.items():
-        real = getattr(corrector, name)
-        monkeypatch.setattr(corrector, name,
+        owner = corrector.OperatorAssembly if name == "solve" else corrector
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    records, record = [], report._Operators
+    monkeypatch.setattr(report, "_Operators", lambda env: records.append(record(env)) or records[-1])
     # the README environment, on which all three checks pass
     cfg = report.config_from_dict({"env": {"d": 2, "L": 8, "seed": 7},
                                    "checks": ["bounds", "corrector", "spectral"]})
     rep, _ = report.run_config(cfg)
     assert rep["passed"]
-    assert [len(v) for v in calls.values()] == [1, 0]
+    assert [len(v) for v in calls.values()] == [1, 0, 1, 2]
+    # the run's one record keeps the sparse assembly and sigma2, nothing n x n
+    (ops,) = records
+    kept = [*vars(ops).values(), *vars(ops.assembly).values()]
+    assert not any(isinstance(v, corrector.SpectralOperator)
+                   or isinstance(v, np.ndarray) and v.size >= ops.env.torus.n ** 2 for v in kept)
 
 
 @pytest.mark.parametrize("time", [np.int64(16), np.float32(16.0)], ids=repr)
@@ -98,10 +108,11 @@ def test_spectral_check_passes_in_one_dimension(L):
 def _route_bound(env_spec) -> float:
     """sqrt(n) (res_k + res_s) / lam1, as _check_spectral computes it."""
     env = report.build_environment(report.config_from_dict({"env": env_spec}))
-    spec = corrector.build_spectral_operator(env)
+    ops = corrector.assemble(env)
+    spec = ops.spectral_operator()
     f = mart.drift_fields(env)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
-    res = (corrector.solve_harmonic(env, rhs).residual
+    res = (ops.diffusivity.solutions[0].residual
            + corrector.solve_harmonic_spectral(env, rhs, spec=spec).residual)
     return math.sqrt(env.torus.n) * res / spec.s_eigenvalues[1]
 
@@ -156,20 +167,22 @@ def test_spectral_harmonic_equation_gate_scales_with_the_rates(env_spec):
 @pytest.mark.parametrize("env_spec", [{"d": 2, "L": 8, "seed": 7}, SCALED_LAWS[0]])
 def test_spectral_harmonic_equation_beyond_its_bound_fails(monkeypatch, env_spec):
     assert _spectral(env_spec)["passed"] is True
-    solve = corrector.solve_harmonic
+    solve = corrector.OperatorAssembly.solve
     bounds = []
 
-    def perturbed(env, rhs):
-        sol = solve(env, rhs)
+    def perturbed(ops, rhs):
+        sol = solve(ops, rhs)
         bounds.append(corrector.RESIDUAL_CAP * max(1.0, float(np.max(np.abs(rhs)))))
-        k = int(np.argmax(env.p_full[0]))
+        p = ops.env.p_full
+        k = int(np.argmax(p[0]))
         kick = np.zeros_like(sol.gradient)
-        kick[0, k] = 2.0 * bounds[-1] / env.p_full[0, k]  # the potential is left as it was
+        kick[0, k] = 2.0 * bounds[-1] / p[0, k]  # the potential is left as it was
         return dataclasses.replace(sol, gradient=sol.gradient + kick)
 
-    monkeypatch.setattr(corrector, "solve_harmonic", perturbed)
+    # the shared solve: the check reads sigma2's axis-0 solve, the first
+    monkeypatch.setattr(corrector.OperatorAssembly, "solve", perturbed)
     result = _spectral(env_spec)
-    assert result["harmonic_equation_residual"] > bounds[-1]
+    assert result["harmonic_equation_residual"] > bounds[0]
     assert result["passed"] is False
 
 
@@ -210,7 +223,8 @@ class _FreshWalks:
 
 
 def _reference_report(cfg) -> dict:
-    """run_config as it was: checks in config order, each walk check on its own ensemble."""
+    """run_config as it was: checks in config order, each walk check on its own
+    ensemble, and every check on operators of its own."""
     env = report.build_environment(cfg)
     results = {}
     for name in cfg.checks:
@@ -220,13 +234,13 @@ def _reference_report(cfg) -> dict:
                 attempts = []
                 for attempt in range(report.MAX_ATTEMPTS):
                     s = report.reseed(cfg.seed, attempt)
-                    out = fn(env, cfg, _FreshWalks(env, cfg, s))
+                    out = fn(report._Operators(env), cfg, _FreshWalks(env, cfg, s))
                     attempts.append({"seed": s, **out})
                     if out["passed"]:
                         break
                 result = {"passed": attempts[-1]["passed"], "attempts": attempts}
             else:
-                result = fn(env, cfg, _FreshWalks(env, cfg, cfg.seed))
+                result = fn(report._Operators(env), cfg, _FreshWalks(env, cfg, cfg.seed))
         except Exception as e:
             result = {"passed": False, "error": f"{type(e).__name__}: {e}"}
         results[name] = report._pyify(result)
