@@ -27,7 +27,8 @@ from .errors import DenseCapExceeded, NoConvergence, NotPositiveDefinite, Reduci
 from .mart import drift_fields
 from .torus import Torus
 
-DENSE_CAP = 4096
+# the most sites of a dense spectral operator: the spectral check's one size rule
+DENSE_CAP = 1024
 # relative residual target of the Krylov iteration
 KRYLOV_TOL = 1e-10
 # relative residual above which a harmonic solve raises NoConvergence
@@ -279,26 +280,22 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
     projector onto mean-zero functions, and Pi = Lambda Lambda^T is a
     symmetric idempotent on edge space.  Returns the max deviations.
 
-    numpy forms Lambda Lambda^T as a symmetric rank-k update, so Pi is
-    symmetric to the bit; the symmetry residual certifies this in the same
-    call, and the idempotency residual then reads Pi Pi only on and above
-    the diagonal (see _projector_residuals).
+    numpy forms Lambda Lambda^T as a symmetric rank-k update, which mirrors
+    one triangle into the other, so Pi is symmetric to the bit (the tests
+    hold this premise); the symmetry residual certifies it in the same call.
 
     Every unoriented edge appears twice in edge space.  Direction k + d is
     -e_k, so row (k + d, x + e_k) of Lambda is row (k, x) negated: G's row is
     the same difference taken the other way round, which IEEE subtraction
-    negates exactly, and s is stored symmetrically.  Pi's rows and columns
-    of the reverse orientations are then the forward ones negated, up to the
-    rounding of the rank-k update, which need not form a negated dot product
-    as it forms its partner (OpenBLAS 0.3.31 does not at d=1 L=17); so
-    _orientations_pair checks the pairing on Pi itself, to the bit.  When it
-    holds, Pi Pi pairs too, since gemm adds the products of every entry in
-    the same order over k (the tests hold the result to the full-matrix
-    expressions): every value of |Pi Pi - Pi| and |Pi - Pi^T| recurs in the
-    leading m/2 x m/2 block, m = 2dn, and both residuals read only that
-    block, a quarter of the Pi Pi products.  Otherwise (a NaN, conductances
-    not symmetric to the bit, or rounding that breaks the pairing) they read
-    all of Pi.
+    negates exactly, and s is stored symmetrically.  Pi's reverse rows are
+    then the forward ones negated, up to the rounding of the rank-k update
+    (OpenBLAS 0.3.31 breaks it at d=1 L=17), so _orientations_pair checks
+    the pairing on Pi itself, to the bit.  When it holds, Pi Pi pairs too,
+    since gemm adds the products of every entry in the same order over k:
+    every value of both residuals recurs in the leading m/2 x m/2 block,
+    m = 2dn, and they read only that block.  Otherwise (a NaN,
+    conductances not symmetric to the bit, or rounding that breaks the
+    pairing) they read all of Pi.
     """
     Lam = spec.assembly.G @ spec.S_invhalf
     Lam *= np.sqrt(edge_conductances(env))[:, None]
@@ -317,13 +314,12 @@ def riesz_certificate(env: Environment, spec: SpectralOperator) -> dict:
 
 
 def _orientations_pair(torus: Torus, pi: np.ndarray) -> bool:
-    """True if Pi's reverse-orientation rows and columns are the forward ones negated.
+    """True if Pi's reverse-orientation rows are the forward ones negated.
 
-    Row and column (k + d) n + (x + e_k) pair with k n + x, for k < d.  The
-    reverse rows are compared over all columns and, within the forward
-    rows, the reverse columns; the rest of Pi follows from these.  Compared
-    as floats, so +0 pairs with -0 (either gives the same |Pi Pi - Pi|) and
-    a NaN pairs with nothing.  Read in RIESZ_BLOCK row strips.
+    Row (k + d) n + (x + e_k) pairs with k n + x, for k < d.  Pi is
+    symmetric, so its columns pair as its rows do.  Compared as floats, so
+    +0 pairs with -0 (either gives the same |Pi Pi - Pi|) and a NaN pairs
+    with nothing.  Read in RIESZ_BLOCK row strips.
     """
     n, d = torus.n, torus.d
     h = d * n
@@ -333,56 +329,36 @@ def _orientations_pair(torus: Torus, pi: np.ndarray) -> bool:
         partner = pi[reverse[rows]]
         if not np.array_equal(pi[rows], np.negative(partner, out=partner)):
             return False
-        del partner
-        partner = pi[rows][:, reverse]
-        if not np.array_equal(pi[rows, :h], np.negative(partner, out=partner)):
-            return False
     return True
 
 
 def _projector_residuals(pi: np.ndarray, h: int) -> tuple:
     """max |Pi Pi - Pi| and max |Pi - Pi^T| over rows and columns [0, h).
 
-    h = m/2 when Pi's rows and columns pair by orientation (see
-    riesz_certificate): the leading block then holds every value of both
-    residuals.  Otherwise h = m and they cover all of Pi.  A Pi Pi entry of
-    the block still sums over all m columns of its row.
-
-    Both are read in RIESZ_BLOCK row strips.  The symmetry residual is
-    read first, each strip from its own diagonal on, since |x - y| ==
-    |y - x| exactly.  When it is 0, Pi is symmetric to the bit, and so is
-    Pi Pi: its entries (i, j) and (j, i) add the same products, Pi_ik Pi_kj
-    == Pi_jk Pi_ki, and gemm adds the products of every entry in the same
-    order over k (the tests check this against the full product).  Pi Pi -
-    Pi is then symmetric too, so the entries below the diagonal add nothing
-    to the max, and each idempotency strip forms only the columns from its
-    own diagonal on.  Otherwise (a NaN, or a Pi that is not symmetric) every
-    idempotency strip forms all columns.  Besides Pi only one strip is alive
-    at a time.
+    Read in RIESZ_BLOCK row strips, each from its own diagonal on: Pi is
+    symmetric, and so is Pi Pi, since its entries (i, j) and (j, i) add the
+    same products in the same order over k, so the entries below the
+    diagonal add nothing to either max.  A Pi Pi entry still sums over all
+    m columns of its row.  Besides Pi only one strip is alive at a time.
 
     A strip is a gemm call of its own shape, which BLAS may block and split
     over its threads unlike the full product, so a strip's entry can differ
-    from the full-matrix one in its last bits: at m = 750 (d=3 L=5) 65
-    entries differ with one OpenBLAS thread and 269 with two.  The max
-    matched the full-matrix expressions on all 110 environments of a sweep
-    (d = 1 to 4, L = 2 to 64) at both thread counts, and the tests check it
-    on their cases, but no BLAS promises it.
+    from the full-matrix one in its last bits.  The max matched the
+    full-matrix expressions on all 110 environments of a sweep (d = 1 to 4,
+    L = 2 to 64) at one and two OpenBLAS threads, and the tests check it on
+    their cases, but no BLAS promises it.
     """
-    symmetry = []
+    idempotency, symmetry = [], []
     for a in range(0, h, RIESZ_BLOCK):
-        rows = slice(a, min(a + RIESZ_BLOCK, h))
-        strip = pi[rows, a:h] - pi[a:h, rows].T
+        rows, cols = slice(a, min(a + RIESZ_BLOCK, h)), slice(a, h)
+        strip = pi[rows, cols] - pi[cols, rows].T
         symmetry.append(np.abs(strip, out=strip).max())
+        del strip
+        strip = pi[rows] @ pi[:, cols]
+        strip -= pi[rows, cols]
+        idempotency.append(np.abs(strip, out=strip).max())
     # np.max, unlike the builtin max, propagates a NaN from any strip
-    symmetry = float(np.max(symmetry))
-    upper = symmetry == 0.0
-    idempotency = []
-    for a in range(0, h, RIESZ_BLOCK):
-        rows, cols = slice(a, min(a + RIESZ_BLOCK, h)), slice(a if upper else 0, h)
-        blk = pi[rows] @ pi[:, cols]
-        blk -= pi[rows, cols]
-        idempotency.append(np.abs(blk, out=blk).max())
-    return float(np.max(idempotency)), symmetry
+    return float(np.max(idempotency)), float(np.max(symmetry))
 
 
 # -- harmonic coordinates ------------------------------------------------------

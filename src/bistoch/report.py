@@ -351,10 +351,9 @@ def _check_spectral(ops, cfg, walks):
            "route_gap": gap, "harmonic_equation_residual": heq}
     ok = (spec.skewness <= SPECTRAL_TOL and spec.min_singular >= 1.0 - SPECTRAL_TOL
           and gap <= route_bound and heq <= RESIDUAL_CAP * _scale(rhs))
-    if env.torus.n <= 1024:
-        rc = corrector.riesz_certificate(env, spec)
-        out.update({f"riesz_{k}": v for k, v in rc.items()})
-        ok = ok and all(v <= SPECTRAL_TOL for v in rc.values())  # a NaN fails
+    rc = corrector.riesz_certificate(env, spec)
+    out.update({f"riesz_{k}": v for k, v in rc.items()})
+    ok = ok and all(v <= SPECTRAL_TOL for v in rc.values())  # a NaN fails
     out["passed"] = bool(ok)
     return out
 

@@ -6,6 +6,7 @@ import pytest
 
 from bistoch import corrector, mart, report, walker
 from bistoch.env import canonical_json, save_env
+from bistoch.errors import DenseCapExceeded
 
 
 def _config(*checks):
@@ -103,6 +104,17 @@ def test_spectral_check_passes_in_one_dimension(L):
     for seed in range(5):
         result = _spectral({"d": 1, "L": L, "seed": seed})
         assert result["passed"] is True, (seed, result)
+
+
+def test_spectral_check_fails_past_the_dense_cap():
+    # the cap is the spectral check's one size rule: no verdict without the
+    # Riesz certificate, whose Pi is (2 d n)^2 doubles
+    env_spec = {"d": 1, "L": corrector.DENSE_CAP + 1, "seed": 0}
+    env = report.build_environment(report.config_from_dict({"env": env_spec}))
+    with pytest.raises(DenseCapExceeded):
+        corrector.build_spectral_operator(env)
+    assert _spectral(env_spec) == {
+        "passed": False, "error": "DenseCapExceeded: 1025 sites exceeds dense cap 1024"}
 
 
 def _route_bound(env_spec) -> float:
