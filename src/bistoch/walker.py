@@ -7,13 +7,19 @@ probability p_k(x) / sum.  No time discretization enters anywhere.
 Randomness comes from counter-based Philox streams.  Replica r of a run with
 master seed m uses the key (m << 64) | r, so any replica can be reproduced
 in isolation.  Each event consumes exactly two uniforms from its replica's
-stream, first the holding time, then the direction, which makes the serial
+stream, first the holding time, then the direction, which makes the
 lockstep engine below bit-compatible with the single-trajectory simulator.
+The engine splits the replicas into contiguous ranges, one per worker
+process (`worker_count`); since no replica's path depends on another's,
+the split changes no output bit.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,6 +177,11 @@ class EnsembleResult:
     time integral of site-table column f along the path up to that grid
     time; jump_sums[r, g, :, w] is the sum over jumps before that time of
     weight-table column w times the jump vector.
+
+    holding pools each worker's normalized holding times, step-major within
+    the worker, with the workers' samples joined in replica-range order; so
+    its order, not its values, depends on the worker count.  Its readers
+    take it sorted (`mart.ks_exponential`) or by its length.
     """
 
     times: np.ndarray                 # (G,)
@@ -210,8 +221,12 @@ class EnsembleResult:
                        integrals=self.integrals[:, idx], jump_sums=self.jump_sums[:, idx])
 
 
-def _mapped(shape, dtype=float) -> np.ndarray:
+def _mapped(shape, dtype=float, shared: bool = False) -> np.ndarray:
     """A zeroed array; from 128 KiB up, in a private anonymous mapping of its own.
+
+    shared puts it in a shared anonymous mapping whatever its size, unless
+    it is empty, so that forked workers write their rows where the caller
+    reads them.
 
     The engine keeps its uniform buffer and its snapshots in mappings, which
     go back to the system with their arrays.  As malloc blocks, each one
@@ -227,12 +242,108 @@ def _mapped(shape, dtype=float) -> np.ndarray:
     """
     size = int(np.prod(shape))
     nbytes = size * np.dtype(dtype).itemsize
-    if nbytes < 1 << 17 or not hasattr(mmap, "MAP_PRIVATE"):
+    if nbytes == 0 or (not shared and (nbytes < 1 << 17 or not hasattr(mmap, "MAP_PRIVATE"))):
         return np.zeros(shape, dtype)
-    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    kind = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
+    mapping = mmap.mmap(-1, nbytes, flags=kind | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         mapping.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(mapping, dtype, size).reshape(shape)
+
+
+# replicas a worker process needs before its share of the walk outweighs its
+# fork and join; the sweep in BENCH_ensemble_workers.json set it
+MIN_LANES = 1000
+
+
+def worker_count(n_replicas: int) -> int:
+    """Worker processes that run_ensemble splits n_replicas over.
+
+    One per CPU this process may run on, each with at least MIN_LANES
+    replicas, and one where the system has no fork or no CPU affinity.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_replicas // MIN_LANES))
+
+
+def _fork(walk, lo: int, hi: int) -> tuple:
+    """Start walk(lo, hi) in a forked child; its pid and the read end of its pipe.
+
+    The child sends a pickled (error, absorbed, number of holding times),
+    then the holding times' bytes.  It leaves through os._exit, so it never
+    returns into the caller's stack.  It runs only the walk, numpy
+    elementwise work and Philox draws with no BLAS call, import or logging,
+    so it takes no lock that another thread of the caller could have held
+    at the fork.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    try:
+        os.close(r)
+        try:
+            holding, absorbed = walk(lo, hi)
+            head = (None, absorbed, 0 if holding is None else len(holding))
+        except BaseException as e:  # KeyboardInterrupt too: the caller re-raises it
+            holding, head = None, (e, None, 0)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(head))
+            if holding is not None:
+                pipe.write(holding)
+    finally:
+        os._exit(0)
+
+
+def _split(walk, bounds: list) -> tuple:
+    """walk over each range bounds[i]..bounds[i+1]-1: here the first, each other in a child.
+
+    With one range nothing is forked.
+
+    Returns the joined holding times and the earliest (step, site) at which
+    a range reached an absorbing site, the lowest range winning a tie, as a
+    walk over all ranges at once would have.  Re-raises the lowest child's
+    error.  Every child is killed and reaped before this returns or raises:
+    one whose result was read has nothing left to do but exit, and one
+    still walking is stopped when an error (KeyboardInterrupt too) ends the
+    join early.
+    """
+    children = []  # (pid, pipe) of each child, in range order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork(walk, lo, hi))
+        holding, absorbed = walk(bounds[0], bounds[1])
+        found = []  # (step, range, site) of each range that reached an absorbing site
+        if absorbed:
+            found.append((absorbed[0], 0, absorbed[1]))
+        for i, (pid, fd) in enumerate(children, 1):
+            with os.fdopen(fd, "rb", closefd=False) as pipe:
+                try:
+                    error, absorbed, n = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"the worker of replicas {bounds[i]}..{bounds[i + 1] - 1} "
+                                       "ended without a result") from None
+                if error is not None:
+                    raise error
+                if absorbed:
+                    found.append((absorbed[0], i, absorbed[1]))
+                elif n and holding is not None:
+                    m = len(holding)
+                    holding.resize(m + n, refcheck=False)
+                    if pipe.readinto(holding[m:]) != 8 * n:
+                        raise RuntimeError(f"the worker of replicas {bounds[i]}.."
+                                           f"{bounds[i + 1] - 1} sent too few holding times")
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    if not found:
+        return holding, None
+    step, _, site = min(found)
+    return holding, (step, site)
 
 
 def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
@@ -256,12 +367,20 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         Fixed start site in [0, n), or None to draw one uniformly per replica
         (the draw consumes the first uniform of the replica's stream).
     block : int
-        Uniforms drawn per replica per refill; a positive even number.  The
-        buffer holds n_replicas * block doubles: 2 KiB per replica at the
-        default 256, half of what 512 held, while a check battery's walk
-        (about 450 lockstep steps at T=64) still needs only four refills.
-        The output does not depend on block, since each event takes its two
-        uniforms from its replica's stream in order, whatever the width.
+        Uniforms drawn per replica per refill; a positive even number.  Each
+        worker has its own buffer of block doubles per replica of its range:
+        2 KiB per replica at the default 256, half of what 512 held, while a
+        check battery's walk (about 450 lockstep steps at T=64) still needs
+        only four refills.  The output does not depend on block, since each
+        event takes its two uniforms from its replica's stream in order,
+        whatever the width.
+
+    The replicas are split into worker_count(n_replicas) contiguous ranges.
+    The caller walks the first; each other range walks in a forked child,
+    which writes its rows of every output into shared mappings and sends
+    its holding times back through a pipe.  An AbsorbingState names the
+    site that a walk of all replicas at once would: the one reached at the
+    earliest lockstep step, by the lowest replica.
     """
     T = check_positive(T, "horizon T")
     R = check_integer(n_replicas, "n_replicas", 1)
@@ -303,130 +422,146 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     # checking the master seed and the largest index R - 1 once checks every
     # key: replica r's is (master_seed << 64) | r
     first_key = replica_key(master_seed, R - 1) - (R - 1)
-    gens = [_generator(first_key | r) for r in range(R)]
-    if x0 is None:
-        # one uniform from each stream selects the start site
-        u = np.array([g.random() for g in gens])
-        site = np.minimum((u * n).astype(np.int64), n - 1)
-    else:
-        site = np.full(R, x0, dtype=np.int64)
-    start_site = site.copy()
+    workers = worker_count(R)
+    # every worker writes its replicas' rows of the outputs in place
+    outputs = [_mapped(shape, dtype, shared=workers > 1) for shape, dtype in
+               [(R, np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float),
+                                      ((R, G, d), np.int64)]]
 
-    buf = _mapped((R, block))
-    # an event's two uniforms are adjacent in its replica's row, so one
-    # complex gather reads both: real part the holding time, imaginary the direction
-    pairs = buf.view(np.complex128)
-    ptr = block
-    pos = np.zeros((d, R), dtype=np.int64)
-    now = np.zeros(R)
-    nj = np.zeros(R, dtype=np.int64)
-    gptr = np.zeros(R, dtype=np.int64)
-    next_g = np.full(R, grid[0])
+    def walk(lo: int, hi: int) -> tuple:
+        """Walk replicas lo..hi-1 in lockstep into their rows of the outputs.
 
-    acc = np.zeros((R, F))
-    snap = _mapped((R, G, F))
-    jsum = np.zeros((R, d * W))
-    jsnap = _mapped((R, G, d * W))
-    psnap = _mapped((R, G, d), np.int64)
-    # one buffer, grown in place by a quarter and trimmed after the loop, so
-    # storing the holding times costs at most 1.25 times the sample
-    holding = np.empty(R) if collect_holding else None
-    n_held = 0
+        Returns their holding times (None unless collected) and None, or
+        None and the (step, site) at which the first of them reached an
+        absorbing site.
+        """
+        start_site, site, nj, snap, jsnap, psnap = (a[lo:hi] for a in outputs)
+        lanes = hi - lo
+        gens = [_generator(first_key | r) for r in range(lo, hi)]
+        if x0 is None:
+            # one uniform from each stream selects the start site
+            u = np.array([g.random() for g in gens])
+            site[:] = np.minimum((u * n).astype(np.int64), n - 1)
+        else:
+            site[:] = x0
+        start_site[:] = site
 
-    # Until the first replica finishes, `rows` is a full slice and every
-    # per-step array is unindexed; afterwards it is the live replicas' index.
-    live = None
-    step = 0
-    while True:
-        if ptr >= block:
-            for i, g in enumerate(gens):
-                g.random(out=buf[i])
-            ptr = 0
-        rows = slice(None) if live is None else live
-        u = np.ascontiguousarray(pairs[rows, ptr // 2])
-        u1, u2 = u.real, u.imag
-        ptr += 2
+        buf = _mapped((lanes, block))
+        # an event's two uniforms are adjacent in its replica's row, so one
+        # complex gather reads both: real part the holding time, imaginary the direction
+        pairs = buf.view(np.complex128)
+        ptr = block
+        pos = np.zeros((d, lanes), dtype=np.int64)
+        now = np.zeros(lanes)
+        gptr = np.zeros(lanes, dtype=np.int64)
+        next_g = np.full(lanes, grid[0])
+        acc = np.zeros((lanes, F))
+        jsum = np.zeros((lanes, d * W))
+        # one buffer, grown in place by a quarter and trimmed after the loop, so
+        # storing the holding times costs at most 1.25 times the sample
+        holding = np.empty(lanes) if collect_holding else None
+        n_held = 0
 
-        sm = site[rows]
-        rate = total[sm]
-        if check_absorbing:
-            dead = rate <= 0.0
-            if dead.any():
-                raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
-        dt = -np.log1p(-u1) / rate
-        t0 = now[rows]
-        t_new = t0 + dt
+        # Until the first replica finishes, `rows` is a full slice and every
+        # per-step array is unindexed; afterwards it is the live replicas' index.
+        live = None
+        step = 0
+        while True:
+            if ptr >= block:
+                for i, g in enumerate(gens):
+                    g.random(out=buf[i])
+                ptr = 0
+            rows = slice(None) if live is None else live
+            u = np.ascontiguousarray(pairs[rows, ptr // 2])
+            u1, u2 = u.real, u.imag
+            ptr += 2
 
-        # snapshot every grid time crossed inside this holding interval;
-        # the state used is the pre-jump state, so a sum over jumps at
-        # times <= g never includes the jump ending the interval
-        hit = next_g[rows] <= t_new
-        while hit.any():
-            j = np.flatnonzero(hit)
-            r = j if live is None else live[j]
-            gsel = gptr[r]
+            sm = site[rows]
+            rate = total[sm]
+            if check_absorbing:
+                dead = rate <= 0.0
+                if dead.any():
+                    return None, (step, int(sm[np.flatnonzero(dead)[0]]))
+            dt = -np.log1p(-u1) / rate
+            t0 = now[rows]
+            t_new = t0 + dt
+
+            # snapshot every grid time crossed inside this holding interval;
+            # the state used is the pre-jump state, so a sum over jumps at
+            # times <= g never includes the jump ending the interval
+            hit = next_g[rows] <= t_new
+            while hit.any():
+                j = np.flatnonzero(hit)
+                r = j if live is None else live[j]
+                gsel = gptr[r]
+                if F:
+                    snap[r, gsel] = acc[r] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
+                if W:
+                    jsnap[r, gsel] = jsum[r]
+                psnap[r, gsel] = pos[:, r].T
+                gptr[r] += 1
+                next_g[r] = grid_pad[gptr[r]]
+                hit[j] = next_g[r] <= t_new[j]
+
+            done = t_new >= T
+            if done.any():
+                # a replica finishing at this step jumped once on every earlier step
+                keep = np.flatnonzero(~done)
+                if live is None:
+                    nj[done] = step
+                    live = keep
+                else:
+                    nj[live[done]] = step
+                    live = live[keep]
+                if live.size == 0:
+                    break
+                rows = live
+                sm, rate, dt, t_new, u2 = sm[keep], rate[keep], dt[keep], t_new[keep], u2[keep]
+
             if F:
-                snap[r, gsel] = acc[r] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
+                inc = site_fields.take(sm, axis=0)
+                inc *= dt[:, None]
+                acc[rows] += inc
+            if holding is not None:
+                m = n_held + len(dt)
+                if m > len(holding):
+                    # no view of the buffer outlives a step, so none is left dangling
+                    holding.resize(max(m, len(holding) * 5 // 4), refcheck=False)
+                np.multiply(dt, rate, out=holding[n_held:m])
+                n_held = m
+
+            v = u2 * rate
+            k = (v >= cum_cols[0][sm]).astype(np.intp)
+            for col in cum_cols[1:]:
+                k += v >= col[sm]
+            k += v >= rate
+            np.minimum(k, ndir - 1, out=k)
+
+            edge = sm * ndir + k
             if W:
-                jsnap[r, gsel] = jsum[r]
-            psnap[r, gsel] = pos[:, r].T
-            gptr[r] += 1
-            next_g[r] = grid_pad[gptr[r]]
-            hit[j] = next_g[r] <= t_new[j]
+                jsum[rows] += jump_table.take(edge, axis=0)
+            for i in range(d):
+                pos[i, rows] += step_of[i][k]
+            site[rows] = nbr[edge]
+            now[rows] = t_new
+            step += 1
 
-        done = t_new >= T
-        if done.any():
-            # a replica finishing at this step jumped once on every earlier step
-            keep = np.flatnonzero(~done)
-            if live is None:
-                nj[done] = step
-                live = keep
-            else:
-                nj[live[done]] = step
-                live = live[keep]
-            if live.size == 0:
-                break
-            rows = live
-            sm, rate, dt, t_new, u2 = sm[keep], rate[keep], dt[keep], t_new[keep], u2[keep]
-
-        if F:
-            inc = site_fields.take(sm, axis=0)
-            inc *= dt[:, None]
-            acc[rows] += inc
         if holding is not None:
-            m = n_held + len(dt)
-            if m > len(holding):
-                # no view of the buffer outlives a step, so none is left dangling
-                holding.resize(max(m, len(holding) * 5 // 4), refcheck=False)
-            np.multiply(dt, rate, out=holding[n_held:m])
-            n_held = m
+            holding.resize(n_held, refcheck=False)
+        return holding, None
 
-        v = u2 * rate
-        k = (v >= cum_cols[0][sm]).astype(np.intp)
-        for col in cum_cols[1:]:
-            k += v >= col[sm]
-        k += v >= rate
-        np.minimum(k, ndir - 1, out=k)
-
-        edge = sm * ndir + k
-        if W:
-            jsum[rows] += jump_table.take(edge, axis=0)
-        for i in range(d):
-            pos[i, rows] += step_of[i][k]
-        site[rows] = nbr[edge]
-        now[rows] = t_new
-        step += 1
-
-    if holding is not None:
-        holding.resize(n_held, refcheck=False)
+    holding, absorbed = _split(walk, [R * i // workers for i in range(workers + 1)])
+    if absorbed:
+        raise AbsorbingState(absorbed[1])
+    start_site, final_site, n_jumps, snap, jsnap, psnap = outputs
     return EnsembleResult(
         times=grid,
         displacement=psnap.astype(float),
         integrals=snap,
         jump_sums=jsnap.reshape(R, G, d, W),
         start_site=start_site,
-        final_site=site.copy(),
-        n_jumps=nj,
+        final_site=final_site,
+        n_jumps=n_jumps,
         holding=holding,
         master_seed=master_seed,
         T=T,

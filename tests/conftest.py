@@ -1,9 +1,28 @@
+import os
+
 import numpy as np
 import pytest
 
 from bistoch.env import (ConductanceField, Environment, homogeneous_environment,
                          random_environment, save_env)
 from bistoch.torus import Torus
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Fail the run if a child of the test process still runs or is unreaped at its end.
+
+    The ensemble engine forks its workers; each must be reaped before the
+    call that forked it returns or raises.
+    """
+    yield
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        state = "still running" if pid == 0 else f"pid {pid} unreaped, wait status {status}"
+        pytest.fail(f"the test process left a child process: {state}")
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,19 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bistoch import walker
+from bistoch import mart, walker
 from bistoch.cli import main
 from bistoch.env import ConductanceField, Environment, FlowField, random_environment
 from bistoch.errors import AbsorbingState
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
-from bistoch.walker import _generator, replica_key, run_ensemble, simulate
+from bistoch.walker import SEED_LIMIT, _generator, replica_key, run_ensemble, simulate
 
 MASTER = 20240901
 
@@ -231,6 +232,7 @@ def test_default_buffer_maps_256_uniforms_per_replica(monkeypatch, env_homog):
     real = walker.mmap.mmap
     monkeypatch.setattr(walker.mmap, "mmap", lambda fileno, length, **flags:
                         mapped.append(length) or real(fileno, length, **flags))
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 1)
     tracemalloc.start()
     try:
         run_ensemble(env_homog, 1.0, 2000, MASTER)
@@ -246,6 +248,102 @@ def test_default_buffer_maps_256_uniforms_per_replica(monkeypatch, env_homog):
     del mapped[:]
     run_ensemble(env_homog, 1.0, 2, MASTER)
     assert mapped == []
+    # split over two workers, the caller maps only its own range's buffer;
+    # the other range's buffer is mapped in the forked worker
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 2)
+    run_ensemble(env_homog, 1.0, 2000, MASTER)
+    assert max(mapped) == 1000 * 256 * 8
+
+
+SPLIT_ENV = random_environment(2, 8, 7)
+SPLIT_TABLES = mart.field_tables(SPLIT_ENV)
+
+
+@pytest.mark.parametrize("R, kwargs", [
+    pytest.param(60, {"block": 8}, id="plain"),
+    pytest.param(60, {"grid": mart.dyadic_grid(8.0), "site_fields": SPLIT_TABLES[0],
+                      "jump_weights": SPLIT_TABLES[1]}, id="decomposition"),
+    pytest.param(60, {"x0": 5}, id="fixed-x0"),
+    pytest.param(60, {"collect_holding": True}, id="holding"),
+    pytest.param(7, {"grid": [0.5, 8.0], "site_fields": SPLIT_TABLES[0],
+                     "jump_weights": SPLIT_TABLES[1], "collect_holding": True}, id="uneven"),
+])
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+def test_the_worker_count_changes_no_bit(monkeypatch, R, kwargs):
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
+        runs[workers] = run_ensemble(SPLIT_ENV, 8.0, R, MASTER, **kwargs)
+    one = runs[1]
+    for res in (runs[2], runs[3]):
+        for name in ("times", "displacement", "integrals", "jump_sums", "start_site",
+                     "final_site", "n_jumps"):
+            got, want = getattr(res, name), getattr(one, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        if one.holding is None:
+            assert res.holding is None
+        else:
+            # the workers' samples are joined in range order, so only the order moves
+            assert len(res.holding) == len(one.holding)
+            assert np.sort(res.holding).tobytes() == np.sort(one.holding).tobytes()
+
+
+def _env_with_two_dead_sites():
+    # d=1 ring of 8 whose sites 2 and 6 have no positive total rate; the
+    # edges into them keep their rates, so a walk from site 4 reaches either
+    t = Torus(1, 8)
+    s = np.ones((8, 2))
+    s[2, :] = 0.0
+    s[6, :] = -1.0
+    return Environment(t, ConductanceField(t, s), b=FlowField.zero(t), h=None,
+                       weak_ellipticity=False, meta={})
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+def test_a_split_walk_raises_the_earliest_absorbing_state(monkeypatch, workers):
+    env = _env_with_two_dead_sites()
+    # replicas 0 and 1 alone reach site 6 first; all four reach site 2 first,
+    # at an earlier lockstep step, in replica 2 or 3, outside the caller's range
+    with pytest.raises(AbsorbingState) as alone:
+        run_ensemble(env, 100.0, 2, 2, x0=4)
+    assert alone.value.site == 6
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 1)
+    with pytest.raises(AbsorbingState) as serial:
+        run_ensemble(env, 100.0, 4, 2, x0=4)
+    assert serial.value.site == 2
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
+    with pytest.raises(AbsorbingState) as split:
+        run_ensemble(env, 100.0, 4, 2, x0=4)
+    assert split.value.site == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error, replica", [
+    pytest.param(RuntimeError, 0, id="caller"),
+    pytest.param(KeyboardInterrupt, 0, id="caller-interrupt"),
+    pytest.param(RuntimeError, 199, id="worker"),
+])
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+def test_an_error_in_one_range_reaps_every_worker(monkeypatch, error, replica):
+    real = walker._generator
+
+    def failing(key):
+        if key & (SEED_LIMIT - 1) == replica:
+            raise error("injected")
+        return real(key)
+
+    monkeypatch.setattr(walker, "_generator", failing)
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 3)
+    with pytest.raises(error, match="injected"):
+        run_ensemble(SPLIT_ENV, 50.0, 200, MASTER)
+    _no_child_left()
 
 
 def test_a_walk_without_jumps_has_an_empty_holding_sample(env_homog):
