@@ -91,10 +91,9 @@ def stream_edge_operator(env: Environment) -> scipy.sparse.csr_matrix:
 class OperatorAssembly:
     """Sparse S, A, L of one environment, and the Krylov solve of L g = rhs.
 
+    sigma2 (diffusivity) and the certificate residuals form on first read, once:
     a_antisymmetry    max |A + A^T|
     row_sums, col_sums  max |L 1| and max |1^T L|
-
-    sigma2 (diffusivity) and the dual-route certificate form on first read, once:
     G                 the discrete gradient
     s_factorization   max |S - (1/2) G^T D(s) G|
     a_factorization   max |A - (1/2) G^T H G|, None without a stream tensor
@@ -104,9 +103,18 @@ class OperatorAssembly:
     S: scipy.sparse.csr_matrix
     A: scipy.sparse.csr_matrix
     L: scipy.sparse.csr_matrix
-    a_antisymmetry: float
-    row_sums: float
-    col_sums: float
+
+    @cached_property
+    def a_antisymmetry(self) -> float:
+        return float(abs(self.A + self.A.T).max())
+
+    @cached_property
+    def row_sums(self) -> float:
+        return float(np.max(np.abs(self.L @ np.ones(self.env.torus.n))))
+
+    @cached_property
+    def col_sums(self) -> float:
+        return float(np.max(np.abs(self.L.T @ np.ones(self.env.torus.n))))
 
     @cached_property
     def G(self) -> scipy.sparse.csr_matrix:
@@ -225,7 +233,7 @@ class OperatorAssembly:
 
 
 def assemble(env: Environment) -> OperatorAssembly:
-    """Build S, A, L; the factorization residuals form when first read."""
+    """Build S, A, L; the certificate residuals form when first read."""
     t_ = env.torus
     n, ndir = t_.n, t_.ndir
     idx = np.arange(n)
@@ -240,13 +248,7 @@ def assemble(env: Environment) -> OperatorAssembly:
         (env.b.full.T.ravel(), (np.tile(idx, ndir), t_.nbr.T.ravel())),
         shape=(n, n)).tocsr()
 
-    L = (A - S).tocsr()
-    return OperatorAssembly(
-        env=env, S=S, A=A, L=L,
-        a_antisymmetry=float(abs(A + A.T).max()),
-        row_sums=float(np.max(np.abs(L @ np.ones(n)))),
-        col_sums=float(np.max(np.abs(L.T @ np.ones(n)))),
-    )
+    return OperatorAssembly(env=env, S=S, A=A, L=(A - S).tocsr())
 
 
 # -- spectral operator ---------------------------------------------------------

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class BistochError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    pickle and copy rebuild an error from its message (args) and its
+    fields without calling __init__ again: a subclass's __init__ takes the
+    fields, not the formatted message.  So the rebuilt error has the same
+    type, fields and text, byte for byte.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DegenerateEdge(BistochError):

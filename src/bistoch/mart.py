@@ -489,12 +489,16 @@ def orthogonality_report(ens: MartingaleEnsemble) -> dict:
 def _ks_distance(x: np.ndarray, cdf) -> float:
     """Two-sided one-sample KS statistic of x against a distribution function.
 
-    Sorts once and takes D+ and D- as scipy's kstest does (each the
-    value at its first argmax, D+ where it is strictly larger), so the
-    statistic is bit for bit scipy's; no p-value is computed.
+    Sorts a copy of x unless x is already ascending, and takes D+ and D-
+    as scipy's kstest does (each the value at its first argmax, D+ where it
+    is strictly larger), so the statistic is bit for bit scipy's; no
+    p-value is computed.  One pass checks the order, and a NaN fails it.
+    An ascending x, such as the engine's holding times, is read in place:
+    it differs from np.sort(x) at most in the signs of its zeros, and both
+    distribution functions here map -0.0 and +0.0 to the same value.
 
     The sorted sample is swept in strips of KS_BLOCK values, so only the
-    sorted copy and one strip's arrays are alive.  Each strip keeps the
+    sorted sample and one strip's arrays are alive.  Each strip keeps the
     value at its own first argmax of D+ and of D-, and the statistic takes
     the value at the first argmax over the kept values.  That is the value
     at the global first argmax: argmax ranks NaN above every number and
@@ -505,7 +509,8 @@ def _ks_distance(x: np.ndarray, cdf) -> float:
     one-pass entry bit for bit: arange(a, b) + 1.0 gives the same exact
     integers as arange(1.0, n + 1), and cdf acts elementwise.
     """
-    x = np.sort(x)
+    if not np.all(x[:-1] <= x[1:]):
+        x = np.sort(x)
     plus, minus = np.array([_ks_strip(x, a, cdf) for a in range(0, len(x), KS_BLOCK)]).T
     d_plus = plus[np.argmax(plus)]
     d_minus = minus[np.argmax(minus)]
@@ -542,7 +547,11 @@ def _normal_cdf(x: np.ndarray, sd: float) -> np.ndarray:
 
 
 def ks_exponential(holding) -> float:
-    """KS distance of normalized holding times from the unit exponential."""
+    """KS distance of normalized holding times from the unit exponential.
+
+    The engine's ascending holding times are read without a copy; any
+    other order is sorted in a copy.
+    """
     if holding is None:
         raise ValueError("no holding times were collected; run with collect_holding=True")
     if len(holding) == 0:

@@ -178,10 +178,10 @@ class EnsembleResult:
     time; jump_sums[r, g, :, w] is the sum over jumps before that time of
     weight-table column w times the jump vector.
 
-    holding pools each worker's normalized holding times, step-major within
-    the worker, with the workers' samples joined in replica-range order; so
-    its order, not its values, depends on the worker count.  Its readers
-    take it sorted (`mart.ks_exponential`) or by its length.
+    holding is the pooled normalized holding times in ascending order.  Each
+    is finite and at least +0.0 (never -0.0), so the sorted sample is the
+    same bit for bit at any worker count.  `mart.ks_exponential` reads it
+    without a copy.
     """
 
     times: np.ndarray                 # (G,)
@@ -553,6 +553,9 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     holding, absorbed = _split(walk, [R * i // workers for i in range(workers + 1)])
     if absorbed:
         raise AbsorbingState(absorbed[1])
+    if holding is not None:
+        # in place, by the default sort that np.sort makes of a copy
+        holding.sort()
     start_site, final_site, n_jumps, snap, jsnap, psnap = outputs
     return EnsembleResult(
         times=grid,

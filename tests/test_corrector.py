@@ -111,7 +111,9 @@ def test_solves_form_no_certificate(case, request, monkeypatch):
     cor.effective_diffusivity(env)
     cor.solve_harmonic(env, -(f.phi[:, 0] + f.psi[:, 0]))
     ops = cor.assemble(env)
+    ops.solve(-(f.phi[:, 0] + f.psi[:, 0]))
     assert grads == [] and streams == []
+    assert not {"a_antisymmetry", "row_sums", "col_sums"} & vars(ops).keys()
     s_fact = [ops.s_factorization for _ in range(2)]
     assert len(grads) == 1 and streams == []
     a_fact = [ops.a_factorization for _ in range(2)]
@@ -125,6 +127,10 @@ def test_solves_form_no_certificate(case, request, monkeypatch):
     else:
         H = cor.stream_edge_operator(env)
         assert a_fact == 2 * [float(abs(ops.A - 0.5 * (G.T @ H @ G)).max())]
+    ones = np.ones(env.torus.n)
+    assert ops.a_antisymmetry == float(abs(ops.A + ops.A.T).max())
+    assert ops.row_sums == float(np.max(np.abs(ops.L @ ones)))
+    assert ops.col_sums == float(np.max(np.abs(ops.L.T @ ones)))
 
 
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)

@@ -452,6 +452,38 @@ def test_ks_sweep_holds_the_sorted_copy_and_a_few_strips():
     assert peak < x.nbytes + 6 * mart.KS_BLOCK * x.itemsize
 
 
+def test_ks_reads_ascending_input_as_its_sorted_copy():
+    rng = np.random.default_rng(10)
+    x = rng.exponential(size=2 * mart.KS_BLOCK + 5)
+    x[:40] = 0.0
+    x[:40:3] = -0.0
+    with_nan = x.copy()
+    with_nan[777] = np.nan
+    for name, shuffled in {"finite": x, "NaN": with_nan}.items():
+        shuffled = rng.permutation(shuffled)
+        ascending = np.sort(shuffled)
+        # ascending too, with every zero's sign flipped from np.sort's
+        resigned = ascending.copy()
+        zeros = np.flatnonzero(ascending == 0.0)
+        resigned[zeros] = -ascending[zeros]
+        assert len(zeros) == 40
+        for ks in (mart.ks_exponential, mart.ks_gaussian):
+            want = ks(shuffled).hex()
+            assert ks(ascending).hex() == want and ks(resigned).hex() == want, (name, ks)
+
+
+def test_ks_exponential_reads_an_ascending_sample_without_a_copy():
+    # the size of the README config's pooled holding times
+    x = np.sort(np.random.default_rng(11).exponential(size=750_000))
+    tracemalloc.start()
+    try:
+        mart.ks_exponential(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+
+
 def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
     # the decomposition of a selection is that of a walk sampled on it alone
     site_table, jump_table = mart.field_tables(env_rand)

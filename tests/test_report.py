@@ -42,8 +42,10 @@ def test_a_battery_forms_the_gradient_once_and_no_stream_operator(monkeypatch):
     rep, _ = report.run_config(cfg)
     assert rep["passed"]
     assert [len(v) for v in calls.values()] == [1, 0, 1, 2]
-    # the run's one record keeps the sparse assembly and sigma2, nothing n x n
+    # the run's one record keeps the sparse assembly and sigma2, nothing n x n,
+    # and forms no certificate residual
     (ops,) = records
+    assert not {"a_antisymmetry", "row_sums", "col_sums"} & vars(ops.assembly).keys()
     kept = [*vars(ops).values(), *vars(ops.assembly).values()]
     assert not any(isinstance(v, corrector.SpectralOperator)
                    or isinstance(v, np.ndarray) and v.size >= ops.env.torus.n ** 2 for v in kept)

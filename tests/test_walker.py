@@ -10,7 +10,7 @@ import pytest
 from bistoch import mart, walker
 from bistoch.cli import main
 from bistoch.env import ConductanceField, Environment, FlowField, random_environment
-from bistoch.errors import AbsorbingState
+from bistoch.errors import AbsorbingState, DegenerateEdge
 from bistoch.mart import ks_exponential
 from bistoch.torus import Torus
 from bistoch.walker import SEED_LIMIT, _generator, replica_key, run_ensemble, simulate
@@ -184,6 +184,9 @@ def test_walkers_reject_non_finite_rates(value):
 def test_normalized_holding_times_are_exponential(env_homog):
     res = run_ensemble(env_homog, 50.0, 400, MASTER, collect_holding=True)
     assert res.holding is not None and len(res.holding) > 10000
+    # pooled in ascending order, each time finite and at least +0.0
+    assert np.all(res.holding[:-1] <= res.holding[1:])
+    assert np.isfinite(res.holding).all() and not np.signbit(res.holding).any()
     assert ks_exponential(res.holding) < 1.36 / np.sqrt(len(res.holding)) * 3
 
 
@@ -284,9 +287,9 @@ def test_the_worker_count_changes_no_bit(monkeypatch, R, kwargs):
         if one.holding is None:
             assert res.holding is None
         else:
-            # the workers' samples are joined in range order, so only the order moves
-            assert len(res.holding) == len(one.holding)
-            assert np.sort(res.holding).tobytes() == np.sort(one.holding).tobytes()
+            # the joined sample is sorted, so not even its order moves
+            assert res.holding.shape == one.holding.shape
+            assert res.holding.tobytes() == one.holding.tobytes()
 
 
 def _env_with_two_dead_sites():
@@ -326,9 +329,11 @@ def test_a_split_walk_raises_the_earliest_absorbing_state(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("error, replica", [
-    pytest.param(RuntimeError, 0, id="caller"),
-    pytest.param(KeyboardInterrupt, 0, id="caller-interrupt"),
-    pytest.param(RuntimeError, 199, id="worker"),
+    pytest.param(RuntimeError("injected"), 0, id="caller"),
+    pytest.param(KeyboardInterrupt("injected"), 0, id="caller-interrupt"),
+    pytest.param(RuntimeError("injected"), 199, id="worker"),
+    # sent back pickled, so it must rebuild from its fields
+    pytest.param(DegenerateEdge(1, 2), 199, id="worker-package-error"),
 ])
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
 def test_an_error_in_one_range_reaps_every_worker(monkeypatch, error, replica):
@@ -336,12 +341,31 @@ def test_an_error_in_one_range_reaps_every_worker(monkeypatch, error, replica):
 
     def failing(key):
         if key & (SEED_LIMIT - 1) == replica:
-            raise error("injected")
+            raise error
         return real(key)
 
     monkeypatch.setattr(walker, "_generator", failing)
     monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 3)
-    with pytest.raises(error, match="injected"):
+    with pytest.raises(type(error)) as raised:
+        run_ensemble(SPLIT_ENV, 50.0, 200, MASTER)
+    assert str(raised.value) == str(error) and vars(raised.value) == vars(error)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+def test_a_worker_that_ends_without_a_result_is_named(monkeypatch):
+    real, caller = walker._generator, os.getpid()
+
+    def dying(key):
+        # replica 150 is in the forked worker's range 100..199, never the caller's
+        if key & (SEED_LIMIT - 1) == 150 and os.getpid() != caller:
+            os._exit(3)
+        return real(key)
+
+    monkeypatch.setattr(walker, "_generator", dying)
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 2)
+    with pytest.raises(RuntimeError, match=re.escape("the worker of replicas 100..199 "
+                                                     "ended without a result")):
         run_ensemble(SPLIT_ENV, 50.0, 200, MASTER)
     _no_child_left()
 
