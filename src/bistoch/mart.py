@@ -365,8 +365,9 @@ class MartingaleEnsemble(DecompositionPath):
 def decomposition(res: EnsembleResult) -> MartingaleEnsemble:
     """The decomposition of a walk run with the field_tables observers.
 
-    _components works elementwise, so the decomposition of res.at_times(g)
-    is bit for bit that of a walk sampled on g alone.
+    _components works elementwise, so the decomposition of some of res's
+    grid columns, such as the last k of a dyadic grid, is bit for bit that
+    of a walk sampled on their times alone.
 
     Raises
     ------

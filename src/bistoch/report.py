@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from time import perf_counter
 
@@ -228,22 +228,19 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 DECOMPOSITION_CHECKS = frozenset({"decompose", "orthogonality"})
 
 
-def _walk_grid(cfg: ExperimentConfig, levels: int):
-    """Sample times of a walk check: the config grid, or the dyadic grid."""
-    return cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T, levels)
-
-
 class _Walks:
     """The walk of one seed, simulated on first use with what its due checks read.
 
     due names the checks still to run under this seed.  While decompose or
     orthogonality is due, the walk carries the field_tables observers and
-    runs on the config grid or on the 8-level dyadic grid, which contains
-    the 4- and 5-level grids that orthogonality and clt read.  Otherwise it
-    is a plain walk on clt's grid.  Holding times are collected only while
-    clt is due.  A replica's path depends neither on the observers nor on
-    the grid it is sampled on, so every check reads the numbers that a walk
-    of its own would give, bit for bit, and each seed is walked once.
+    runs on the config grid or on the 8-level dyadic grid.  Otherwise it is
+    a plain walk on the config grid or on the 5-level dyadic grid.  Holding
+    times are collected only while clt is due.  Each check reads the whole
+    config grid or the last 4, 5 or 8 times of the dyadic one: T * 2**-k is
+    exact, so dyadic_grid(T, k) is dyadic_grid(T, 8)[-k:] to the bit.  A
+    replica's path depends neither on the observers nor on the grid it is
+    sampled on, so every check reads the numbers that a walk of its own
+    would give, bit for bit, and each seed is walked once.
     """
 
     def __init__(self, env: Environment, cfg: ExperimentConfig, seed: int, due: list):
@@ -255,17 +252,23 @@ class _Walks:
         self._walk = None
 
     def walk(self, levels: int) -> walker.EnsembleResult:
-        """The walk on the config grid, or on the levels-level dyadic grid."""
+        """The walk on the config grid, or its last levels dyadic times, as views."""
         cfg = self.cfg
         if self._walk is None:
             site_fields, jump_weights = (mart.field_tables(self.env) if self.decomposition
                                          else (None, None))
+            grid = (cfg.grid if cfg.grid is not None
+                    else mart.dyadic_grid(cfg.T, 8 if self.decomposition else 5))
             self._walk = walker.run_ensemble(
-                self.env, cfg.T, cfg.replicas, self.seed,
-                grid=_walk_grid(cfg, 8 if self.decomposition else 5),
+                self.env, cfg.T, cfg.replicas, self.seed, grid=grid,
                 site_fields=site_fields, jump_weights=jump_weights, x0=cfg.x0,
                 collect_holding=self.collect_holding)
-        return self._walk.at_times(_walk_grid(cfg, levels))
+        w = self._walk
+        if cfg.grid is not None:
+            return w
+        tail = slice(-levels, None)
+        return replace(w, times=w.times[tail], displacement=w.displacement[:, tail],
+                       integrals=w.integrals[:, tail], jump_sums=w.jump_sums[:, tail])
 
 
 @dataclass(eq=False)

@@ -11,7 +11,8 @@ stream, first the holding time, then the direction, which makes the
 lockstep engine below bit-compatible with the single-trajectory simulator.
 The engine splits the replicas into contiguous ranges, one per worker
 process (`worker_count`); since no replica's path depends on another's,
-the split changes no output bit.
+the split changes no output bit.  An environment that has a site of
+non-positive total rate is walked in one process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import mmap
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,10 +152,8 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
 
 # -- batch engine -------------------------------------------------------------
 
-def check_grid(grid, T: float | None) -> np.ndarray:
+def check_grid(grid, T: float) -> np.ndarray:
     """Sample times as floats: strictly increasing, positive, ending exactly at T.
-
-    T None leaves the last time free.
 
     Raises
     ------
@@ -164,7 +163,7 @@ def check_grid(grid, T: float | None) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or not (np.all(np.diff(grid) > 0) and grid[0] > 0):
         raise ValueError("grid must be strictly increasing and positive")
-    if T is not None and grid[-1] != T:
+    if grid[-1] != T:
         raise ValueError("grid must end exactly at T")
     return grid
 
@@ -176,7 +175,9 @@ class EnsembleResult:
     displacement[r, g] is X at grid time g.  integrals[r, g, f] is the exact
     time integral of site-table column f along the path up to that grid
     time; jump_sums[r, g, :, w] is the sum over jumps before that time of
-    weight-table column w times the jump vector.
+    weight-table column w times the jump vector.  Each snapshot reads the
+    path up to its own time only, so some of the grid columns are bit for
+    bit a walk of the same replicas sampled on their times alone.
 
     holding is the pooled normalized holding times in ascending order.  Each
     is finite and at least +0.0 (never -0.0), so the sorted sample is the
@@ -194,31 +195,6 @@ class EnsembleResult:
     holding: np.ndarray | None        # pooled normalized holding times
     master_seed: int
     T: float
-
-    @property
-    def n_replicas(self) -> int:
-        return self.displacement.shape[0]
-
-    def at_times(self, times) -> EnsembleResult:
-        """The same replicas sampled at a subset of the grid times.
-
-        Bit for bit the result that the same run sampled on `times` alone
-        would give: the engine snapshots each (replica, grid time) from the
-        path up to that time only.  The per-replica arrays and the holding
-        times are kept as they are.
-
-        Raises
-        ------
-        ValueError
-            if the times are not strictly increasing and positive, or one
-            is not on this ensemble's grid.
-        """
-        times = check_grid(times, None)
-        idx = np.minimum(np.searchsorted(self.times, times), len(self.times) - 1)
-        if not np.array_equal(self.times[idx], times):
-            raise ValueError("requested times are not on the ensemble's grid")
-        return replace(self, times=self.times[idx], displacement=self.displacement[:, idx],
-                       integrals=self.integrals[:, idx], jump_sums=self.jump_sums[:, idx])
 
 
 def _mapped(shape, dtype=float, shared: bool = False) -> np.ndarray:
@@ -270,12 +246,11 @@ def worker_count(n_replicas: int) -> int:
 def _fork(walk, lo: int, hi: int) -> tuple:
     """Start walk(lo, hi) in a forked child; its pid and the read end of its pipe.
 
-    The child sends a pickled (error, absorbed, number of holding times),
-    then the holding times' bytes.  It leaves through os._exit, so it never
-    returns into the caller's stack.  It runs only the walk, numpy
-    elementwise work and Philox draws with no BLAS call, import or logging,
-    so it takes no lock that another thread of the caller could have held
-    at the fork.
+    The child sends a pickled (error, number of holding times), then the
+    holding times' bytes.  It leaves through os._exit, so it never returns
+    into the caller's stack.  It runs only the walk, numpy elementwise work
+    and Philox draws with no BLAS call, import or logging, so it takes no
+    lock that another thread of the caller could have held at the fork.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -285,10 +260,10 @@ def _fork(walk, lo: int, hi: int) -> tuple:
     try:
         os.close(r)
         try:
-            holding, absorbed = walk(lo, hi)
-            head = (None, absorbed, 0 if holding is None else len(holding))
+            holding = walk(lo, hi)
+            head = (None, 0 if holding is None else len(holding))
         except BaseException as e:  # KeyboardInterrupt too: the caller re-raises it
-            holding, head = None, (e, None, 0)
+            holding, head = None, (e, 0)
         with os.fdopen(w, "wb") as pipe:
             pipe.write(pickle.dumps(head))
             if holding is not None:
@@ -297,39 +272,32 @@ def _fork(walk, lo: int, hi: int) -> tuple:
         os._exit(0)
 
 
-def _split(walk, bounds: list) -> tuple:
+def _split(walk, bounds: list) -> np.ndarray | None:
     """walk over each range bounds[i]..bounds[i+1]-1: here the first, each other in a child.
 
     With one range nothing is forked.
 
-    Returns the joined holding times and the earliest (step, site) at which
-    a range reached an absorbing site, the lowest range winning a tie, as a
-    walk over all ranges at once would have.  Re-raises the lowest child's
-    error.  Every child is killed and reaped before this returns or raises:
-    one whose result was read has nothing left to do but exit, and one
-    still walking is stopped when an error (KeyboardInterrupt too) ends the
-    join early.
+    Returns the joined holding times, or None when none are collected.
+    Re-raises the lowest child's error.  Every child is killed and reaped
+    before this returns or raises: one whose result was read has nothing
+    left to do but exit, and one still walking is stopped when an error
+    (KeyboardInterrupt too) ends the join early.
     """
     children = []  # (pid, pipe) of each child, in range order
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             children.append(_fork(walk, lo, hi))
-        holding, absorbed = walk(bounds[0], bounds[1])
-        found = []  # (step, range, site) of each range that reached an absorbing site
-        if absorbed:
-            found.append((absorbed[0], 0, absorbed[1]))
+        holding = walk(bounds[0], bounds[1])
         for i, (pid, fd) in enumerate(children, 1):
             with os.fdopen(fd, "rb", closefd=False) as pipe:
                 try:
-                    error, absorbed, n = pickle.load(pipe)
+                    error, n = pickle.load(pipe)
                 except EOFError:
                     raise RuntimeError(f"the worker of replicas {bounds[i]}..{bounds[i + 1] - 1} "
                                        "ended without a result") from None
                 if error is not None:
                     raise error
-                if absorbed:
-                    found.append((absorbed[0], i, absorbed[1]))
-                elif n and holding is not None:
+                if n:
                     m = len(holding)
                     holding.resize(m + n, refcheck=False)
                     if pipe.readinto(holding[m:]) != 8 * n:
@@ -340,10 +308,7 @@ def _split(walk, bounds: list) -> tuple:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-    if not found:
-        return holding, None
-    step, _, site = min(found)
-    return holding, (step, site)
+    return holding
 
 
 def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
@@ -378,9 +343,10 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     The replicas are split into worker_count(n_replicas) contiguous ranges.
     The caller walks the first; each other range walks in a forked child,
     which writes its rows of every output into shared mappings and sends
-    its holding times back through a pipe.  An AbsorbingState names the
-    site that a walk of all replicas at once would: the one reached at the
-    earliest lockstep step, by the lowest replica.
+    its holding times back through a pipe.  An environment with a site of
+    non-positive total rate is walked in one process, so an AbsorbingState
+    names the site reached at the earliest lockstep step, by the lowest
+    replica.
     """
     T = check_positive(T, "horizon T")
     R = check_integer(n_replicas, "n_replicas", 1)
@@ -422,18 +388,17 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     # checking the master seed and the largest index R - 1 once checks every
     # key: replica r's is (master_seed << 64) | r
     first_key = replica_key(master_seed, R - 1) - (R - 1)
-    workers = worker_count(R)
+    workers = 1 if check_absorbing else worker_count(R)
     # every worker writes its replicas' rows of the outputs in place
     outputs = [_mapped(shape, dtype, shared=workers > 1) for shape, dtype in
                [(R, np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float),
                                       ((R, G, d), np.int64)]]
 
-    def walk(lo: int, hi: int) -> tuple:
+    def walk(lo: int, hi: int) -> np.ndarray | None:
         """Walk replicas lo..hi-1 in lockstep into their rows of the outputs.
 
-        Returns their holding times (None unless collected) and None, or
-        None and the (step, site) at which the first of them reached an
-        absorbing site.
+        Returns their holding times, or None unless collected; raises
+        AbsorbingState at the first site of non-positive total rate reached.
         """
         start_site, site, nj, snap, jsnap, psnap = (a[lo:hi] for a in outputs)
         lanes = hi - lo
@@ -481,7 +446,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
             if check_absorbing:
                 dead = rate <= 0.0
                 if dead.any():
-                    return None, (step, int(sm[np.flatnonzero(dead)[0]]))
+                    raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
             dt = -np.log1p(-u1) / rate
             t0 = now[rows]
             t_new = t0 + dt
@@ -548,11 +513,9 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
 
         if holding is not None:
             holding.resize(n_held, refcheck=False)
-        return holding, None
+        return holding
 
-    holding, absorbed = _split(walk, [R * i // workers for i in range(workers + 1)])
-    if absorbed:
-        raise AbsorbingState(absorbed[1])
+    holding = _split(walk, [R * i // workers for i in range(workers + 1)])
     if holding is not None:
         # in place, by the default sort that np.sort makes of a copy
         holding.sort()

@@ -1,15 +1,18 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from bistoch import report
+from bistoch import report, walker
 from bistoch.cli import main
-from bistoch.env import (canonical_json, homogeneous_environment, load_env, save_env,
+from bistoch.env import (ConductanceField, Environment, canonical_json,
+                         homogeneous_environment, load_env, save_env,
                          validate)
 from bistoch.errors import ConfigError
+from bistoch.torus import Torus
 from bistoch.walker import replica_key
 
 
@@ -355,12 +358,17 @@ def _malformed(env_file):
         cases[f"weak-ellipticity-{name}"] = json.dumps({**doc, "weak_ellipticity": value})
     # sums overflow to NaN residuals, with no numpy RuntimeWarning on stderr
     cases["s-overflows"] = json.dumps({**doc, "s": [1e308] * len(doc["s"])})
+    # a flow or stream array one value short
+    flow_doc = {k: v for k, v in doc.items() if k != "h"}
+    cases["b-short"] = json.dumps({**flow_doc, "b": [0.0] * (len(doc["s"]) - 1)})
+    cases["h-short"] = json.dumps({**doc, "h": doc["h"][:-1]})
     return cases
 
 
 MALFORMED = ["truncated", "not-an-object", "binary", "no-d", "no-L", "no-s", "d-string",
              "s-strings", "s-ragged", "h-object", "weak-ellipticity-string",
-             "weak-ellipticity-list", "weak-ellipticity-int", "s-overflows"]
+             "weak-ellipticity-list", "weak-ellipticity-int", "s-overflows", "b-short",
+             "h-short"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -395,6 +403,44 @@ def test_config_rejects_a_one_dimensional_totally_asymmetric_environment(tmp_pat
     assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert report.config_from_dict({"env": {**env, "d": 2}}).env["d"] == 2
+
+
+@pytest.fixture(scope="module")
+def absorbing_env_file(tmp_path_factory):
+    """d=2, L=4 without weak ellipticity: site 5 has s = 0 on all four of its edges."""
+    t = Torus(2, 4)
+    s = np.ones((t.n, t.d))
+    s[5] = 0.0
+    for k in range(t.ndir):
+        if t.sign_of[k] < 0:
+            s[t.nbr[5, k], t.axis_of[k]] = 0.0
+    env = Environment(t, ConductanceField.from_canonical(t, s), weak_ellipticity=False)
+    assert env.total_rate[5] == 0.0 and np.count_nonzero(env.total_rate <= 0.0) == 1
+    path = tmp_path_factory.mktemp("absorbing") / "env.json"
+    save_env(env, str(path))
+    return str(path)
+
+
+ABSORBED_AT_5 = "error: AbsorbingState: absorbing state at site 5: total rate is not positive\n"
+
+
+def test_a_package_error_exits_1_with_one_line(absorbing_env_file, capsys):
+    assert main(["simulate", "--env", absorbing_env_file, "--T", "1.0", "--seed", "1",
+                 "--x0", "5"]) == 1
+    assert capsys.readouterr().err == ABSORBED_AT_5
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
+def test_an_absorbing_ensemble_exits_1_without_a_worker(absorbing_env_file, capsys,
+                                                        monkeypatch):
+    real, forked = walker._fork, []
+    monkeypatch.setattr(walker, "_fork", lambda *args: forked.append(args) or real(*args))
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 2)
+    # uniform starts: some of the 3000 replicas start at site 5
+    assert main(["simulate", "--env", absorbing_env_file, "--T", "1.0", "--seed", "1",
+                 "--replicas", "3000"]) == 1
+    assert capsys.readouterr().err == ABSORBED_AT_5
+    assert forked == []
 
 
 NEGATIVE_LAW = {"d": 2, "L": 4, "seed": 3, "s_dist": ["gaussian", 0.3]}

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from bistoch import mart
+from bistoch import mart, report
 from bistoch.cli import main
 from bistoch.env import (ConductanceField, Environment, FlowField,
                          StreamTensor, adjoint_environment,
@@ -484,15 +484,24 @@ def test_ks_exponential_reads_an_ascending_sample_without_a_copy():
     assert peak < x.nbytes
 
 
-def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
-    # the decomposition of a selection is that of a walk sampled on it alone
-    site_table, jump_table = mart.field_tables(env_rand)
-    fine = run_ensemble(env_rand, 8.0, 40, 6, grid=mart.dyadic_grid(8.0), x0=3,
-                        site_fields=site_table, jump_weights=jump_table)
-    for levels in (1, 4, 5, 8):
-        grid = mart.dyadic_grid(8.0, levels)
-        coarse = mart.run_decomposition_ensemble(env_rand, 8.0, 40, 6, grid=grid, x0=3)
-        got = mart.decomposition(fine.at_times(grid))
+@pytest.mark.parametrize("T", [64.0, 8.0, 0.3, 1e-300])
+def test_a_dyadic_grid_ends_in_every_coarser_one(T):
+    fine = mart.dyadic_grid(T, 8)
+    for k in (1, 4, 5, 8):
+        assert mart.dyadic_grid(T, k).tobytes() == fine[-k:].tobytes()
+
+
+def test_a_dyadic_tail_decomposes_as_a_walk_on_its_grid():
+    # a battery's 8-level walk: the decomposition of its last k columns is
+    # that of a walk sampled on the k-level grid alone
+    cfg = report.config_from_dict({"seed": 6, "env": {"d": 2, "L": 8, "seed": 7}, "T": 8.0,
+                                   "replicas": 40, "x0": 3, "checks": ["decompose"]})
+    env = report.build_environment(cfg)
+    walks = report._Walks(env, cfg, 6, ["decompose"])
+    for k in (1, 4, 5, 8):
+        got = mart.decomposition(walks.walk(k))
+        coarse = mart.run_decomposition_ensemble(env, 8.0, 40, 6,
+                                                 grid=mart.dyadic_grid(8.0, k), x0=3)
         assert got.times.tobytes() == coarse.times.tobytes()
         for name in ("X", "M", "I", "J", "Z", "Y"):
             assert getattr(got, name).tobytes() == getattr(coarse, name).tobytes(), name

@@ -70,6 +70,9 @@ SPREAD_GRID = [0.25, 1.0, 3.5, 6.0]
     pytest.param(SPREAD_ENV, 6.0, SPREAD_GRID, 2, id="d2-spread-finish-block2"),
     pytest.param(SPREAD_ENV, 6.0, SPREAD_GRID, 512, id="d2-spread-finish-block512"),
     pytest.param(random_environment(3, 3, 1), 5.0, [0.75, 2.0, 4.5, 5.0], None, id="d3"),
+    # the README environment, about 750 jumps per replica
+    pytest.param(random_environment(2, 8, 7), 128.0, [1.0, 32.0, 100.0, 128.0], None,
+                 id="d2-reference-refill"),
 ])
 def test_engine_matches_reference_walker_on_grid(env, T, grid, block):
     R, x0 = 7, 4
@@ -90,6 +93,9 @@ def test_engine_matches_reference_walker_on_grid(env, T, grid, block):
         # replicas leave the lockstep loop far apart, so most steps run with
         # only part of the ensemble live
         assert res.n_jumps.max() >= 2 * res.n_jumps.min()
+    if T == 128.0:
+        # every reference walk refills its 1024-uniform buffer mid-walk
+        assert res.n_jumps.min() >= 512
 
 
 @pytest.mark.parametrize("x0", [-1, 64, 2.0, True, None])
@@ -310,21 +316,21 @@ def _no_child_left():
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
-def test_a_split_walk_raises_the_earliest_absorbing_state(monkeypatch, workers):
+def test_an_absorbable_walk_runs_in_one_process(monkeypatch, workers):
     env = _env_with_two_dead_sites()
-    # replicas 0 and 1 alone reach site 6 first; all four reach site 2 first,
-    # at an earlier lockstep step, in replica 2 or 3, outside the caller's range
+    real, forked = walker._fork, []
+    monkeypatch.setattr(walker, "_fork", lambda *args: forked.append(args) or real(*args))
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
+    # all four replicas reach site 2 first, at an earlier lockstep step, in
+    # replica 2 or 3; replicas 0 and 1 alone reach site 6 first
+    with pytest.raises(AbsorbingState) as all_four:
+        run_ensemble(env, 100.0, 4, 2, x0=4)
+    assert all_four.value.site == 2
+    assert forked == []
     with pytest.raises(AbsorbingState) as alone:
         run_ensemble(env, 100.0, 2, 2, x0=4)
     assert alone.value.site == 6
-    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 1)
-    with pytest.raises(AbsorbingState) as serial:
-        run_ensemble(env, 100.0, 4, 2, x0=4)
-    assert serial.value.site == 2
-    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
-    with pytest.raises(AbsorbingState) as split:
-        run_ensemble(env, 100.0, 4, 2, x0=4)
-    assert split.value.site == 2
+    assert forked == []
     _no_child_left()
 
 
@@ -433,22 +439,23 @@ def test_replica_count_must_be_a_positive_integer(env_rand, n_replicas):
         run_ensemble(env_rand, 1.0, n_replicas, MASTER)
 
 
-def test_at_times_selects_the_columns_a_coarser_run_samples(env_rand):
+@pytest.mark.parametrize("block", [3, 0, -2])
+def test_buffer_width_must_be_a_positive_even_number(env_rand, block):
+    with pytest.raises(ValueError, match="block must be a positive even number"):
+        run_ensemble(env_rand, 1.0, 2, MASTER, block=block)
+
+
+def test_the_last_grid_columns_are_a_walk_on_their_times(env_rand):
     grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-    fine = run_ensemble(env_rand, 8.0, 40, 6, grid=grid, collect_holding=True)
-    for coarse_grid in ([8.0], [1.0, 8.0], grid):
-        coarse = run_ensemble(env_rand, 8.0, 40, 6, grid=coarse_grid)
-        got = fine.at_times(coarse_grid)
-        for name in ("times", "displacement", "n_jumps", "start_site", "final_site"):
-            a, b = getattr(got, name), getattr(coarse, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        assert got.holding is fine.holding
-    for off_grid in ([3.0, 8.0], [8.0, 16.0], [0.5, 8.0 + 1e-12]):
-        with pytest.raises(ValueError, match="not on the ensemble's grid"):
-            fine.at_times(off_grid)
-    for unordered in ([2.0, 2.0], [2.0, 1.0]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            fine.at_times(unordered)
+    fine = run_ensemble(env_rand, 8.0, 40, 6, grid=grid)
+    for k in (1, 2, 5):
+        coarse = run_ensemble(env_rand, 8.0, 40, 6, grid=grid[-k:])
+        assert fine.times[-k:].tobytes() == coarse.times.tobytes()
+        tail = fine.displacement[:, -k:]
+        assert tail.shape == coarse.displacement.shape
+        assert tail.tobytes() == coarse.displacement.tobytes()
+        for name in ("n_jumps", "start_site", "final_site"):
+            assert getattr(fine, name).tobytes() == getattr(coarse, name).tobytes(), name
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf, True, np.bool_(True),
