@@ -346,7 +346,8 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     its holding times back through a pipe.  An environment with a site of
     non-positive total rate is walked in one process, so an AbsorbingState
     names the site reached at the earliest lockstep step, by the lowest
-    replica.
+    replica.  Within a range the live replicas come first in every per-lane
+    array, so each lockstep step reads and writes slices.
     """
     T = check_positive(T, "horizon T")
     R = check_integer(n_replicas, "n_replicas", 1)
@@ -397,103 +398,99 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     def walk(lo: int, hi: int) -> np.ndarray | None:
         """Walk replicas lo..hi-1 in lockstep into their rows of the outputs.
 
-        Returns their holding times, or None unless collected; raises
-        AbsorbingState at the first site of non-positive total rate reached.
+        The m live lanes come first in every per-lane array, in replica
+        order, with rid[i] lane i's row of the outputs; the walk ends when no
+        lane is left, at once for an empty range.  Returns their holding
+        times, or None unless collected; raises AbsorbingState at the first
+        site of non-positive total rate reached.
         """
-        start_site, site, nj, snap, jsnap, psnap = (a[lo:hi] for a in outputs)
-        lanes = hi - lo
+        start_site, final_site, nj, snap, jsnap, psnap = (a[lo:hi] for a in outputs)
+        m = hi - lo
         gens = [_generator(first_key | r) for r in range(lo, hi)]
         if x0 is None:
             # one uniform from each stream selects the start site
             u = np.array([g.random() for g in gens])
-            site[:] = np.minimum((u * n).astype(np.int64), n - 1)
+            start_site[:] = np.minimum((u * n).astype(np.int64), n - 1)
         else:
-            site[:] = x0
-        start_site[:] = site
+            start_site[:] = x0
+        site = start_site.copy()
 
-        buf = _mapped((lanes, block))
+        buf = _mapped((m, block))
         # an event's two uniforms are adjacent in its replica's row, so one
         # complex gather reads both: real part the holding time, imaginary the direction
         pairs = buf.view(np.complex128)
         ptr = block
-        pos = np.zeros((d, lanes), dtype=np.int64)
-        now = np.zeros(lanes)
-        gptr = np.zeros(lanes, dtype=np.int64)
-        next_g = np.full(lanes, grid[0])
-        acc = np.zeros((lanes, F))
-        jsum = np.zeros((lanes, d * W))
+        rid = np.arange(m)
+        pos = np.zeros((d, m), dtype=np.int64)
+        now = np.zeros(m)
+        gptr = np.zeros(m, dtype=np.int64)
+        next_g = np.full(m, grid[0])
+        acc = np.zeros((m, F))
+        jsum = np.zeros((m, d * W))
         # one buffer, grown in place by a quarter and trimmed after the loop, so
         # storing the holding times costs at most 1.25 times the sample
-        holding = np.empty(lanes) if collect_holding else None
+        holding = np.empty(m) if collect_holding else None
         n_held = 0
 
-        # Until the first replica finishes, `rows` is a full slice and every
-        # per-step array is unindexed; afterwards it is the live replicas' index.
-        live = None
         step = 0
-        while True:
+        while m:
             if ptr >= block:
                 for i, g in enumerate(gens):
                     g.random(out=buf[i])
                 ptr = 0
-            rows = slice(None) if live is None else live
-            u = np.ascontiguousarray(pairs[rows, ptr // 2])
+            u = pairs[rid[:m], ptr // 2]
             u1, u2 = u.real, u.imag
             ptr += 2
 
-            sm = site[rows]
+            sm = site[:m]
             rate = total[sm]
             if check_absorbing:
                 dead = rate <= 0.0
                 if dead.any():
                     raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
             dt = -np.log1p(-u1) / rate
-            t0 = now[rows]
+            t0 = now[:m]
             t_new = t0 + dt
 
             # snapshot every grid time crossed inside this holding interval;
             # the state used is the pre-jump state, so a sum over jumps at
             # times <= g never includes the jump ending the interval
-            hit = next_g[rows] <= t_new
+            hit = next_g[:m] <= t_new
             while hit.any():
                 j = np.flatnonzero(hit)
-                r = j if live is None else live[j]
-                gsel = gptr[r]
+                r = rid[j]
+                gsel = gptr[j]
                 if F:
-                    snap[r, gsel] = acc[r] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
+                    snap[r, gsel] = acc[j] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
                 if W:
-                    jsnap[r, gsel] = jsum[r]
-                psnap[r, gsel] = pos[:, r].T
-                gptr[r] += 1
-                next_g[r] = grid_pad[gptr[r]]
-                hit[j] = next_g[r] <= t_new[j]
+                    jsnap[r, gsel] = jsum[j]
+                psnap[r, gsel] = pos[:, j].T
+                gptr[j] += 1
+                next_g[j] = grid_pad[gptr[j]]
+                hit[j] = next_g[j] <= t_new[j]
 
             done = t_new >= T
             if done.any():
                 # a replica finishing at this step jumped once on every earlier step
+                nj[rid[:m][done]] = step
+                final_site[rid[:m][done]] = sm[done]
                 keep = np.flatnonzero(~done)
-                if live is None:
-                    nj[done] = step
-                    live = keep
-                else:
-                    nj[live[done]] = step
-                    live = live[keep]
-                if live.size == 0:
-                    break
-                rows = live
+                m = len(keep)
+                for a in (rid, gptr, next_g, acc, jsum, pos.T):
+                    a[:m] = a[keep]
                 sm, rate, dt, t_new, u2 = sm[keep], rate[keep], dt[keep], t_new[keep], u2[keep]
 
             if F:
                 inc = site_fields.take(sm, axis=0)
                 inc *= dt[:, None]
-                acc[rows] += inc
+                acc[:m] += inc
             if holding is not None:
-                m = n_held + len(dt)
-                if m > len(holding):
+                held = n_held + m
+                if held > len(holding):
                     # no view of the buffer outlives a step, so none is left dangling
-                    holding.resize(max(m, len(holding) * 5 // 4), refcheck=False)
-                np.multiply(dt, rate, out=holding[n_held:m])
-                n_held = m
+                    holding.resize(max(held, len(holding) * 5 // 4), refcheck=False)
+                np.multiply(dt, rate, out=holding[n_held:held])
+                n_held = held
 
             v = u2 * rate
             k = (v >= cum_cols[0][sm]).astype(np.intp)
@@ -504,11 +501,11 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
 
             edge = sm * ndir + k
             if W:
-                jsum[rows] += jump_table.take(edge, axis=0)
+                jsum[:m] += jump_table.take(edge, axis=0)
             for i in range(d):
-                pos[i, rows] += step_of[i][k]
-            site[rows] = nbr[edge]
-            now[rows] = t_new
+                pos[i, :m] += step_of[i][k]
+            site[:m] = nbr[edge]
+            now[:m] = t_new
             step += 1
 
         if holding is not None:

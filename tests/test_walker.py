@@ -276,6 +276,8 @@ SPLIT_TABLES = mart.field_tables(SPLIT_ENV)
     pytest.param(60, {"collect_holding": True}, id="holding"),
     pytest.param(7, {"grid": [0.5, 8.0], "site_fields": SPLIT_TABLES[0],
                      "jump_weights": SPLIT_TABLES[1], "collect_holding": True}, id="uneven"),
+    # three workers split two replicas into the ranges 0..0, 0..1 and 1..2
+    pytest.param(2, {}, id="empty-range"),
 ])
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
 def test_the_worker_count_changes_no_bit(monkeypatch, R, kwargs):
