@@ -341,6 +341,9 @@ def main(argv=None) -> int:
     except BistochError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's own subclass too, which refuses a huge array
+        print(f"error: MemoryError: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

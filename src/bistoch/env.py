@@ -551,29 +551,30 @@ def env_from_dict(doc: dict) -> Environment:
     if "s" not in doc:
         raise InvalidEnvironment("missing conductance array 's'")
     try:
-        t = Torus(doc.get("d"), doc.get("L"))
+        d = check_integer(doc.get("d"), "dimension d", 1)
+        L = check_integer(doc.get("L"), "side length L", 2)
     except ValueError as e:
         raise InvalidEnvironment(str(e)) from e
-    s_arr = _doc_array(doc, "s")
-    if s_arr.size != t.n * t.d:
-        raise InvalidEnvironment(f"conductance array has {s_arr.size} values, expected {t.n * t.d}")
-    s = ConductanceField.from_canonical(t, s_arr.reshape(t.n, t.d))
+    # each array is sized in Python ints before the torus allocates its
+    # tables, so a document naming a huge torus is refused without them
+    n = L ** d
+    arrays = {}
+    for key, name, width in (("s", "conductance", d), ("b", "flow", d),
+                             ("h", "stream", d * (d - 1) // 2)):
+        if key in doc:
+            a = _doc_array(doc, key)
+            if a.size != n * width:
+                raise InvalidEnvironment(f"{name} array has {a.size} values, expected {n * width}")
+            arrays[key] = a.reshape(n, width)
+    t = Torus(d, L)
+    s = ConductanceField.from_canonical(t, arrays["s"])
     weak = doc.get("weak_ellipticity", True)
     if not isinstance(weak, bool):
         raise InvalidEnvironment("field 'weak_ellipticity' must be true or false")
     if "b" in doc:
-        b_arr = _doc_array(doc, "b")
-        if b_arr.size != t.n * t.d:
-            raise InvalidEnvironment(f"flow array has {b_arr.size} values, expected {t.n * t.d}")
-        h, b = None, FlowField.from_canonical(t, b_arr.reshape(t.n, t.d))
+        h, b = None, FlowField.from_canonical(t, arrays["b"])
     else:
-        h = StreamTensor(t)  # env_to_dict writes neither array for a zero stream
-        if "h" in doc:
-            h_arr = _doc_array(doc, "h")
-            if h_arr.size != t.n * t.npairs:
-                raise InvalidEnvironment(
-                    f"stream array has {h_arr.size} values, expected {t.n * t.npairs}")
-            h = StreamTensor(t, h_arr.reshape(t.n, t.npairs))
+        h = StreamTensor(t, arrays.get("h"))  # env_to_dict writes no array for a zero stream
         b = curl(h)
     meta = {"generator": doc.get("generator"), "seed": doc.get("seed"),
             "params": doc.get("params", {})}

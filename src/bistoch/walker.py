@@ -136,9 +136,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
             k = t_.ndir - 1
         times.append(now)
         dirs.append(k)
-        step = np.zeros(t_.d, dtype=np.int64)
-        step[t_.axis_of[k]] = t_.sign_of[k]
-        disp.append(disp[-1] + step)
+        disp.append(disp[-1] + t_.directions[k])
         site = int(nbr[site, k])
         sites.append(site)
     return Trajectory(
@@ -172,12 +170,14 @@ def check_grid(grid, T: float) -> np.ndarray:
 class EnsembleResult:
     """Lockstep simulation output for an ensemble of replicas.
 
-    displacement[r, g] is X at grid time g.  integrals[r, g, f] is the exact
-    time integral of site-table column f along the path up to that grid
-    time; jump_sums[r, g, :, w] is the sum over jumps before that time of
-    weight-table column w times the jump vector.  Each snapshot reads the
-    path up to its own time only, so some of the grid columns are bit for
-    bit a walk of the same replicas sampled on their times alone.
+    displacement[r, g] is X at grid time g, the engine's jump sum of weight
+    one: exact integers as float64.  integrals[r, g, f] is the exact time
+    integral of site-table column f along the path up to that grid time;
+    jump_sums[r, g, :, w], a view beside displacement in the one array of
+    jump sums, is the sum over jumps before that time of weight-table
+    column w times the jump vector.  Each snapshot reads the path up to its
+    own time only, so some of the grid columns are bit for bit a walk of
+    the same replicas sampled on their times alone.
 
     holding is the pooled normalized holding times in ascending order.  Each
     is finite and at least +0.0 (never -0.0), so the sorted sample is the
@@ -327,7 +327,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     jump_weights : (n, 2d, W) array or None
         Stacked per-edge scalar weights, one per last-axis column; the
         weighted jump-vector sums sum_i w(x_i, k_i) xi_i are reported at
-        every grid time.
+        every grid time.  A weight-one column in front sums to X.
     x0 : int or None
         Fixed start site in [0, n), or None to draw one uniformly per replica
         (the draw consumes the first uniform of the replica's stream).
@@ -372,17 +372,17 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     # total rate and is compared against the gathered `rate` instead
     cum_cols = [np.ascontiguousarray(env.cum_rates[:, j]) for j in range(ndir - 1)]
     total = env.total_rate
-    step_of = np.ascontiguousarray(t_.directions.T)  # step_of[i, k]: axis-i step of direction k
     G = len(grid)
     F = site_fields.shape[1]
-    W = jump_weights.shape[2]
     # weight times jump vector per edge, so one gather updates every axis;
-    # a sum that starts at +0.0 never becomes -0.0, so adding the other
-    # axes' +0.0 entries leaves it unchanged bit for bit
-    jump_table = np.zeros((n, ndir, d, W))
-    for k in range(ndir):
-        jump_table[:, k, t_.axis_of[k]] = jump_weights[:, k] * float(t_.sign_of[k])
-    jump_table = jump_table.reshape(n * ndir, d * W)
+    # column 0 weighs each jump by one, so its sum is X, exact for |X| < 2**53.
+    # An off-axis entry is -0.0 where the weight is negative, but a sum that
+    # starts at +0.0 never becomes -0.0 and a zero of either sign leaves it
+    # unchanged, so each sum has the bits of its on-axis terms alone.
+    weights = np.concatenate([np.ones((n, ndir, 1)), jump_weights], axis=2)
+    W = weights.shape[2]
+    jump_table = (weights[:, :, None, :]
+                  * t_.directions[None, :, :, None]).reshape(n * ndir, d * W)
     grid_pad = np.append(grid, np.inf)
     check_absorbing = bool((total <= 0.0).any())
 
@@ -392,8 +392,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     workers = 1 if check_absorbing else worker_count(R)
     # every worker writes its replicas' rows of the outputs in place
     outputs = [_mapped(shape, dtype, shared=workers > 1) for shape, dtype in
-               [(R, np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float),
-                                      ((R, G, d), np.int64)]]
+               [(R, np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float)]]
 
     def walk(lo: int, hi: int) -> np.ndarray | None:
         """Walk replicas lo..hi-1 in lockstep into their rows of the outputs.
@@ -404,7 +403,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         times, or None unless collected; raises AbsorbingState at the first
         site of non-positive total rate reached.
         """
-        start_site, final_site, nj, snap, jsnap, psnap = (a[lo:hi] for a in outputs)
+        start_site, final_site, nj, snap, jsnap = (a[lo:hi] for a in outputs)
         m = hi - lo
         gens = [_generator(first_key | r) for r in range(lo, hi)]
         if x0 is None:
@@ -421,7 +420,6 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         pairs = buf.view(np.complex128)
         ptr = block
         rid = np.arange(m)
-        pos = np.zeros((d, m), dtype=np.int64)
         now = np.zeros(m)
         gptr = np.zeros(m, dtype=np.int64)
         next_g = np.full(m, grid[0])
@@ -462,9 +460,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                 gsel = gptr[j]
                 if F:
                     snap[r, gsel] = acc[j] + site_fields[sm[j]] * (grid[gsel] - t0[j])[:, None]
-                if W:
-                    jsnap[r, gsel] = jsum[j]
-                psnap[r, gsel] = pos[:, j].T
+                jsnap[r, gsel] = jsum[j]
                 gptr[j] += 1
                 next_g[j] = grid_pad[gptr[j]]
                 hit[j] = next_g[j] <= t_new[j]
@@ -476,7 +472,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                 final_site[rid[:m][done]] = sm[done]
                 keep = np.flatnonzero(~done)
                 m = len(keep)
-                for a in (rid, gptr, next_g, acc, jsum, pos.T):
+                for a in (rid, gptr, next_g, acc, jsum):
                     a[:m] = a[keep]
                 sm, rate, dt, t_new, u2 = sm[keep], rate[keep], dt[keep], t_new[keep], u2[keep]
 
@@ -500,10 +496,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
             np.minimum(k, ndir - 1, out=k)
 
             edge = sm * ndir + k
-            if W:
-                jsum[:m] += jump_table.take(edge, axis=0)
-            for i in range(d):
-                pos[i, :m] += step_of[i][k]
+            jsum[:m] += jump_table.take(edge, axis=0)
             site[:m] = nbr[edge]
             now[:m] = t_new
             step += 1
@@ -516,12 +509,13 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     if holding is not None:
         # in place, by the default sort that np.sort makes of a copy
         holding.sort()
-    start_site, final_site, n_jumps, snap, jsnap, psnap = outputs
+    start_site, final_site, n_jumps, snap, jsnap = outputs
+    sums = jsnap.reshape(R, G, d, W)
     return EnsembleResult(
         times=grid,
-        displacement=psnap.astype(float),
+        displacement=sums[..., 0].copy(),
         integrals=snap,
-        jump_sums=jsnap.reshape(R, G, d, W),
+        jump_sums=sums[..., 1:],
         start_site=start_site,
         final_site=final_site,
         n_jumps=n_jumps,

@@ -362,13 +362,15 @@ def _malformed(env_file):
     flow_doc = {k: v for k, v in doc.items() if k != "h"}
     cases["b-short"] = json.dumps({**flow_doc, "b": [0.0] * (len(doc["s"]) - 1)})
     cases["h-short"] = json.dumps({**doc, "h": doc["h"][:-1]})
+    # 10^18 sites: refused by its array sizes before any table is allocated
+    cases["L-huge"] = json.dumps({**doc, "d": 2, "L": 10**9, "s": [1.0]})
     return cases
 
 
 MALFORMED = ["truncated", "not-an-object", "binary", "no-d", "no-L", "no-s", "d-string",
              "s-strings", "s-ragged", "h-object", "weak-ellipticity-string",
              "weak-ellipticity-list", "weak-ellipticity-int", "s-overflows", "b-short",
-             "h-short"]
+             "h-short", "L-huge"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -382,6 +384,23 @@ def test_malformed_environment_file_is_a_usage_error(tmp_path, env_file, capsys,
     config.write_text(json.dumps({"env": {"path": str(path)}, "checks": ["validate"]}))
     assert main(["check-all", "--config", str(config), "-o", str(tmp_path / "r.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# numpy refuses the 6.94 EiB of a 10^18-site torus before asking the system
+# for memory; the front end reports it as a failed computation
+@pytest.mark.parametrize("command", ["gen-env", "check-all"])
+def test_a_torus_too_large_to_allocate_is_one_error_line(tmp_path, capsys, command):
+    if command == "gen-env":
+        argv = ["gen-env", "--d", "2", "--L", str(10**9), "--seed", "0"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"env": {"d": 2, "L": 10**9, "seed": 0},
+                                      "checks": ["validate"]}))
+        argv = ["check-all", "--config", str(config)]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("L", ["2", "5"])

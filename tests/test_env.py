@@ -202,6 +202,7 @@ def test_flow_only_serialization(tmp_path):
     (lambda d: d.update(b=[0.0] * 32), "b and h together"),
     (lambda d: d.update(b=d["s"][:-1]) or d.pop("h"), "b-short"),
     (lambda d: d.update(h=d["h"][:-1]), "h-short"),
+    (lambda d: d.update(d=2, L=10**9, s=[1.0]), "L-huge"),  # 10^18 sites
 ])
 def test_loader_rejects_malformed(tmp_path, env_rand, mutate, field):
     data = env_to_dict(env_rand)

@@ -115,10 +115,17 @@ def test_integral_of_one_equals_elapsed_time(env_rand):
                           np.broadcast_to(grid, (5, 4)))
 
 
-def test_constant_jump_weight_halves_displacement(env_rand):
-    w = np.full((env_rand.torus.n, 4, 1), 0.5)
-    res = run_ensemble(env_rand, 15.0, 8, MASTER, jump_weights=w)
-    assert np.array_equal(res.jump_sums[..., 0], res.displacement * 0.5)
+@pytest.mark.parametrize("weight", [0.5, -1.0])
+def test_constant_jump_weight_scales_displacement(env_rand, weight):
+    # a negative weight puts -0.0 in the engine's off-axis jump-table
+    # entries; no sum may pick one up, and the early grid times hold zeros
+    w = np.full((env_rand.torus.n, 4, 1), weight)
+    grid = 15.0 * 2.0 ** -np.arange(8.0)[::-1]
+    res = run_ensemble(env_rand, 15.0, 8, MASTER, grid=grid, jump_weights=w)
+    assert np.array_equal(res.jump_sums[..., 0], res.displacement * weight)
+    assert (res.displacement == 0).any()
+    for a in (res.displacement, res.jump_sums):
+        assert not (np.signbit(a) & (a == 0)).any()
 
 
 @pytest.mark.parametrize("tables", [
