@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,7 +26,7 @@ from . import mart, report
 from .env import (DEFAULT_LAWS, GENERATORS, Environment, canonical_json, check_dist,
                   check_generator, curl, curl_gap, load_env, save_env)
 from .errors import BistochError, ConfigError, InvalidEnvironment
-from .torus import check_integer, check_positive
+from .torus import check_integer, check_positive, site_count
 from .walker import check_grid, replica_key, run_ensemble, simulate
 
 # the path components of a decomposition, in the column order of its CSV
@@ -47,7 +46,7 @@ def _outpath(path: str | None) -> str | None:
 
 
 # admissible range [least, limit) of each integer argument that has one
-_RANGES = {**report.ENV_RANGES, "replicas": (1, math.inf)}
+_RANGES = {**report.ENV_RANGES, "replicas": report.REPLICA_RANGE}
 
 
 def _check_numbers(args) -> None:
@@ -180,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_env(args) -> int:
+    report.checked("--d/--L", site_count, args.d, args.L)
     report.checked("--generator", check_generator, args.generator, args.d)
     env, rep = report.draw_environment(
         args.d, args.L, args.seed, "--s-dist/--h-dist", generator=args.generator,

@@ -91,7 +91,9 @@ def stream_edge_operator(env: Environment) -> scipy.sparse.csr_matrix:
 class OperatorAssembly:
     """Sparse S, A, L of one environment, and the Krylov solve of L g = rhs.
 
-    sigma2 (diffusivity) and the certificate residuals form on first read, once:
+    The operators, sigma2 (diffusivity) and the certificate residuals form on first read, once:
+    S, A              the symmetric (conductance) and antisymmetric (flow) parts
+    L                 the generator A - S
     a_antisymmetry    max |A + A^T|
     row_sums, col_sums  max |L 1| and max |1^T L|
     G                 the discrete gradient
@@ -100,9 +102,27 @@ class OperatorAssembly:
     """
 
     env: Environment
-    S: scipy.sparse.csr_matrix
-    A: scipy.sparse.csr_matrix
-    L: scipy.sparse.csr_matrix
+
+    @cached_property
+    def S(self) -> scipy.sparse.csr_matrix:
+        t_ = self.env.torus
+        idx = np.arange(t_.n)
+        s_full = self.env.s.full
+        rows = np.concatenate([np.tile(idx, t_.ndir), idx])
+        cols = np.concatenate([t_.nbr.T.ravel(), idx])
+        data = np.concatenate([-s_full.T.ravel(), s_full.sum(axis=1)])
+        return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(t_.n, t_.n)).tocsr()
+
+    @cached_property
+    def A(self) -> scipy.sparse.csr_matrix:
+        t_ = self.env.torus
+        return scipy.sparse.coo_matrix(
+            (self.env.b.full.T.ravel(), (np.tile(np.arange(t_.n), t_.ndir), t_.nbr.T.ravel())),
+            shape=(t_.n, t_.n)).tocsr()
+
+    @cached_property
+    def L(self) -> scipy.sparse.csr_matrix:
+        return (self.A - self.S).tocsr()
 
     @cached_property
     def a_antisymmetry(self) -> float:
@@ -233,22 +253,8 @@ class OperatorAssembly:
 
 
 def assemble(env: Environment) -> OperatorAssembly:
-    """Build S, A, L; the certificate residuals form when first read."""
-    t_ = env.torus
-    n, ndir = t_.n, t_.ndir
-    idx = np.arange(n)
-    s_full = env.s.full
-
-    rows = np.concatenate([np.tile(idx, ndir), idx])
-    cols = np.concatenate([t_.nbr.T.ravel(), idx])
-    data = np.concatenate([-s_full.T.ravel(), s_full.sum(axis=1)])
-    S = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-    A = scipy.sparse.coo_matrix(
-        (env.b.full.T.ravel(), (np.tile(idx, ndir), t_.nbr.T.ravel())),
-        shape=(n, n)).tocsr()
-
-    return OperatorAssembly(env=env, S=S, A=A, L=(A - S).tocsr())
+    """The operator object of env; it forms nothing until a member is read."""
+    return OperatorAssembly(env)
 
 
 # -- spectral operator ---------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateEdge, InconsistentRHS, InvalidEnvironment
-from .torus import Torus, check_integer, is_finite, is_number
+from .torus import Torus, check_integer, is_finite, is_number, site_count
 
 DEFAULT_TOL = 1e-12
 
@@ -553,11 +553,11 @@ def env_from_dict(doc: dict) -> Environment:
     try:
         d = check_integer(doc.get("d"), "dimension d", 1)
         L = check_integer(doc.get("L"), "side length L", 2)
+        # each array is sized in Python ints before the torus allocates its
+        # tables, so a document naming a huge torus is refused without them
+        n = site_count(d, L)
     except ValueError as e:
         raise InvalidEnvironment(str(e)) from e
-    # each array is sized in Python ints before the torus allocates its
-    # tables, so a document naming a huge torus is refused without them
-    n = L ** d
     arrays = {}
     for key, name, width in (("s", "conductance", d), ("b", "flow", d),
                              ("h", "stream", d * (d - 1) // 2)):

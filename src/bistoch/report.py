@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -28,7 +27,7 @@ from .corrector import RESIDUAL_CAP, SPECTRAL_TOL
 from .env import (GENERATORS, Environment, _scale, canonical_json, check_dist,
                   check_generator, curl_gap, load_env, random_environment, validate)
 from .errors import ConfigError, DegenerateEdge
-from .torus import check_integer, check_positive, is_number
+from .torus import check_integer, check_positive, is_number, site_count
 from .walker import SEED_LIMIT, check_grid, check_site
 
 REPORT_FORMAT = "bistoch-report"
@@ -45,6 +44,8 @@ MAX_ATTEMPTS = 3
 # admissible range [least, limit) of each integer environment parameter;
 # a seed is the high word of every replica key, so it stays below 2**64
 ENV_RANGES = {"d": (1, math.inf), "L": (2, math.inf), "seed": (0, SEED_LIMIT)}
+# a replica index is the low word of its key, so a run has at most 2**64 replicas
+REPLICA_RANGE = (1, SEED_LIMIT + 1)
 
 # large-sample 99% critical coefficient for the one-sample KS statistic
 KS_99_COEFF = 1.6276236115189504
@@ -132,13 +133,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                  f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
     T = checked("T", check_positive, data.get("T", 100.0), "horizon T")
-    replicas = checked("replicas", check_integer, data.get("replicas", 2000), "replicas", 1)
+    replicas = checked("replicas", check_integer, data.get("replicas", 2000), "replicas",
+                       *REPLICA_RANGE)
     tolerance = checked("tolerance", check_positive, data.get("tolerance", 1e-12), "tolerance")
     x0 = data.get("x0")
     if x0 is not None:
         x0 = checked("x0", check_integer, x0, "start site x0", 0)
     if "path" not in env:  # an environment file is checked once it is loaded
-        require_site(x0, env["L"] ** env["d"])
+        require_site(x0, checked("env", site_count, env["d"], env["L"]))
     grid = data.get("grid")
     if grid is not None:
         _require(isinstance(grid, list) and len(grid) > 0 and all(map(is_number, grid)),
@@ -220,8 +222,8 @@ def _interval_dict(iv: mart.MeanInterval) -> dict:
 
 # -- individual checks ---------------------------------------------------------
 #
-# Every check is called as fn(ops, cfg, walks): ops holds the environment and its
-# operators, and walks holds the seed of the attempt and the walk of that seed.
+# Every check is called as fn(ops, cfg, walks): ops is the run's one OperatorAssembly,
+# and walks holds the seed of the attempt and the walk of that seed.
 
 # the checks that read the decomposition observers; clt reads only X, the
 # holding times and the final sites
@@ -271,17 +273,6 @@ class _Walks:
                        integrals=w.integrals[:, tail], jump_sums=w.jump_sums[:, tail])
 
 
-@dataclass(eq=False)
-class _Operators:
-    """A run's environment and its one assembly, formed on first read; no dense operator."""
-
-    env: Environment
-
-    @cached_property
-    def assembly(self) -> corrector.OperatorAssembly:
-        return corrector.assemble(self.env)
-
-
 def _check_validate(ops, cfg, walks):
     rep = validate(ops.env, cfg.tolerance)
     return {"passed": rep.passed,
@@ -325,16 +316,16 @@ def _check_orthogonality(ops, cfg, walks):
 
 
 def _check_corrector(ops, cfg, walks):
-    dv = ops.assembly.diffusivity
+    dv = ops.diffusivity
     return {"passed": True, "sigma2": dv.sigma2,
             "harmonic_residuals": [sol.residual for sol in dv.solutions]}
 
 
 def _check_spectral(ops, cfg, walks):
-    env, spec = ops.env, ops.assembly.spectral_operator()
+    env, spec = ops.env, ops.spectral_operator()
     f = mart.drift_fields(env)
     rhs = -(f.phi[:, 0] + f.psi[:, 0])
-    sk = ops.assembly.diffusivity.solutions[0]  # sigma2's axis 0: the bits of a solve of rhs
+    sk = ops.diffusivity.solutions[0]  # sigma2's axis 0: the bits of a solve of rhs
     ss = corrector.solve_harmonic_spectral(env, rhs, spec=spec)
     gap = float(np.max(np.abs(sk.potential - ss.potential)))
     heq = corrector.harmonic_equation_residual(env, sk, rhs)
@@ -390,7 +381,7 @@ def _check_clt(ops, cfg, walks):
 
 CHECK_REGISTRY = {
     "validate": _check_validate,
-    "bounds": lambda ops, cfg, walks: bounds_verdict(ops.assembly),
+    "bounds": lambda ops, cfg, walks: bounds_verdict(ops),
     "decompose": lambda ops, cfg, walks: decompose_verdict(mart.decomposition(walks.walk(8))),
     "orthogonality": _check_orthogonality,
     "corrector": _check_corrector,
@@ -418,7 +409,7 @@ def run_config(cfg: ExperimentConfig) -> tuple:
     """
     env = build_environment(cfg)
     require_site(cfg.x0, env.torus.n)
-    ops = _Operators(env)
+    ops = corrector.assemble(env)
     results = {}
     attempts = {name: [] for name in cfg.checks}
     timings = dict.fromkeys(cfg.checks, 0.0)

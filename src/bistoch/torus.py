@@ -56,13 +56,26 @@ def check_positive(value, what: str) -> float:
     return float(value)
 
 
+def site_count(d, L) -> int:
+    """L**d as a Python int; ValueError unless d >= 1 and L >= 2 are integers and L**d < 2**63.
+
+    No array indexes 2**63 sites.  A huge d or L is refused without forming
+    L**d: L >= 2 gives L**d >= 2**63 once d >= 63, and L >= 2**63 at any d.
+    """
+    d = check_integer(d, "dimension d", 1)
+    L = check_integer(L, "side length L", 2)
+    n = L ** d if d < 63 and L < 1 << 63 else 1 << 63
+    if n >= 1 << 63:
+        raise ValueError(f"a torus of side L = {L} in dimension d = {d} has 2**63 sites or more")
+    return n
+
+
 class Torus:
     """Finite periodic lattice {0,...,L-1}^d with wrap-around neighbors."""
 
     def __init__(self, d: int, L: int):
-        self.d = check_integer(d, "dimension d", 1)
-        self.L = check_integer(L, "side length L", 2)
-        self.n = self.L ** self.d
+        self.n = site_count(d, L)
+        self.d, self.L = int(d), int(L)
         self.shape = (self.L,) * self.d
         self.ndir = 2 * self.d
 

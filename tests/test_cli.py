@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from bistoch.env import (ConductanceField, Environment, canonical_json,
 from bistoch.errors import ConfigError
 from bistoch.torus import Torus
 from bistoch.walker import replica_key
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +279,8 @@ def test_check_all_writes_strict_json(tmp_path):
     pytest.param({"T": math.inf}, id="T-infinite"),
     pytest.param({"T": True}, id="T-bool"),
     pytest.param({"replicas": True}, id="replicas-bool"),
+    # a replica index is the low word of its key: 2**64 replicas at most
+    pytest.param({"replicas": 2**64 + 1}, id="replicas-past-2-to-the-64"),
     pytest.param({"tolerance": True}, id="tolerance-bool"),
     # an infinite tolerance would pass every residual, even an infinite one
     pytest.param({"tolerance": math.inf}, id="tolerance-infinite"),
@@ -304,6 +310,10 @@ def test_start_site_out_of_range(tmp_path, env_file, capsys, command, x0):
     pytest.param("simulate --T 5 --seed -1", "--seed", id="simulate-seed-negative"),
     pytest.param("decompose --T 5 --replicas 0 --seed 9", "--replicas",
                  id="decompose-replicas-zero"),
+    pytest.param(f"simulate --T 5 --replicas {2**64 + 1} --seed 9", "--replicas",
+                 id="simulate-replicas-past-2-to-the-64"),
+    pytest.param(f"decompose --T 5 --replicas {2**64 + 1} --seed 9", "--replicas",
+                 id="decompose-replicas-past-2-to-the-64"),
     pytest.param("gen-env --d 0 --L 4 --seed 1", "--d", id="gen-env-d-zero"),
     pytest.param("gen-env --d 2 --L 1 --seed 1", "--L", id="gen-env-L-one"),
     pytest.param("gen-env --d 2 --L 4 --seed -2", "--seed", id="gen-env-seed-negative"),
@@ -401,6 +411,41 @@ def test_a_torus_too_large_to_allocate_is_one_error_line(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
     assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+# L**d of a huge d takes minutes to form; a torus of 2**63 sites or more is
+# refused before it is.  Each case runs in a subprocess under a timeout, so a
+# hang fails the test in place of stalling the suite.
+HUGE_ENV = {"format": "bistoch-env", "version": 1, "d": 10**8, "L": 3, "s": [1.0]}
+HUGE_INLINE = {"d": 10**8, "L": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("argv, doc, prefix", [
+    pytest.param("gen-env --d 100000000 --L 3 --seed 0", None, "error: --d/--L: ",
+                 id="gen-env-d-1e8"),
+    pytest.param("gen-env --d 63 --L 2 --seed 0", None, "error: --d/--L: ", id="gen-env-d-63"),
+    pytest.param("gen-env --d 64 --L 2 --seed 0", None, "error: --d/--L: ", id="gen-env-d-64"),
+    pytest.param("gen-env --d 40 --L 3 --seed 0", None, "error: --d/--L: ", id="gen-env-d-40-L-3"),
+    pytest.param("bounds --env", HUGE_ENV, "error: a torus of side L = 3 ", id="bounds-file"),
+    pytest.param("check-all --config", {"env": HUGE_INLINE, "x0": 0}, "error: env: ",
+                 id="check-all-x0"),
+    pytest.param("check-all --config", {"env": HUGE_INLINE}, "error: env: ",
+                 id="check-all-no-x0"),
+])
+def test_a_torus_of_2_to_the_63_sites_is_refused_at_once(tmp_path, argv, doc, prefix):
+    argv = argv.split()
+    if doc is not None:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        argv.append(str(tmp_path / "in.json"))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "bistoch.cli", *argv,
+                           "-o", str(tmp_path / "out.json")],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
+    assert "2**63 sites or more" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("L", ["2", "5"])

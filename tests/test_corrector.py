@@ -58,7 +58,8 @@ def test_assembly_residuals_stay_sparse():
     n = env.torus.n
     tracemalloc.start()
     try:
-        cor.assemble(env)
+        ops = cor.assemble(env)
+        ops.L, ops.s_factorization, ops.a_factorization
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -131,6 +132,20 @@ def test_solves_form_no_certificate(case, request, monkeypatch):
     assert ops.a_antisymmetry == float(abs(ops.A + ops.A.T).max())
     assert ops.row_sums == float(np.max(np.abs(ops.L @ ones)))
     assert ops.col_sums == float(np.max(np.abs(ops.L.T @ ones)))
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_an_assembly_forms_its_operators_on_first_read(case, request, monkeypatch):
+    env = _case_env(case, request)
+    formed, coo = [], scipy.sparse.coo_matrix
+    monkeypatch.setattr(scipy.sparse, "coo_matrix",
+                        lambda *a, **k: formed.append(a) or coo(*a, **k))
+    ops = cor.assemble(env)
+    assert vars(ops).keys() == {"env"} and formed == []
+    L = ops.L
+    assert vars(ops).keys() == {"env", "S", "A", "L"} and len(formed) == 2
+    assert ops.L is L and (ops.A - ops.S != L).nnz == 0
+    assert len(formed) == 2
 
 
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)

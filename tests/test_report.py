@@ -24,6 +24,25 @@ def test_spectral_gate_fails_on_nan_riesz_residual(monkeypatch):
     assert rep["passed"] is False
 
 
+def _assemblies(monkeypatch) -> list:
+    """The list that collects each OperatorAssembly that corrector.assemble returns."""
+    records, real = [], corrector.assemble
+    monkeypatch.setattr(corrector, "assemble",
+                        lambda env: records.append(real(env)) or records[-1])
+    return records
+
+
+def test_a_battery_that_reads_no_operator_forms_none(monkeypatch):
+    # the checks that read no operator leave the run's one assembly as it was made
+    records = _assemblies(monkeypatch)
+    checks = ["validate", "decompose", "orthogonality", "helmholtz", "clt"]
+    cfg = report.config_from_dict({"env": {"d": 2, "L": 4, "seed": 1}, "T": 4.0,
+                                   "replicas": 1000, "checks": checks})
+    report.run_config(cfg)
+    (ops,) = records
+    assert vars(ops).keys() == {"env"}
+
+
 def test_a_battery_forms_the_gradient_once_and_no_stream_operator(monkeypatch):
     # only the Riesz certificate reads G; no check reads a factorization residual.
     # The checks share one assembly and one sigma2, whose axis-0 solve is the
@@ -34,19 +53,18 @@ def test_a_battery_forms_the_gradient_once_and_no_stream_operator(monkeypatch):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
-    records, record = [], report._Operators
-    monkeypatch.setattr(report, "_Operators", lambda env: records.append(record(env)) or records[-1])
+    records = _assemblies(monkeypatch)
     # the README environment, on which all three checks pass
     cfg = report.config_from_dict({"env": {"d": 2, "L": 8, "seed": 7},
                                    "checks": ["bounds", "corrector", "spectral"]})
     rep, _ = report.run_config(cfg)
     assert rep["passed"]
     assert [len(v) for v in calls.values()] == [1, 0, 1, 2]
-    # the run's one record keeps the sparse assembly and sigma2, nothing n x n,
+    # the run's one assembly keeps its sparse operators and sigma2, nothing n x n,
     # and forms no certificate residual
     (ops,) = records
-    assert not {"a_antisymmetry", "row_sums", "col_sums"} & vars(ops.assembly).keys()
-    kept = [*vars(ops).values(), *vars(ops.assembly).values()]
+    assert not {"a_antisymmetry", "row_sums", "col_sums"} & vars(ops).keys()
+    kept = list(vars(ops).values())
     assert not any(isinstance(v, corrector.SpectralOperator)
                    or isinstance(v, np.ndarray) and v.size >= ops.env.torus.n ** 2 for v in kept)
 
@@ -248,13 +266,13 @@ def _reference_report(cfg) -> dict:
                 attempts = []
                 for attempt in range(report.MAX_ATTEMPTS):
                     s = report.reseed(cfg.seed, attempt)
-                    out = fn(report._Operators(env), cfg, _FreshWalks(env, cfg, s))
+                    out = fn(corrector.assemble(env), cfg, _FreshWalks(env, cfg, s))
                     attempts.append({"seed": s, **out})
                     if out["passed"]:
                         break
                 result = {"passed": attempts[-1]["passed"], "attempts": attempts}
             else:
-                result = fn(report._Operators(env), cfg, _FreshWalks(env, cfg, cfg.seed))
+                result = fn(corrector.assemble(env), cfg, _FreshWalks(env, cfg, cfg.seed))
         except Exception as e:
             result = {"passed": False, "error": f"{type(e).__name__}: {e}"}
         results[name] = report._pyify(result)

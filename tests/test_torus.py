@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistoch.torus import Torus
+from bistoch.torus import Torus, site_count
 
 
 @st.composite
@@ -93,6 +93,19 @@ def test_rejects_bad_sizes():
 def test_rejects_a_size_that_is_not_an_integer(d, L):
     with pytest.raises(ValueError, match="must be an integer"):
         Torus(d, L)
+
+
+# 3037000499**2 < 2**63 <= 3037000500**2
+@pytest.mark.parametrize("d, L, n", [(62, 2, 2**62), (2, 3037000499, 3037000499**2),
+                                     (1, 2**63 - 1, 2**63 - 1), (63, 2, None), (40, 3, None),
+                                     (2, 3037000500, None), (1, 2**63, None),
+                                     (10**8, 3, None), (62, 2**63, None)])
+def test_site_count_is_below_2_to_the_63(d, L, n):
+    if n is not None:
+        assert site_count(d, L) == n and type(site_count(np.int64(d), L)) is int
+    else:
+        with pytest.raises(ValueError, match=r"2\*\*63 sites or more"):
+            site_count(d, L)
 
 
 def test_accepts_numpy_integer_sizes():
