@@ -5,10 +5,10 @@ check-all.  Relative output paths are resolved under $RWRE_OUT when set.
 The front end writes its own output files, every line ending in \n; the
 environment and report files are env's and report's canonical JSON.
 Ensembles split their replicas over worker processes by themselves
-(`walker.worker_count`); `--threads N` is accepted by simulate, decompose
-and check-all for older scripts and ignored.  Exit
-codes: 0 on success, 1 when a computation or check fails, 2 for usage and
-config errors, unreadable input files among them.
+(`walker.worker_count`); `--threads N` is accepted by check-all alone, for
+older scripts, and ignored.  Exit codes: 0 on success, 1 when a
+computation or check fails, 2 for usage and config errors, unreadable
+input files among them.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _add_common_env(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", required=True, help="environment JSON file")
 
 
-# help of the accepted, ignored thread-count flag of the ensemble commands
+# help of check-all's accepted, ignored thread-count flag
 _THREADS_HELP = "accepted and ignored: ensembles choose their own worker count"
 
 
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x0", type=int, default=None,
                    help="start site (default: uniform per replica)")
-    p.add_argument("--threads", type=int, metavar="N", help=_THREADS_HELP)
     p.add_argument("--traj", default=None,
                    help="write replica 0 as a jump-record JSONL (needs --x0)")
     p.add_argument("-o", "--output", default=None, help="summary CSV path")
@@ -147,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", default=None, help="comma-separated sample times")
     p.add_argument("--x0", type=int, default=None)
-    p.add_argument("--threads", type=int, metavar="N", help=_THREADS_HELP)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("bounds",

@@ -490,45 +490,35 @@ def orthogonality_report(ens: MartingaleEnsemble) -> dict:
 def _ks_distance(x: np.ndarray, cdf) -> float:
     """Two-sided one-sample KS statistic of x against a distribution function.
 
-    Sorts a copy of x unless x is already ascending, and takes D+ and D-
-    as scipy's kstest does (each the value at its first argmax, D+ where it
-    is strictly larger), so the statistic is bit for bit scipy's; no
-    p-value is computed.  One pass checks the order, and a NaN fails it.
+    Sorts a copy of x unless x is already ascending, and returns max(D+, D-);
+    no p-value is computed.  One pass checks the order, and a NaN fails it.
     An ascending x, such as the engine's holding times, is read in place:
     it differs from np.sort(x) at most in the signs of its zeros, and both
     distribution functions here map -0.0 and +0.0 to the same value.
 
     The sorted sample is swept in strips of KS_BLOCK values, so only the
-    sorted sample and one strip's arrays are alive.  Each strip keeps the
-    value at its own first argmax of D+ and of D-, and the statistic takes
-    the value at the first argmax over the kept values.  That is the value
-    at the global first argmax: argmax ranks NaN above every number and
-    ties -0.0 with +0.0, and under that order every entry before the global
-    first argmax is strictly smaller.  So every earlier strip keeps a
-    smaller value, and the strip that holds the global first argmax keeps
-    that very element, a NaN or a zero's sign included.  Each entry is the
-    one-pass entry bit for bit: arange(a, b) + 1.0 gives the same exact
-    integers as arange(1.0, n + 1), and cdf acts elementwise.
+    sorted sample and one strip's arrays are alive; each strip keeps its two
+    maxima, and a strip's entries are the one-pass entries bit for bit
+    (rank + 1.0 is exact, and cdf acts elementwise).
+    scipy's kstest reads D+ and D- at their first argmax, which holds the
+    maximum: a NaN in x is a NaN in both, which np.max returns too, and no
+    entry is -0.0, since (i+1)/n > 0, both CDFs return +0.0 or more and a
+    difference of equal values rounds to +0.0.  So the statistic is scipy's.
     """
     if not np.all(x[:-1] <= x[1:]):
         x = np.sort(x)
-    plus, minus = np.array([_ks_strip(x, a, cdf) for a in range(0, len(x), KS_BLOCK)]).T
-    d_plus = plus[np.argmax(plus)]
-    d_minus = minus[np.argmax(minus)]
-    return float(d_plus if d_plus > d_minus else d_minus)
+    return float(np.max([_ks_strip(x, a, cdf) for a in range(0, len(x), KS_BLOCK)]))
 
 
 def _ks_strip(x: np.ndarray, a: int, cdf) -> tuple:
-    """D+ and D- of the sorted x on the strip from a, each at its first argmax.
+    """The maxima of D+ and D- of the sorted x on the strip from a.
 
     The strip's arrays are freed on return, before the next strip's exist.
     """
     n = len(x)
     cdfvals = cdf(x[a:a + KS_BLOCK])
     rank = np.arange(a, a + len(cdfvals), dtype=float)
-    d_minus = cdfvals - rank / n
-    d_plus = (rank + 1.0) / n - cdfvals
-    return d_plus[np.argmax(d_plus)], d_minus[np.argmax(d_minus)]
+    return np.max((rank + 1.0) / n - cdfvals), np.max(cdfvals - rank / n)
 
 
 def _expon_cdf(x: np.ndarray) -> np.ndarray:

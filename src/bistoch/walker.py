@@ -17,6 +17,7 @@ non-positive total rate is walked in one process.
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import pickle
@@ -214,14 +215,20 @@ def _mapped(shape, dtype=float, shared: bool = False) -> np.ndarray:
     Below 128 KiB, where glibc's mmap threshold starts and which it never
     goes under, malloc maps no block, so a smaller array is np.zeros and
     costs no mapping; so is every array where mmap has no MAP_PRIVATE
-    (Windows).
+    (Windows).  A size past what mmap takes (a C ssize_t), or a mapping the
+    system refuses (ENOMEM), raises MemoryError naming the shape and bytes.
     """
     size = int(np.prod(shape))
     nbytes = size * np.dtype(dtype).itemsize
     if nbytes == 0 or (not shared and (nbytes < 1 << 17 or not hasattr(mmap, "MAP_PRIVATE"))):
         return np.zeros(shape, dtype)
     kind = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
-    mapping = mmap.mmap(-1, nbytes, flags=kind | mmap.MAP_ANONYMOUS)
+    try:
+        mapping = mmap.mmap(-1, nbytes, flags=kind | mmap.MAP_ANONYMOUS)
+    except (OverflowError, OSError) as e:
+        if isinstance(e, OSError) and e.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map an array of shape {shape}: {nbytes} bytes") from e
     if hasattr(mmap, "MADV_HUGEPAGE"):
         mapping.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(mapping, dtype, size).reshape(shape)
@@ -392,7 +399,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     workers = 1 if check_absorbing else worker_count(R)
     # every worker writes its replicas' rows of the outputs in place
     outputs = [_mapped(shape, dtype, shared=workers > 1) for shape, dtype in
-               [(R, np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float)]]
+               [((R,), np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float)]]
 
     def walk(lo: int, hi: int) -> np.ndarray | None:
         """Walk replicas lo..hi-1 in lockstep into their rows of the outputs.

@@ -155,6 +155,16 @@ def test_corrector_has_no_method_flag(env_file, capsys):
     assert "--method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "decompose"])
+def test_only_check_all_accepts_threads(tmp_path, env_file, capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--env", env_file, "--T", "1", "--seed", "0",
+              "-o", str(tmp_path / "out.csv"), "--threads", "2"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in err and "Traceback" not in err
+
+
 def test_helmholtz_round_trip(tmp_path, env_file):
     out = tmp_path / "recon.json"
     rc = main(["helmholtz", "--env", env_file, "-o", str(out)])
@@ -446,6 +456,31 @@ def test_a_torus_of_2_to_the_63_sites_is_refused_at_once(tmp_path, argv, doc, pr
     assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
     assert "2**63 sites or more" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+# Each output array is mapped before any replica's stream is made, so a
+# replica count too large to map fails before the walk starts.  The child
+# runs under a 4 GiB address-space limit, so no count can be granted.
+CHILD_UNDER_4_GIB = ("import resource, sys; "
+                     "resource.setrlimit(resource.RLIMIT_AS, (1 << 32,) * 2); "
+                     "from bistoch.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("replicas", [
+    pytest.param(2**64, id="past-ssize_t"),
+    pytest.param(2**47, id="refused-by-the-system"),
+])
+def test_a_replica_count_too_large_to_map_is_a_memory_error(tmp_path, env_file, replicas):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CHILD_UNDER_4_GIB, "simulate",
+                           "--env", env_file, "--T", "1", "--seed", "0",
+                           "--replicas", str(replicas), "-o", str(tmp_path / "out.csv")],
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr == (f"error: MemoryError: cannot map an array of shape ({replicas},): "
+                           f"{8 * replicas} bytes\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("L", ["2", "5"])

@@ -66,6 +66,7 @@ ENV_FIELDS = ("d", "L", "env.seed", "generator", "s_dist", "h_dist")
 # a 1-d torus has no plaquettes, so only the conductance-stream generator
 # draws there; the pair (d=1, totally-asymmetric) is a usage error of its own
 GOOD_GENERATORS = {1: GENERATORS[:1]}
+# check-all's --threads, accepted for older scripts and ignored
 THREADS = st.sampled_from([None, -1, 0, 1, 4])
 
 
@@ -193,10 +194,9 @@ def test_simulate_and_decompose_exit_codes(tmp_path, capsys, env_file, command, 
     argv = [command, "--env", env, "--T", T,
             "--replicas", pick("replicas", FIELDS["replicas"][0]),
             "--seed", pick("seed", FIELDS["seed"][0]), "-o", tmp_path / "out.csv"]
-    for flag, value in (("--x0", pick("--x0", FIELDS["--x0"][0])),
-                        ("--threads", draw(THREADS))):
-        if value is not None:
-            argv += [flag, value]
+    x0 = pick("--x0", FIELDS["--x0"][0])
+    if x0 is not None:
+        argv += ["--x0", x0]
     if command == "decompose":
         grids = [None, [T], [T / 4, T]] if 0 < T < math.inf else [None]
         grid = pick("--grid", grids)

@@ -336,6 +336,32 @@ def test_clt_alone_reports_what_the_readme_battery_does(readme_run):
             == report.canonical_json(rep["checks"]["clt"]))
 
 
+@pytest.fixture(scope="module")
+def readme_clt_attempt():
+    """The arguments of the README config's first clt attempt, its walk made."""
+    cfg = report.config_from_dict({**README_CONFIG, "checks": ["clt"]})
+    env = report.build_environment(cfg)
+    walks = report._Walks(env, cfg, report.reseed(cfg.seed, 0), ["clt"])
+    walks.walk(5)
+    return corrector.assemble(env), cfg, walks
+
+
+# With the component KS forced to 0 the README config's first clt attempt
+# passes: slope 0.98933, holding KS 0.0014272 against 0.0018778, chi-square
+# p 0.7135.  Each other statistic, forced to fail alone, fails it.
+@pytest.mark.parametrize("forced, passed", [
+    pytest.param({"ks_gaussian": 0.0}, True, id="every-gate-holds"),
+    pytest.param({}, False, id="component-ks"),
+    pytest.param({"ks_gaussian": 0.0, "growth_slope": 1.2}, False, id="slope"),
+    pytest.param({"ks_gaussian": 0.0, "ks_exponential": 1.0}, False, id="holding-ks"),
+    pytest.param({"ks_gaussian": 0.0, "final_site_chisquare": 0.0}, False, id="chisquare"),
+])
+def test_each_clt_gate_decides_on_its_own(monkeypatch, readme_clt_attempt, forced, passed):
+    for name, value in forced.items():
+        monkeypatch.setattr(mart, name, lambda *args, value=value: value)
+    assert report._check_clt(*readme_clt_attempt)["passed"] is passed
+
+
 def test_an_orthogonality_retry_collects_no_holding_times(monkeypatch):
     real = dict(report.CHECK_REGISTRY)
     monkeypatch.setitem(report.CHECK_REGISTRY, "orthogonality",
