@@ -3,7 +3,7 @@
 Subcommands: gen-env, simulate, decompose, bounds, corrector, helmholtz,
 check-all.  Relative output paths are resolved under $RWRE_OUT when set.
 The front end writes its own output files, every line ending in \n; the
-environment and report files are env's and report's canonical JSON.
+environment, report, bounds and timings files are canonical JSON.
 Ensembles split their replicas over worker processes by themselves
 (`walker.worker_count`); `--threads N` is accepted by check-all alone, for
 older scripts, and ignored.  Exit codes: 0 on success, 1 when a
@@ -14,7 +14,6 @@ input files among them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -218,7 +217,7 @@ def _cmd_simulate(args) -> int:
         axes = [f"X_{i + 1}" for i in range(env.torus.d)]
         final = zip(res.displacement[:, -1].tolist(), res.n_jumps.tolist())
         _write_csv(out, ["seed", "T", *axes, "n_jumps"],
-                   ([replica_key(res.master_seed, r), repr(res.T), *map(repr, x), jumps]
+                   ([replica_key(args.seed, r), repr(args.T), *map(repr, x), jumps]
                     for r, (x, jumps) in enumerate(final)))
         print(f"wrote {out}")
     return 0
@@ -308,8 +307,7 @@ def _cmd_check_all(args) -> int:
     timings_path = _outpath(args.timings) if args.timings else (
         out[:-5] + ".timings.json" if out.endswith(".json")
         else out + ".timings.json")
-    _write_csv(timings_path, [json.dumps({k: round(v, 6) for k, v in timings.items()},
-                                         sort_keys=True, indent=2)], ())
+    report.write_report({k: round(v, 6) for k, v in timings.items()}, timings_path)
     print(f"wrote {out} and {timings_path}")
     print(f"config {cfg.config_hash[:12]}: "
           f"{'all checks passed' if rep['passed'] else 'FAILURES PRESENT'}")

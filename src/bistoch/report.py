@@ -194,20 +194,19 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
     return draw_environment(spec["d"], spec["L"], spec["seed"], "env", **laws)[0]
 
 
-def _pyify(obj, strict: bool = False):
+def _pyify(obj):
     """obj with numpy arrays and scalars as Python lists and scalars.
 
-    strict also writes each non-finite float as None, JSON's null, so that
-    the result serializes as strict JSON.
+    Each non-finite float becomes None, JSON's null: the result is strict JSON.
     """
     if isinstance(obj, dict):
-        return {k: _pyify(v, strict) for k, v in obj.items()}
+        return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_pyify(v, strict) for v in obj]
+        return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist(), strict)
+        return _pyify(obj.tolist())
     if isinstance(obj, (float, np.floating)):
-        return None if strict and not math.isfinite(obj) else float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -233,16 +232,15 @@ DECOMPOSITION_CHECKS = frozenset({"decompose", "orthogonality"})
 class _Walks:
     """The walk of one seed, simulated on first use with what its due checks read.
 
-    due names the checks still to run under this seed.  While decompose or
-    orthogonality is due, the walk carries the field_tables observers and
-    runs on the config grid or on the 8-level dyadic grid.  Otherwise it is
-    a plain walk on the config grid or on the 5-level dyadic grid.  Holding
-    times are collected only while clt is due.  Each check reads the whole
-    config grid or the last 4, 5 or 8 times of the dyadic one: T * 2**-k is
-    exact, so dyadic_grid(T, k) is dyadic_grid(T, 8)[-k:] to the bit.  A
-    replica's path depends neither on the observers nor on the grid it is
-    sampled on, so every check reads the numbers that a walk of its own
-    would give, bit for bit, and each seed is walked once.
+    due names the checks still to run under this seed.  The walk samples the
+    config grid or the 8-level dyadic grid, carries the field_tables
+    observers only while decompose or orthogonality is due, and collects
+    holding times only while clt is due.  Each check reads the whole config
+    grid or the last 4, 5 or 8 dyadic times: T * 2**-k is exact, so
+    dyadic_grid(T, k) is dyadic_grid(T, 8)[-k:] to the bit.  A replica's
+    path depends neither on the observers nor on the grid it is sampled on,
+    so every check reads the numbers that a walk of its own would give, bit
+    for bit, and each seed is walked once.
     """
 
     def __init__(self, env: Environment, cfg: ExperimentConfig, seed: int, due: list):
@@ -259,8 +257,7 @@ class _Walks:
         if self._walk is None:
             site_fields, jump_weights = (mart.field_tables(self.env) if self.decomposition
                                          else (None, None))
-            grid = (cfg.grid if cfg.grid is not None
-                    else mart.dyadic_grid(cfg.T, 8 if self.decomposition else 5))
+            grid = cfg.grid if cfg.grid is not None else mart.dyadic_grid(cfg.T)
             self._walk = walker.run_ensemble(
                 self.env, cfg.T, cfg.replicas, self.seed, grid=grid,
                 site_fields=site_fields, jump_weights=jump_weights, x0=cfg.x0,
@@ -396,7 +393,8 @@ CHECK_REGISTRY = {
 def run_config(cfg: ExperimentConfig) -> tuple:
     """Run every configured check; returns (report dict, timings dict).
 
-    The report contains no timing or host information.  Statistical checks
+    The report is the document that write_report writes (each non-finite
+    float None) and holds no timing or host information.  Statistical checks
     retry under deterministic reseeds up to three attempts; deterministic
     checks run once.  A check that raises is recorded as failed with the
     exception type and message, and the remaining checks still run.
@@ -446,8 +444,8 @@ def run_config(cfg: ExperimentConfig) -> tuple:
 def write_report(report: dict, path: str) -> None:
     """Canonical serialization: sorted keys, no whitespace, one newline.
 
-    A non-finite float (a NaN slope, an infinite residual) is written as
-    null, so the file is strict JSON.
+    Numpy values (the bounds document holds them) are written as Python ones
+    and a non-finite float as null, so the file is strict JSON.
     """
     with open(path, "w") as f:
-        f.write(canonical_json(_pyify(report, strict=True)) + "\n")
+        f.write(canonical_json(_pyify(report)) + "\n")

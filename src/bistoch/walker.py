@@ -89,6 +89,11 @@ def check_rates(env: Environment) -> None:
                          "rates must be finite")
 
 
+def _holding_time(u, rate):
+    """The holding time at total rate `rate` drawn from the uniform u: both walkers' one clock."""
+    return -np.log1p(-u) / rate
+
+
 def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     """Simulate one walk on [0, T]; deterministic in (env, x0, T, seed).
 
@@ -128,7 +133,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         u1 = buf[ptr]
         u2 = buf[ptr + 1]
         ptr += 2
-        now = now + (-np.log1p(-u1) / rate)
+        now = now + _holding_time(u1, rate)
         if now >= T:
             break
         v = u2 * rate
@@ -178,7 +183,7 @@ class EnsembleResult:
     jump sums, is the sum over jumps before that time of weight-table
     column w times the jump vector.  Each snapshot reads the path up to its
     own time only, so some of the grid columns are bit for bit a walk of
-    the same replicas sampled on their times alone.
+    the same replicas sampled on their times alone.  The horizon is times[-1].
 
     holding is the pooled normalized holding times in ascending order.  Each
     is finite and at least +0.0 (never -0.0), so the sorted sample is the
@@ -194,8 +199,6 @@ class EnsembleResult:
     final_site: np.ndarray            # (R,)
     n_jumps: np.ndarray               # (R,)
     holding: np.ndarray | None        # pooled normalized holding times
-    master_seed: int
-    T: float
 
 
 def _mapped(shape, dtype=float, shared: bool = False) -> np.ndarray:
@@ -453,7 +456,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                 dead = rate <= 0.0
                 if dead.any():
                     raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
-            dt = -np.log1p(-u1) / rate
+            dt = _holding_time(u1, rate)
             t0 = now[:m]
             t_new = t0 + dt
 
@@ -527,6 +530,4 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         final_site=final_site,
         n_jumps=n_jumps,
         holding=holding,
-        master_seed=master_seed,
-        T=T,
     )

@@ -265,6 +265,30 @@ def test_check_all_writes_strict_json(tmp_path):
     assert [a["slope"] for a in doc["checks"]["clt"]["attempts"]] == [None] * 3
 
 
+def test_the_report_in_memory_is_the_written_document(tmp_path):
+    # the battery above, whose clt slopes are NaN: run_config already holds them as null
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 0, "env": {"d": 2, "L": 4, "seed": 3}, "T": 0.01,
+                                "replicas": 100, "checks": ["clt"]}))
+    out = tmp_path / "report.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 1
+    rep, _ = report.run_config(report.load_config(str(path)))
+    assert canonical_json(rep) + "\n" == out.read_text()
+
+
+def test_the_timings_sidecar_is_canonical_json(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"env": {"d": 2, "L": 4, "seed": 3},
+                                "checks": ["validate", "helmholtz"]}))
+    out, sidecar = tmp_path / "report.json", tmp_path / "report.timings.json"
+    assert main(["check-all", "--config", str(path), "-o", str(out)]) == 0
+    text = sidecar.read_text()
+    timings = json.loads(text)
+    assert sorted(timings) == ["helmholtz", "validate"]
+    assert all(v == round(v, 6) for v in timings.values())
+    assert text == canonical_json(timings) + "\n"
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"bogus": 1}, id="unknown-field"),
     pytest.param({"T": 8.0, "grid": ["a", 8.0]}, id="grid-string"),

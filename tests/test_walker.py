@@ -203,6 +203,20 @@ def test_normalized_holding_times_are_exponential(env_homog):
     assert ks_exponential(res.holding) < 1.36 / np.sqrt(len(res.holding)) * 3
 
 
+def test_each_holding_time_is_its_uniform_on_the_clock_of_the_site_it_leaves(env_rand):
+    # the pooled sample is, bit for bit, (-log1p(-u) / rate) * rate for each
+    # jump's first uniform u and the total rate of the site before the jump
+    res = run_ensemble(env_rand, 16.0, 4, MASTER, x0=5, collect_holding=True)
+    pooled = []
+    for r in range(4):
+        key = replica_key(MASTER, r)
+        sites = simulate(env_rand, 5, 16.0, key).sites
+        u = _generator(key).random(2 * (len(sites) - 1))
+        rate = env_rand.total_rate[sites[:-1]]
+        pooled.append((-np.log1p(-u[0::2]) / rate) * rate)
+    assert np.sort(np.concatenate(pooled)).tobytes() == res.holding.tobytes()
+
+
 def test_storing_holding_times_costs_at_most_a_quarter_over_the_sample(env_homog):
     peaks = {}
     for collect in (False, True):
@@ -484,7 +498,7 @@ def test_a_float32_horizon_walks_as_its_value(env_rand):
     # compared in float32, the float64 bound of the rule overflowed with a RuntimeWarning
     got = run_ensemble(env_rand, np.float32(8.0), 3, MASTER)
     want = run_ensemble(env_rand, 8.0, 3, MASTER)
-    assert type(got.T) is float and got.T == 8.0
+    assert got.times.dtype == float and got.times.tolist() == [8.0]
     assert np.array_equal(got.displacement, want.displacement)
 
 
