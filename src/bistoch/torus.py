@@ -20,12 +20,16 @@ def check_integer(value, what: str, least: int, limit=math.inf) -> int:
     numpy integers pass.  A float or a bool never stands for an integer, so
     1.5 or True cannot silently name the index 1.
     """
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and least <= value < limit):
+    if not (is_integer(value) and least <= value < limit):
         rule = (f" in [{least}, {limit})" if limit < math.inf
                 else f" >= {least}" if least > -math.inf else "")
         raise ValueError(f"{what} must be an integer{rule}, got {value!r}")
     return int(value)
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; never for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .env import Environment, _generator
 from .errors import AbsorbingState
-from .torus import check_integer, check_positive
+from .torus import check_integer, check_positive, is_integer
 
 
 # master seeds and replica indices are the two 64-bit words of a replica key
@@ -112,9 +112,6 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     check_rates(env)
     seed = check_integer(seed, "seed", 0)
     rng = _generator(seed)
-    block = 1024  # uniforms per refill; consumption order matches the batch engine
-    buf = rng.random(block)
-    ptr = 0
 
     site = x0
     now = 0.0
@@ -127,12 +124,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         rate = total[site]
         if rate <= 0.0:
             raise AbsorbingState(site)
-        if ptr >= block:
-            buf = rng.random(block)
-            ptr = 0
-        u1 = buf[ptr]
-        u2 = buf[ptr + 1]
-        ptr += 2
+        u1, u2 = rng.random(2)
         now = now + _holding_time(u1, rate)
         if now >= T:
             break
@@ -373,14 +365,12 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         raise ValueError(f"site_fields must have shape ({n}, F)")
     if jump_weights.ndim != 3 or jump_weights.shape[:2] != (n, ndir):
         raise ValueError(f"jump_weights must have shape ({n}, {ndir}, W)")
-    if block % 2 or block < 2:
+    if not is_integer(block) or block % 2 or block < 2:
         raise ValueError("block must be a positive even number")
     check_rates(env)
 
     nbr = t_.nbr.ravel()  # edge (x, k) sits at x * ndir + k in every flat table
-    # one contiguous column per direction but the last, which equals the
-    # total rate and is compared against the gathered `rate` instead
-    cum_cols = [np.ascontiguousarray(env.cum_rates[:, j]) for j in range(ndir - 1)]
+    cum_rows = np.ascontiguousarray(env.cum_rates.T)
     total = env.total_rate
     G = len(grid)
     F = site_fields.shape[1]
@@ -498,12 +488,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
                 np.multiply(dt, rate, out=holding[n_held:held])
                 n_held = held
 
-            v = u2 * rate
-            k = (v >= cum_cols[0][sm]).astype(np.intp)
-            for col in cum_cols[1:]:
-                k += v >= col[sm]
-            k += v >= rate
-            np.minimum(k, ndir - 1, out=k)
+            k = np.minimum((cum_rows.take(sm, axis=1) <= u2 * rate).sum(axis=0), ndir - 1)
 
             edge = sm * ndir + k
             jsum[:m] += jump_table.take(edge, axis=0)

@@ -178,14 +178,16 @@ def test_criterion_07_clt_shape():
         m2 = mart.second_moment_curve(res.displacement)[0]
         slope = mart.growth_slope(grid, m2)
         ks = max(mart.ks_gaussian(res.displacement[:, -1, i]) for i in range(2))
-        attempts.append((seed, slope, ks))
-        ok = 0.95 <= slope <= 1.05 and ks < 0.02
+        chi_p = mart.final_site_chisquare(res.final_site, env.torus.n)
+        attempts.append((seed, slope, ks, chi_p))
+        ok = 0.95 <= slope <= 1.05 and ks < 0.02 and chi_p >= 1e-3
         if ok:
             break
-    seed, slope, ks = attempts[-1]
+    seed, slope, ks, chi_p = attempts[-1]
     _verdict(7, ok,
              f"slope {slope:.5f} in [0.95, 1.05], worst component KS {ks:.4f} "
-             f"< 0.02 (attempt {len(attempts)})", t0, 600.0)
+             f"< 0.02, final-site chi-square p {chi_p:.3f} >= 1e-3 "
+             f"(attempt {len(attempts)})", t0, 600.0)
 
 
 def test_criterion_08_exact_path_identities():

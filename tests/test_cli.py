@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,7 +381,7 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, env_file, capsys, case
     if case == "directory":
         path.mkdir()
     else:  # 0xff starts no UTF-8 sequence
-        path.write_bytes(b"\xff" + open(env_file, "rb").read())
+        path.write_bytes(b"\xff" + Path(env_file).read_bytes())
     assert main(["check-all", "--config", str(path), "-o", str(tmp_path / "r.json")]) == 2
     assert main(["bounds", "--env", str(path)]) == 2
     err = capsys.readouterr().err
@@ -388,7 +389,7 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, env_file, capsys, case
 
 
 def _malformed(env_file):
-    text = open(env_file).read()
+    text = Path(env_file).read_text()
     doc = json.loads(text)
     cases = {"truncated": text[:len(text) // 2], "not-an-object": "[1, 2]",
              "binary": "\udcff"}

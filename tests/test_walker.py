@@ -94,8 +94,39 @@ def test_engine_matches_reference_walker_on_grid(env, T, grid, block):
         # only part of the ensemble live
         assert res.n_jumps.max() >= 2 * res.n_jumps.min()
     if T == 128.0:
-        # every reference walk refills its 1024-uniform buffer mid-walk
+        # every walk reads over 1024 uniforms from its stream, so the engine
+        # refills its default buffer of 256 per replica four times mid-walk
         assert res.n_jumps.min() >= 512
+
+
+def _env_with_falling_cumulative_rates():
+    # d=2, L=4, s=1 with flow 1.5 on the edge (3, e1) and -1.25 on (9, e2):
+    # the reverse of the first and the second itself get a negative rate
+    t = Torus(2, 4)
+    flow = np.zeros((t.n, t.d))
+    flow[3, 0], flow[9, 1] = 1.5, -1.25
+    return Environment(t, ConductanceField(t, np.ones((t.n, t.ndir))),
+                       b=FlowField.from_canonical(t, flow))
+
+
+@pytest.mark.parametrize("block", [2, 6, None])
+def test_engine_matches_reference_walker_on_non_monotone_cumulative_rates(monkeypatch, block):
+    env = _env_with_falling_cumulative_rates()
+    assert env.p_full.min() == -0.5 and env.total_rate.min() == 2.5
+    falling = np.flatnonzero((np.diff(env.cum_rates, axis=1) < 0).any(axis=1))
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: 2)
+    R, x0, T = 64, 3, 40.0
+    width = {} if block is None else {"block": block}
+    res = run_ensemble(env, T, R, MASTER, x0=x0, **width)
+    left_falling = 0
+    for r in range(R):
+        traj = simulate(env, x0, T, replica_key(MASTER, r))
+        assert res.n_jumps[r] == traj.n_jumps
+        assert res.final_site[r] == traj.sites[-1]
+        assert np.array_equal(res.displacement[r, -1], traj.final_displacement)
+        left_falling += np.isin(traj.sites[:-1], falling).sum()
+    # the walks draw their direction at the sites whose cumulative rates fall
+    assert left_falling > 0
 
 
 @pytest.mark.parametrize("x0", [-1, 64, 2.0, True, None])
@@ -462,7 +493,7 @@ def test_replica_count_must_be_a_positive_integer(env_rand, n_replicas):
         run_ensemble(env_rand, 1.0, n_replicas, MASTER)
 
 
-@pytest.mark.parametrize("block", [3, 0, -2])
+@pytest.mark.parametrize("block", [3, 0, -2, 256.0, np.float64(4.0), "4", True])
 def test_buffer_width_must_be_a_positive_even_number(env_rand, block):
     with pytest.raises(ValueError, match="block must be a positive even number"):
         run_ensemble(env_rand, 1.0, 2, MASTER, block=block)
