@@ -226,7 +226,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_decompose(args) -> int:
     env = load_env(args.env)
     report.require_site(args.x0, env.torus.n, "--x0")
-    grid = report.checked("--grid", _parse_grid, args.grid, args.T) if args.grid else None
+    grid = (None if args.grid is None
+            else report.checked("--grid", _parse_grid, args.grid, args.T))
     ens = mart.run_decomposition_ensemble(env, args.T, args.replicas,
                                           args.seed, grid=grid, x0=args.x0)
     res = report.decompose_verdict(ens)

@@ -28,7 +28,7 @@ class DegenerateEdge(BistochError):
 
 
 class AbsorbingState(BistochError):
-    """The walk reached a site whose total jump rate is not positive."""
+    """The environment has a site whose total jump rate is not positive."""
 
     def __init__(self, site: int):
         self.site = site

@@ -11,8 +11,7 @@ stream, first the holding time, then the direction, which makes the
 lockstep engine below bit-compatible with the single-trajectory simulator.
 The engine splits the replicas into contiguous ranges, one per worker
 process (`worker_count`); since no replica's path depends on another's,
-the split changes no output bit.  An environment that has a site of
-non-positive total rate is walked in one process.
+the split changes no output bit.
 """
 
 from __future__ import annotations
@@ -71,22 +70,29 @@ def check_site(x0, n: int) -> int:
 
 
 def check_rates(env: Environment) -> None:
-    """Accept an environment whose jump rates are all finite.
+    """Accept an environment whose jump rates are all finite and whose every site can be left.
 
     A NaN rate never ends a holding time and an infinite one ends it at
-    once, so neither gives a walk; both walkers call this before their
-    first draw.  Finite negative rates are left to AbsorbingState.
+    once, so neither gives a walk; nor does a site of total rate <= 0,
+    which the model (s > 0 almost surely) excludes.  Both walkers call this
+    before their first draw, so the error does not depend on the starts,
+    the replicas or the CPU count.
 
     Raises
     ------
     ValueError
         naming the first site and direction whose rate is not finite.
+    AbsorbingState
+        naming the lowest site whose total rate is not positive.
     """
     bad = ~np.isfinite(env.p_full)
     if bad.any():
         x, k = np.argwhere(bad)[0]
         raise ValueError(f"jump rate at site {x}, direction {k} is {env.p_full[x, k]}; "
                          "rates must be finite")
+    dead = np.flatnonzero(env.total_rate <= 0.0)
+    if len(dead):
+        raise AbsorbingState(int(dead[0]))
 
 
 def _holding_time(u, rate):
@@ -104,7 +110,7 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
         torus, seed is not an integer key in [0, 2**128) or a jump rate is
         not finite.
     AbsorbingState
-        if the walk reaches a site whose total rate is not positive.
+        if a site of the environment has a total rate that is not positive.
     """
     T = check_positive(T, "horizon T")
     t_ = env.torus
@@ -116,33 +122,28 @@ def simulate(env: Environment, x0: int, T: float, seed: int) -> Trajectory:
     site = x0
     now = 0.0
     times, dirs, sites = [], [], [site]
-    disp = [np.zeros(t_.d, dtype=np.int64)]
     total = env.total_rate
     cum = env.cum_rates
     nbr = t_.nbr
     while True:
         rate = total[site]
-        if rate <= 0.0:
-            raise AbsorbingState(site)
         u1, u2 = rng.random(2)
         now = now + _holding_time(u1, rate)
         if now >= T:
             break
-        v = u2 * rate
-        k = int((v >= cum[site]).sum())
-        if k >= t_.ndir:
-            k = t_.ndir - 1
+        k = min(int((u2 * rate >= cum[site]).sum()), t_.ndir - 1)
         times.append(now)
         dirs.append(k)
-        disp.append(disp[-1] + t_.directions[k])
         site = int(nbr[site, k])
         sites.append(site)
+    dirs = np.asarray(dirs, dtype=np.int64)
+    steps = np.concatenate([np.zeros((1, t_.d), dtype=np.int64), t_.directions[dirs]])
     return Trajectory(
         d=t_.d, L=t_.L, x0=x0, T=T, seed=seed,
         times=np.asarray(times, dtype=float),
-        dirs=np.asarray(dirs, dtype=np.int64),
+        dirs=dirs,
         sites=np.asarray(sites, dtype=np.int64),
-        displacement=np.stack(disp, axis=0),
+        displacement=np.cumsum(steps, axis=0),
     )
 
 
@@ -345,11 +346,9 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     The replicas are split into worker_count(n_replicas) contiguous ranges.
     The caller walks the first; each other range walks in a forked child,
     which writes its rows of every output into shared mappings and sends
-    its holding times back through a pipe.  An environment with a site of
-    non-positive total rate is walked in one process, so an AbsorbingState
-    names the site reached at the earliest lockstep step, by the lowest
-    replica.  Within a range the live replicas come first in every per-lane
-    array, so each lockstep step reads and writes slices.
+    its holding times back through a pipe.  Within a range the live
+    replicas come first in every per-lane array, so each lockstep step
+    reads and writes slices.
     """
     T = check_positive(T, "horizon T")
     R = check_integer(n_replicas, "n_replicas", 1)
@@ -384,12 +383,11 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
     jump_table = (weights[:, :, None, :]
                   * t_.directions[None, :, :, None]).reshape(n * ndir, d * W)
     grid_pad = np.append(grid, np.inf)
-    check_absorbing = bool((total <= 0.0).any())
 
     # checking the master seed and the largest index R - 1 once checks every
     # key: replica r's is (master_seed << 64) | r
     first_key = replica_key(master_seed, R - 1) - (R - 1)
-    workers = 1 if check_absorbing else worker_count(R)
+    workers = worker_count(R)
     # every worker writes its replicas' rows of the outputs in place
     outputs = [_mapped(shape, dtype, shared=workers > 1) for shape, dtype in
                [((R,), np.int64)] * 3 + [((R, G, F), float), ((R, G, d * W), float)]]
@@ -400,8 +398,7 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
         The m live lanes come first in every per-lane array, in replica
         order, with rid[i] lane i's row of the outputs; the walk ends when no
         lane is left, at once for an empty range.  Returns their holding
-        times, or None unless collected; raises AbsorbingState at the first
-        site of non-positive total rate reached.
+        times, or None unless collected.
         """
         start_site, final_site, nj, snap, jsnap = (a[lo:hi] for a in outputs)
         m = hi - lo
@@ -442,10 +439,6 @@ def run_ensemble(env: Environment, T: float, n_replicas: int, master_seed: int,
 
             sm = site[:m]
             rate = total[sm]
-            if check_absorbing:
-                dead = rate <= 0.0
-                if dead.any():
-                    raise AbsorbingState(int(sm[np.flatnonzero(dead)[0]]))
             dt = _holding_time(u1, rate)
             t0 = now[:m]
             t_new = t0 + dt

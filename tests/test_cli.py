@@ -363,11 +363,16 @@ def test_numeric_argument_out_of_range(tmp_path, env_file, capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
-def test_decompose_bad_grid(tmp_path, env_file, capsys):
+@pytest.mark.parametrize("grid, message", [
+    pytest.param("5.0,9.0", "grid must end exactly at T", id="unended"),
+    # an empty grid is not the default one
+    pytest.param("", "could not convert string to float: ''", id="empty"),
+])
+def test_decompose_bad_grid(tmp_path, env_file, capsys, grid, message):
     rc = main(["decompose", "--env", env_file, "--T", "10.0", "--seed", "2",
-               "--grid", "5.0,9.0", "-o", str(tmp_path / "mart.csv")])
+               "--grid", grid, "-o", str(tmp_path / "mart.csv")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: --grid: grid must end exactly at T\n"
+    assert capsys.readouterr().err == f"error: --grid: {message}\n"
 
 
 def test_missing_environment_file(tmp_path):
@@ -565,6 +570,20 @@ def test_an_absorbing_ensemble_exits_1_without_a_worker(absorbing_env_file, caps
                  "--replicas", "3000"]) == 1
     assert capsys.readouterr().err == ABSORBED_AT_5
     assert forked == []
+
+
+def test_a_reconstructed_totally_asymmetric_environment_walks(tmp_path):
+    # the stream that helmholtz rebuilds leaves some rates at about -2e-16,
+    # within validation's tolerance; every total rate stays positive
+    env, stream = str(tmp_path / "env.json"), str(tmp_path / "stream.json")
+    assert main(["gen-env", "--d", "2", "--L", "8", "--seed", "3",
+                 "--generator", "totally-asymmetric", "-o", env]) == 0
+    assert main(["helmholtz", "--env", env, "-o", stream]) == 0
+    rebuilt = load_env(stream)
+    assert rebuilt.p_full.min() < 0 < rebuilt.total_rate.min()
+    walk = ["--env", stream, "--T", "8.0", "--seed", "1", "--replicas", "20"]
+    assert main(["simulate", *walk, "-o", str(tmp_path / "summary.csv")]) == 0
+    assert main(["decompose", *walk, "-o", str(tmp_path / "mart.csv")]) == 0
 
 
 NEGATIVE_LAW = {"d": 2, "L": 4, "seed": 3, "s_dist": ["gaussian", 0.3]}

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,12 @@ import pytest
 from bistoch import corrector, mart, report, walker
 from bistoch.env import canonical_json, save_env
 from bistoch.errors import DenseCapExceeded
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+if str(ROOT / "perfbench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import README_CONFIG  # noqa: E402
 
 
 def _config(*checks):
@@ -232,10 +241,14 @@ def test_foreign_exception_is_recorded_against_its_check(monkeypatch):
 
 # -- one ensemble per seed -------------------------------------------------------
 
-README_CONFIG = {"seed": 11, "env": {"d": 2, "L": 8, "seed": 7}, "T": 64.0,
-                 "replicas": 2000, "checks": list(report.CHECK_NAMES)}
 SMALL = {"seed": 11, "env": {"d": 2, "L": 8, "seed": 7}, "T": 16.0, "replicas": 1000}
 WALK_CHECKS = ["decompose", "orthogonality", "clt"]
+
+
+def test_the_readme_config_is_the_benchmarked_one():
+    cli = (ROOT / "README.md").read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    assert json.loads(cli.split("```json\n")[1].split("```")[0]) == README_CONFIG
+    assert README_CONFIG["checks"] == list(report.CHECK_NAMES)
 
 
 class _FreshWalks:

@@ -368,24 +368,39 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked processes")
-def test_an_absorbable_walk_runs_in_one_process(monkeypatch, workers):
-    env = _env_with_two_dead_sites()
-    real, forked = walker._fork, []
-    monkeypatch.setattr(walker, "_fork", lambda *args: forked.append(args) or real(*args))
-    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
-    # all four replicas reach site 2 first, at an earlier lockstep step, in
-    # replica 2 or 3; replicas 0 and 1 alone reach site 6 first
-    with pytest.raises(AbsorbingState) as all_four:
-        run_ensemble(env, 100.0, 4, 2, x0=4)
-    assert all_four.value.site == 2
-    assert forked == []
-    with pytest.raises(AbsorbingState) as alone:
-        run_ensemble(env, 100.0, 2, 2, x0=4)
-    assert alone.value.site == 6
-    assert forked == []
+def _refused_before_the_first_draw(monkeypatch, env, x0) -> list:
+    """The site of each walker's AbsorbingState from x0, with every draw, mapping and fork spied."""
+    calls = []
+    for name in ("_fork", "_mapped", "_generator"):
+        real = getattr(walker, name)
+        monkeypatch.setattr(walker, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    sites = []
+    # from site 4, replicas 0 and 1 of seed 2 meet site 6 before site 2
+    for walk in (lambda: simulate(env, x0, 100.0, seed=2),
+                 lambda: run_ensemble(env, 100.0, 2, 2, x0=x0),
+                 lambda: run_ensemble(env, 100.0, 4, 2, x0=x0),
+                 lambda: run_ensemble(env, 100.0, 3000, 2)):
+        with pytest.raises(AbsorbingState) as refused:
+            walk()
+        sites.append(refused.value.site)
+    assert calls == []
     _no_child_left()
+    return sites
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_dead_site_is_refused_before_the_first_draw(monkeypatch, workers):
+    monkeypatch.setattr(walker, "worker_count", lambda n_replicas: workers)
+    # the lowest dead site, whatever the walk would reach first
+    assert _refused_before_the_first_draw(monkeypatch, _env_with_two_dead_sites(), 4) == [2] * 4
+
+
+def test_a_dead_site_the_walk_never_reaches_is_refused(monkeypatch):
+    env = _env_with_dead_site()
+    # no rate leads into site 2, so a walk from site 0 never meets it
+    assert env.p_full[1, 0] == env.p_full[3, 1] == 0.0
+    assert _refused_before_the_first_draw(monkeypatch, env, 0) == [2] * 4
 
 
 @pytest.mark.parametrize("error, replica", [
